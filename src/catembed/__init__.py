@@ -20,7 +20,7 @@ from .corpus import (
 from .embeddings import EmbeddingIndex, EmbeddingTable, init_embeddings, load_embeddings, save_text
 from .errors import CatembedError
 from .hierarchy import AncestorWeights, ancestors, avg_steps_down, category_weights, ce_weights
-from .sampler import NoiseTable, build_noise_table, draw_negatives, generate_pairs
+from .sampler import NoiseTable, build_noise_table, draw_negatives_batch, pairs_arrays
 from .trainer import TrainConfig, train
 
 __version__ = "0.1.0"
@@ -45,12 +45,12 @@ __all__ = [
     "build_vocabulary",
     "category_weights",
     "ce_weights",
-    "draw_negatives",
-    "generate_pairs",
+    "draw_negatives_batch",
     "init_embeddings",
     "load_corpus",
     "load_embeddings",
     "load_hierarchy",
+    "pairs_arrays",
     "prune_to_dag",
     "save_text",
     "train",

@@ -32,8 +32,8 @@ ECHO_NAME = "config.echo"
 
 
 @dataclass
-class RunConfig:
-    """Everything a pipeline run needs: paths, pruning options, hyperparameters."""
+class RunConfig(trainer.TrainConfig):
+    """Everything a pipeline run needs: the training hyperparameters plus paths and pruning options."""
 
     corpus: str = ""
     hierarchy: str = ""
@@ -45,29 +45,10 @@ class RunConfig:
     drop_patterns: list[str] = field(default_factory=list)
     min_count: int = 1
     verbosity: int = 1
-    dim: int = 100
-    epochs: int = 5
-    lr0: float = 0.025
-    lr_min: float = -1.0  # negative means auto: 1e-4 * lr0
-    negatives: int = 10
-    chunk: int = 500
-    noise_alpha: float = 0.75
-    seed: int = 1
-    workers: int = 1
-    mode: str = "hce"
-    shuffle: bool = True
-    subsample: float = 0.0
-    checkpoint_every: int = 0
 
-    def train_config(self) -> trainer.TrainConfig:
-        return trainer.TrainConfig(
-            dim=self.dim, epochs=self.epochs, lr0=self.lr0,
-            lr_min=None if self.lr_min < 0 else self.lr_min,
-            negatives=self.negatives, chunk=self.chunk, noise_alpha=self.noise_alpha,
-            seed=self.seed, workers=self.workers, mode=self.mode,
-            shuffle=self.shuffle, subsample=self.subsample,
-            checkpoint_every=self.checkpoint_every,
-        )
+
+# Field annotations are strings (postponed evaluation); map them to parsers.
+_FIELD_TYPES = {"str": str, "int": int, "float": float, "float | None": float, "bool": bool, "list[str]": list[str]}
 
 
 def _coerce(raw: str, typ) -> object:
@@ -91,7 +72,7 @@ def load_config_file(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    types = {f.name: f.type for f in fields(RunConfig)}
+    types = {f.name: _FIELD_TYPES.get(f.type, f.type) for f in fields(RunConfig)}
     values: dict = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.strip()
@@ -103,23 +84,20 @@ def load_config_file(path: str | Path) -> dict:
         key = key.strip().replace("-", "_")
         if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-        typ = types[key]
-        if isinstance(typ, str):  # annotations may arrive as strings
-            typ = {"str": str, "int": int, "float": float, "bool": bool, "list[str]": list[str]}[typ]
-        values[key] = _coerce(raw.strip(), typ)
+        values[key] = _coerce(raw.strip(), types[key])
     return values
 
 
 def effective_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            setattr(cfg, key, value)
+    """Config file values overridden by explicit flags.
+
+    Built in one step, so ``TrainConfig`` derives an unset ``lr_min`` from the final ``lr0``.
+    """
+    values = load_config_file(args.config) if getattr(args, "config", None) else {}
     names = {f.name for f in fields(RunConfig)}
-    for key, value in vars(args).items():
-        if key in names:  # flags use SUPPRESS, so present means explicitly given
-            setattr(cfg, key, value)
-    return cfg
+    # flags use SUPPRESS, so present means explicitly given
+    values.update((key, value) for key, value in vars(args).items() if key in names)
+    return RunConfig(**values)
 
 
 def echo_config(cfg: RunConfig, out_dir: Path) -> None:
@@ -186,11 +164,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     echo_config(cfg, out_dir)
-    if cfg.checkpoint_every:
-        echo_config(cfg, out_dir / "checkpoints")  # sidecar next to the checkpoints
 
-    tconf = cfg.train_config()
-    total_chunks = max(1, math.ceil(tconf.epochs * corpus.n_pairs / tconf.chunk))
+    total_chunks = max(1, math.ceil(cfg.epochs * corpus.n_pairs / cfg.chunk))
     log_every = max(1, total_chunks // 20)
     state = {"smoothed": None, "chunks": 0}
 
@@ -204,11 +179,11 @@ def cmd_train(args: argparse.Namespace) -> int:
                 stats.epoch, stats.pairs_done, stats.total_pairs, stats.lr, state["smoothed"],
             )
 
-    log.info("training mode=%s dim=%d epochs=%d backend=%s", tconf.mode, tconf.dim, tconf.epochs, kernels.BACKEND)
-    table = trainer.train(corpus, graph, tconf, on_chunk=on_chunk, checkpoint_dir=out_dir / "checkpoints")
+    log.info("training mode=%s dim=%d epochs=%d backend=%s", cfg.mode, cfg.dim, cfg.epochs, kernels.BACKEND)
+    table = trainer.train(corpus, graph, cfg, on_chunk=on_chunk)
     out_path = out_dir / "embeddings.txt"
     embeddings.save_text(table, vocab, out_path)
-    log.info("wrote %s (%d rows, dim %d)", out_path, vocab.n_entities + vocab.n_categories, tconf.dim)
+    log.info("wrote %s (%d rows, dim %d)", out_path, vocab.n_entities + vocab.n_categories, cfg.dim)
     return 0
 
 
@@ -402,8 +377,6 @@ def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
                                           help="shuffle document order each epoch"),
         "subsample": lambda: p.add_argument("--subsample", type=float, default=S,
                                             help="frequent-entity subsampling threshold; 0 disables"),
-        "checkpoint_every": lambda: p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=S,
-                                                   help="chunks between checkpoints; 0 disables"),
     }
     p.add_argument("--config", default=None, help="key=value config file; flags override")
     for name in names:
@@ -425,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(
         p, "corpus", "hierarchy", "output", "root", "drop_patterns", "min_count",
         "dim", "epochs", "lr0", "lr_min", "negatives", "chunk", "noise_alpha",
-        "seed", "workers", "mode", "shuffle", "subsample", "checkpoint_every", "verbosity",
+        "seed", "workers", "mode", "shuffle", "subsample", "verbosity",
     )
     p.set_defaults(func=cmd_train)
 

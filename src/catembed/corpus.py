@@ -41,6 +41,25 @@ def normalize_label(text: str) -> str:
     return text.strip().lower().replace(" ", "_")
 
 
+class FoldedLabels:
+    """Case- and space-insensitive lookup into a growing label list.
+
+    ``labels`` is shared, not copied; labels appended to it later are folded
+    on the next lookup. The lowest index wins when two labels fold together.
+    """
+
+    def __init__(self, labels: list[str]):
+        self._labels = labels
+        self._folded: dict[str, int] = {}
+        self._seen = 0
+
+    def get(self, word: str) -> int | None:
+        for idx in range(self._seen, len(self._labels)):
+            self._folded.setdefault(normalize_label(self._labels[idx]), idx)
+        self._seen = len(self._labels)
+        return self._folded.get(normalize_label(word))
+
+
 def _iter_lines(source: str | Path | Iterable[str]) -> tuple[str, Iterator[str]]:
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -65,8 +84,8 @@ class Vocabulary:
         self._ent_counts: list[int] = []
         self._cat_index: dict[str, int] = {}
         self._cat_labels: list[str] = []
-        self._folded_ent: dict[str, int] | None = None
-        self._folded_cat: dict[str, int] | None = None
+        self._folded_ent = FoldedLabels(self._ent_labels)
+        self._folded_cat = FoldedLabels(self._cat_labels)
 
     @property
     def n_entities(self) -> int:
@@ -87,7 +106,6 @@ class Vocabulary:
             self._ent_index[label] = idx
             self._ent_labels.append(label)
             self._ent_counts.append(count)
-            self._folded_ent = None
         return idx
 
     def add_category(self, label: str) -> int:
@@ -96,7 +114,6 @@ class Vocabulary:
             idx = len(self._cat_labels)
             self._cat_index[label] = idx
             self._cat_labels.append(label)
-            self._folded_cat = None
         return idx
 
     def entity_id(self, label: str) -> int | None:
@@ -119,20 +136,10 @@ class Vocabulary:
 
     def match_entity(self, word: str) -> int | None:
         """Case/space-insensitive entity lookup; lowest index wins on case clashes."""
-        if self._folded_ent is None:
-            folded: dict[str, int] = {}
-            for label, idx in self._ent_index.items():
-                folded.setdefault(normalize_label(label), idx)
-            self._folded_ent = folded
-        return self._folded_ent.get(normalize_label(word))
+        return self._folded_ent.get(word)
 
     def match_category(self, word: str) -> int | None:
-        if self._folded_cat is None:
-            folded: dict[str, int] = {}
-            for label, idx in self._cat_index.items():
-                folded.setdefault(normalize_label(label), idx)
-            self._folded_cat = folded
-        return self._folded_cat.get(normalize_label(word))
+        return self._folded_cat.get(word)
 
 
 def parse_corpus_line(line: str, lineno: int, source: str = "<stream>") -> tuple[str, list[str], list[str]]:

@@ -12,12 +12,13 @@ train against and are discarded here.
 
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import NodeId, NodeKind, Vocabulary, normalize_label
+from .corpus import FoldedLabels, NodeId, NodeKind, Vocabulary
 from .errors import CorpusError, FormatError
 
 
@@ -62,37 +63,6 @@ def init_embeddings(n_entities: int, n_categories: int, dim: int, seed: int) -> 
     return EmbeddingTable(ent_in=ent_in, cat_in=cat_in, ent_out=ent_out)
 
 
-def _prefixed_rows(table: EmbeddingTable, vocab: Vocabulary):
-    for i in range(table.n_entities):
-        yield "e:" + vocab.entity_label(i), table.ent_in[i]
-    for i in range(table.n_categories):
-        yield "c:" + vocab.category_label(i), table.cat_in[i]
-
-
-def _write_text(rows, n_rows: int, dim: int, path: Path) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"{n_rows} {dim}\n")
-        for label, vec in rows:
-            fh.write(label + " " + " ".join(f"{x:.6g}" for x in vec) + "\n")
-
-
-def _write_binary(rows, n_rows: int, dim: int, path: Path) -> None:
-    with path.open("wb") as fh:
-        fh.write(f"{n_rows} {dim}\n".encode("utf-8"))
-        for label, vec in rows:
-            fh.write(label.encode("utf-8") + b" ")
-            fh.write(np.ascontiguousarray(vec, dtype="<f8").tobytes())
-            fh.write(b"\n")
-
-
-def save_text(table: EmbeddingTable, vocab: Vocabulary, path: str | Path) -> None:
-    _write_text(_prefixed_rows(table, vocab), table.n_entities + table.n_categories, table.dim, Path(path))
-
-
-def save_binary(table: EmbeddingTable, vocab: Vocabulary, path: str | Path) -> None:
-    _write_binary(_prefixed_rows(table, vocab), table.n_entities + table.n_categories, table.dim, Path(path))
-
-
 class EmbeddingIndex:
     """Loaded embedding file: label-addressable input vectors for evaluation."""
 
@@ -101,14 +71,8 @@ class EmbeddingIndex:
         self.cat_labels = cat_labels
         self.ent_vecs = ent_vecs
         self.cat_vecs = cat_vecs
-        self._ent_index = {lab: i for i, lab in enumerate(ent_labels)}
-        self._cat_index = {lab: i for i, lab in enumerate(cat_labels)}
-        self._folded_ent: dict[str, int] = {}
-        self._folded_cat: dict[str, int] = {}
-        for lab, i in self._ent_index.items():
-            self._folded_ent.setdefault(normalize_label(lab), i)
-        for lab, i in self._cat_index.items():
-            self._folded_cat.setdefault(normalize_label(lab), i)
+        self._folded_ent = FoldedLabels(ent_labels)
+        self._folded_cat = FoldedLabels(cat_labels)
 
     @property
     def dim(self) -> int:
@@ -119,10 +83,10 @@ class EmbeddingIndex:
         return len(self.ent_labels) + len(self.cat_labels)
 
     def match_entity(self, word: str) -> int | None:
-        return self._folded_ent.get(normalize_label(word))
+        return self._folded_ent.get(word)
 
     def match_category(self, word: str) -> int | None:
-        return self._folded_cat.get(normalize_label(word))
+        return self._folded_cat.get(word)
 
     def vector(self, node: NodeId) -> np.ndarray:
         return (self.ent_vecs if node.kind is NodeKind.ENTITY else self.cat_vecs)[node.index]
@@ -140,16 +104,37 @@ class EmbeddingIndex:
         )
 
     def _rows(self):
+        """``(prefixed label, vector)`` per row: entities first, then categories."""
         for label, vec in zip(self.ent_labels, self.ent_vecs):
             yield "e:" + label, vec
         for label, vec in zip(self.cat_labels, self.cat_vecs):
             yield "c:" + label, vec
 
     def save_text(self, path: str | Path) -> None:
-        _write_text(self._rows(), self.n_rows, self.dim, Path(path))
+        with Path(path).open("w", encoding="utf-8") as fh:
+            fh.write(f"{self.n_rows} {self.dim}\n")
+            for label, vec in self._rows():
+                fh.write(label + " " + " ".join(f"{x:.6g}" for x in vec) + "\n")
 
     def save_binary(self, path: str | Path) -> None:
-        _write_binary(self._rows(), self.n_rows, self.dim, Path(path))
+        with Path(path).open("wb") as fh:
+            fh.write(f"{self.n_rows} {self.dim}\n".encode("utf-8"))
+            for label, vec in self._rows():
+                fh.write(label.encode("utf-8") + b" ")
+                fh.write(np.ascontiguousarray(vec, dtype="<f8").tobytes())
+                fh.write(b"\n")
+
+
+def save_text(table: EmbeddingTable, vocab: Vocabulary, path: str | Path) -> None:
+    _view(table, vocab).save_text(path)
+
+
+def save_binary(table: EmbeddingTable, vocab: Vocabulary, path: str | Path) -> None:
+    _view(table, vocab).save_binary(path)
+
+
+def _view(table: EmbeddingTable, vocab: Vocabulary) -> EmbeddingIndex:
+    return EmbeddingIndex(vocab.entity_labels(), vocab.category_labels(), table.ent_in, table.cat_in)
 
 
 def _split_prefixed(label: str, source: str, lineno: int) -> tuple[NodeKind, str]:
@@ -253,7 +238,8 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
         header = fh.readline()
         probe = fh.read(4096)
     try:
-        probe.decode("utf-8")
+        # final=False: the probe may end inside a multi-byte character.
+        codecs.getincrementaldecoder("utf-8")().decode(probe, final=False)
         header.decode("ascii")
     except UnicodeDecodeError:
         return load_binary(path)

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,18 +11,8 @@ from .corpus import Corpus, Vocabulary
 from .errors import SamplerError
 
 
-def generate_pairs(corpus: Corpus, doc_order: Sequence[int] | None = None) -> Iterator[tuple[int, int]]:
-    """Yield one (target, context) pair per context occurrence, in document order."""
-    docs = corpus.documents
-    order = range(len(docs)) if doc_order is None else doc_order
-    for di in order:
-        doc = docs[di]
-        for ctx in doc.contexts:
-            yield doc.target, ctx
-
-
 def pairs_arrays(corpus: Corpus, doc_order: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize the pair stream as (targets, contexts) int64 arrays."""
+    """(targets, contexts) int64 arrays: one pair per context occurrence, in document order."""
     docs = corpus.documents
     order = range(len(docs)) if doc_order is None else doc_order
     targets: list[np.ndarray] = []
@@ -43,62 +33,42 @@ def pairs_arrays(corpus: Corpus, doc_order: Sequence[int] | None = None) -> tupl
 class NoiseTable:
     """Cumulative distribution over entity indices, p(e) proportional to count^alpha.
 
-    Sampling is a binary search over the cumulative sums. The table owns an
-    RNG seeded at construction; callers that need reproducible private streams
-    (training workers) pass their own generator instead.
+    Sampling is a binary search over the cumulative sums, driven by the
+    caller's generator.
     """
 
     cumulative: np.ndarray
     alpha: float
-    seed: int | None = None
-    _rng: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
 
     @property
     def n_entities(self) -> int:
         return len(self.cumulative)
 
-    def sample(self, size, rng: np.random.Generator | None = None) -> np.ndarray:
-        rng = rng if rng is not None else self._rng
+    def sample(self, size, rng: np.random.Generator) -> np.ndarray:
         return np.searchsorted(self.cumulative, rng.random(size), side="right")
 
 
-def build_noise_table(vocab: Vocabulary, alpha: float = 0.75, seed: int | None = None) -> NoiseTable:
+def build_noise_table(vocab: Vocabulary, alpha: float = 0.75) -> NoiseTable:
+    """Noise table over the entity counts of ``vocab`` raised to ``alpha``.
+
+    Rejects an alpha whose powered counts overflow, or that leaves the other
+    entities less than 1e-6 of the mass: excluding the most probable entity
+    would then redraw forever.
+    """
     counts = vocab.entity_counts().astype(np.float64)
     if counts.size == 0 or not np.any(counts > 0):
         raise SamplerError("noise table needs at least one entity with positive count")
-    probs = counts**alpha
-    probs /= probs.sum()
+    with np.errstate(over="ignore"):
+        probs = counts**alpha
+    total = probs.sum()
+    if not (np.isfinite(total) and total > 0):
+        raise SamplerError(f"noise_alpha={alpha} overflows the powered entity counts")
+    if counts.size > 1 and (total - probs.max()) / total < 1e-6:
+        raise SamplerError(f"noise_alpha={alpha} puts nearly all noise mass on one entity")
+    probs /= total
     cumulative = np.cumsum(probs)
     cumulative[-1] = 1.0  # kill accumulated rounding at the top end
-    return NoiseTable(cumulative=cumulative, alpha=alpha, seed=seed)
-
-
-def draw_negatives(
-    table: NoiseTable,
-    k: int,
-    exclude: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Draw k negative entity ids i.i.d. from the noise distribution.
-
-    Draws equal to ``exclude`` are redrawn, so the positive context never
-    appears among its own negatives.
-    """
-    if k < 1:
-        raise SamplerError(f"negative sample size must be >= 1, got {k}")
-    if exclude is not None and table.n_entities < 2:
-        raise SamplerError("cannot exclude the only entity in the vocabulary")
-    rng = rng if rng is not None else table._rng
-    draws = table.sample(k, rng)
-    if exclude is not None:
-        mask = draws == exclude
-        while mask.any():
-            draws[mask] = table.sample(int(mask.sum()), rng)
-            mask = draws == exclude
-    return draws
+    return NoiseTable(cumulative=cumulative, alpha=alpha)
 
 
 def draw_negatives_batch(
@@ -107,7 +77,11 @@ def draw_negatives_batch(
     excludes: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized draw of k negatives per row, excluding per-row positives."""
+    """Draw k negatives per row i.i.d. from the noise distribution.
+
+    Draws equal to the row's entry in ``excludes`` are redrawn, so a positive
+    context never appears among its own negatives.
+    """
     if k < 1:
         raise SamplerError(f"negative sample size must be >= 1, got {k}")
     if table.n_entities < 2:

@@ -18,15 +18,14 @@ import logging
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import kernels
 from .corpus import CategoryGraph, Corpus, NodeId
-from .embeddings import EmbeddingTable, init_embeddings, save_text
+from .embeddings import EmbeddingTable, init_embeddings
 from .errors import ConfigError, TrainError
 from .hierarchy import AncestorWeights, weight_csr
 from .sampler import build_noise_table, draw_negatives_batch, pairs_arrays
@@ -50,7 +49,6 @@ class TrainConfig:
     mode: str = "hce"
     shuffle: bool = True
     subsample: float = 0.0  # 0 disables frequent-entity subsampling
-    checkpoint_every: int = 0  # chunks between checkpoints; 0 disables
 
     def __post_init__(self) -> None:
         if self.lr_min is None:
@@ -189,7 +187,6 @@ def train(
     graph: CategoryGraph,
     config: TrainConfig,
     on_chunk: Callable[[ChunkStats], None] | None = None,
-    checkpoint_dir: str | Path | None = None,
 ) -> EmbeddingTable:
     """Run negative-sampling SGD over the corpus and return the final table.
 
@@ -214,23 +211,10 @@ def train(
         raise TrainError("corpus yields no training pairs")
     progress = _Progress(config.epochs * pairs_per_epoch)
     lr_span = config.lr0 - config.lr_min
-    chunk_counter = [0]
-    ckpt_lock = threading.Lock()
 
     def lr_at(done: int) -> float:
         frac = min(1.0, done / progress.total)
         return max(config.lr_min, config.lr0 - lr_span * frac)
-
-    def maybe_checkpoint() -> None:
-        if not config.checkpoint_every or checkpoint_dir is None:
-            return
-        with ckpt_lock:
-            chunk_counter[0] += 1
-            if chunk_counter[0] % config.checkpoint_every != 0:
-                return
-            out = Path(checkpoint_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            save_text(table, vocab, out / f"checkpoint_{chunk_counter[0]:06d}.txt")
 
     def run_shard(epoch: int, worker: int, targets: np.ndarray, contexts: np.ndarray) -> None:
         rng = worker_rngs[worker]
@@ -253,7 +237,6 @@ def train(
                     epoch=epoch, pairs_done=done, total_pairs=progress.total,
                     lr=lr, loss_per_pair=loss / (stop - start), worker=worker,
                 ))
-            maybe_checkpoint()
 
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n_docs) if config.shuffle else np.arange(n_docs)
@@ -280,14 +263,3 @@ def train(
     table.assert_finite()
     return table
 
-
-def config_as_dict(config: TrainConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(config)}
-
-
-def config_from_dict(values: dict) -> TrainConfig:
-    known = {f.name for f in fields(TrainConfig)}
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(f"unknown training options: {sorted(unknown)}")
-    return TrainConfig(**values)

@@ -13,7 +13,7 @@ from catembed.corpus import build_vocabulary, load_corpus, load_hierarchy, prune
 from catembed.embeddings import EmbeddingIndex
 from catembed.hierarchy import AncestorWeights, ancestors, avg_steps_down, category_weights
 from catembed.relatedness import spearman
-from catembed.sampler import build_noise_table, draw_negatives
+from catembed.sampler import build_noise_table
 from catembed.synthetic import SyntheticSpec, generate_world
 from catembed.trainer import TrainConfig, pair_loss_and_grad, train
 
@@ -201,8 +201,8 @@ def test_criterion_07_negative_sampler_distribution():
     vocab = build_vocabulary(["a\tc1\ta a", "b\tc1\t"])
     counts = dict(zip(vocab.entity_labels(), vocab.entity_counts()))
     assert counts == {"a": 3, "b": 1}
-    table = build_noise_table(vocab, alpha=1.0, seed=777)
-    draws = draw_negatives(table, 10**6)
+    table = build_noise_table(vocab, alpha=1.0)
+    draws = table.sample(10**6, np.random.default_rng(777))
     freq = np.bincount(draws, minlength=2) / len(draws)
     ok = abs(freq[0] - 0.75) < 0.01 and abs(freq[1] - 0.25) < 0.01
     report(

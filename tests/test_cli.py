@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from catembed.cli import main
+from catembed.cli import build_parser, effective_config, main
 from catembed.embeddings import load_binary, load_text
 
 
@@ -102,14 +102,9 @@ class TestTrain:
             main(train_args(world_dir, tmp_path / "x", "--mode", "bogus"))
         assert exc.value.code != 0
 
-    def test_checkpoints_written(self, world_dir, tmp_path):
-        out = tmp_path / "ckpt"
-        assert main(train_args(world_dir, out, "--checkpoint-every", "2")) == 0
-        ckpts = sorted((out / "checkpoints").glob("checkpoint_*.txt"))
-        assert ckpts
-        assert (out / "checkpoints" / "config.echo").exists()
-        index = load_text(ckpts[0])
-        assert index.n_rows == 15 + 7  # 15 entities, root + 3 parents + 3 leaves
+    def test_extreme_noise_alpha_fails_fast(self, world_dir, tmp_path, capsys):
+        assert main(train_args(world_dir, tmp_path / "x", "--noise-alpha", "600")) == 1
+        assert capsys.readouterr().err.startswith("error: noise_alpha=600.0")
 
     def test_paper_named_hyperparameters_accepted(self, world_dir, tmp_path):
         out = tmp_path / "paper"
@@ -291,3 +286,22 @@ class TestConfigFile:
         rc = main(["train", "--config", str(cfg), "--verbosity", "0"])
         assert rc == 1
         assert "bogus_key" in capsys.readouterr().err
+
+    def test_checkpoint_every_is_no_longer_an_option(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("checkpoint_every=2\n", encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--verbosity", "0"]) == 1
+        assert "unknown option 'checkpoint_every'" in capsys.readouterr().err
+
+    def test_lr_min_follows_lr0_from_flags_and_file(self, tmp_path):
+        from_flags = effective_config(build_parser().parse_args(["train", "--lr0", "0.05"]))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr0=0.05\n", encoding="utf-8")
+        from_file = effective_config(build_parser().parse_args(["train", "--config", str(cfg)]))
+        assert from_flags.lr_min == from_file.lr_min == pytest.approx(5e-6, rel=1e-12)
+
+    def test_lr_min_from_file_is_a_float(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr0=0.05\nlr_min=0.001\n", encoding="utf-8")
+        config = effective_config(build_parser().parse_args(["train", "--config", str(cfg)]))
+        assert config.lr_min == 0.001

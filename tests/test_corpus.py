@@ -8,6 +8,7 @@ from catembed.corpus import (
     parse_corpus_line,
     prune_to_dag,
 )
+from catembed.embeddings import EmbeddingIndex
 from catembed.errors import CorpusError, FormatError, HierarchyError
 
 
@@ -82,6 +83,22 @@ class TestBuildVocabulary:
             assert vocab.entity_label(vocab.entity_id(label)) == label
         for label in vocab.category_labels():
             assert vocab.category_label(vocab.category_id(label)) == label
+
+
+class TestFoldedMatch:
+    def test_lowest_index_wins_on_clash(self):
+        vocab = build_vocabulary(["Big_Cat\tc\tbig_cat BIG CAT"])
+        assert vocab.entity_labels() == ["Big_Cat", "big_cat", "BIG", "CAT"]
+        assert vocab.match_entity("big cat") == 0
+        index = EmbeddingIndex(vocab.entity_labels(), [], np.zeros((4, 2)), np.zeros((0, 2)))
+        assert index.match_entity("BIG cat") == 0
+
+    def test_categories_added_after_a_lookup_are_found(self):
+        vocab = build_vocabulary(["t\tCat_A\t"])
+        assert vocab.match_category("cat b") is None
+        load_hierarchy(["Cat_A\tCat_B"], vocab)
+        assert vocab.match_category("cat b") == vocab.category_id("Cat_B")
+        assert vocab.match_category("CAT A") == vocab.category_id("Cat_A")
 
 
 class TestLoadHierarchy:

@@ -103,6 +103,15 @@ class TestSniffing:
         with pytest.raises(CorpusError):
             load_embeddings(tmp_path / "nope.txt")
 
+    @pytest.mark.parametrize("pad", range(8))
+    def test_text_with_multibyte_labels(self, tmp_path, pad):
+        # the 4096-byte sniffing probe ends inside an "é" for every other pad length
+        labels = ["x" * pad] + ["é" * 50 + str(i) for i in range(200)]
+        path = tmp_path / "accents.txt"
+        EmbeddingIndex(labels, ["c"], np.ones((len(labels), 3)), np.ones((1, 3))).save_text(path)
+        loaded = load_embeddings(path)
+        assert loaded.ent_labels == labels
+
 
 class TestEmbeddingIndex:
     def test_vector_lookup_by_node(self, small_setup):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -83,15 +85,19 @@ class TestNumpyKernel:
             assert np.isfinite(arr).all()
 
 
-@pytest.mark.skipif(kernels.train_chunk_numba is None, reason="numba backend unavailable")
-class TestNumbaKernel:
+# The loop kernel as shipped: numba-compiled when numba is importable, plain
+# Python otherwise (slow, but fine on these tiny instances).
+loop_kernel = kernels._train_chunk_loops if kernels.train_chunk_numba is None else kernels.train_chunk_numba
+
+
+class TestLoopKernel:
     def test_matches_numpy_backend(self):
         arrays = make_instance(3, n_pairs=40)
         np_arrays = clone(arrays[:3])
         nb_arrays = clone(arrays[:3])
         rest = arrays[3:]
         loss_np = kernels.train_chunk_numpy(*np_arrays, *rest, 0.07)
-        loss_nb = kernels.train_chunk_numba(*nb_arrays, *rest, 0.07)
+        loss_nb = loop_kernel(*nb_arrays, *rest, 0.07)
         assert loss_nb == pytest.approx(loss_np, rel=1e-12, abs=1e-12)
         for a, b in zip(np_arrays, nb_arrays):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
@@ -101,8 +107,8 @@ class TestNumbaKernel:
         first = clone(arrays[:3])
         second = clone(arrays[:3])
         rest = arrays[3:]
-        l1 = kernels.train_chunk_numba(*first, *rest, 0.02)
-        l2 = kernels.train_chunk_numba(*second, *rest, 0.02)
+        l1 = loop_kernel(*first, *rest, 0.02)
+        l2 = loop_kernel(*second, *rest, 0.02)
         assert l1 == l2
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
@@ -114,11 +120,19 @@ class TestNumbaKernel:
         ws = np.empty(0, dtype=np.float64)
         nb = clone(arrays[:3])
         npv = clone(arrays[:3])
-        l_nb = kernels.train_chunk_numba(*nb, *arrays[3:6], offsets, ids, ws, 0.05)
+        l_nb = loop_kernel(*nb, *arrays[3:6], offsets, ids, ws, 0.05)
         l_np = kernels.train_chunk_numpy(*npv, *arrays[3:6], offsets, ids, ws, 0.05)
         assert l_nb == pytest.approx(l_np, rel=1e-12)
         for a, b in zip(nb, npv):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
+def child_env(**extra):
+    """Minimal child environment that still finds an uninstalled checkout."""
+    env = {"PATH": "/usr/bin:/bin", **extra}
+    if "PYTHONPATH" in os.environ:
+        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
+    return env
 
 
 class TestBackendSelection:
@@ -131,7 +145,7 @@ class TestBackendSelection:
 
         out = subprocess.run(
             [sys.executable, "-c", "from catembed import kernels; print(kernels.BACKEND)"],
-            env={"PATH": "/usr/bin:/bin", "CATEMBED_NO_NUMBA": "1"},
+            env=child_env(CATEMBED_NO_NUMBA="1"),
             capture_output=True,
             text=True,
         )
@@ -143,7 +157,7 @@ class TestBackendSelection:
 
         out = subprocess.run(
             [sys.executable, "-c", "from catembed import kernels; print(kernels.BACKEND)"],
-            env={"PATH": "/usr/bin:/bin"},
+            env=child_env(),
             capture_output=True,
             text=True,
         )

@@ -3,13 +3,7 @@ import pytest
 
 from catembed.corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
 from catembed.errors import SamplerError
-from catembed.sampler import (
-    build_noise_table,
-    draw_negatives,
-    draw_negatives_batch,
-    generate_pairs,
-    pairs_arrays,
-)
+from catembed.sampler import build_noise_table, draw_negatives_batch, pairs_arrays
 
 
 def small_corpus(lines):
@@ -19,34 +13,39 @@ def small_corpus(lines):
     return load_corpus(lines, vocab, graph), vocab
 
 
+def pair_list(corpus, doc_order=None):
+    return [(int(t), int(c)) for t, c in zip(*pairs_arrays(corpus, doc_order))]
+
+
 class TestGeneratePairs:
     def test_one_pair_per_context(self):
         corpus, vocab = small_corpus(["t\tc1\ta b", "a\tc1\tt", "b\tc1\tt"])
         t, a, b = (vocab.entity_id(x) for x in "tab")
-        pairs = list(generate_pairs(corpus))[:2]
+        pairs = pair_list(corpus)[:2]
         assert pairs == [(t, a), (t, b)]
 
     def test_duplicate_contexts_preserved(self):
         corpus, vocab = small_corpus(["t\tc1\ta a", "a\tc1\tt"])
         t, a = vocab.entity_id("t"), vocab.entity_id("a")
-        assert list(generate_pairs(corpus))[:2] == [(t, a), (t, a)]
+        assert pair_list(corpus)[:2] == [(t, a), (t, a)]
 
     def test_concatenation_in_document_order(self):
         corpus, _ = small_corpus(["t\tc1\ta b", "a\tc1\tt t t"])
-        pairs = list(generate_pairs(corpus))
-        per_doc = [list(generate_pairs(corpus, [0])), list(generate_pairs(corpus, [1]))]
+        pairs = pair_list(corpus)
+        per_doc = [pair_list(corpus, [0]), pair_list(corpus, [1])]
         assert pairs == per_doc[0] + per_doc[1]
 
     def test_count_identity(self):
         corpus, _ = small_corpus(["t\tc1\ta b", "a\tc1\tt t t", "b\tc1\t"])
-        assert len(list(generate_pairs(corpus))) == corpus.n_pairs
+        assert len(pair_list(corpus)) == corpus.n_pairs
         targets, contexts = pairs_arrays(corpus)
         assert len(targets) == corpus.n_pairs == len(contexts)
 
     def test_pairs_arrays_matches_stream(self):
         corpus, _ = small_corpus(["t\tc1\ta b a", "b\tc1\tt a"])
         targets, contexts = pairs_arrays(corpus, [1, 0])
-        assert list(zip(targets, contexts)) == list(generate_pairs(corpus, [1, 0]))
+        stream = [(d.target, c) for d in (corpus.documents[1], corpus.documents[0]) for c in d.contexts]
+        assert list(zip(targets, contexts)) == stream
 
 
 class TestNoiseTable:
@@ -73,6 +72,19 @@ class TestNoiseTable:
         table = build_noise_table(vocab, alpha=0.37)
         assert table.cumulative.tolist() == [1.0]
 
+    def test_overflowing_alpha_rejected(self):
+        vocab = build_vocabulary(["a\tc1\ta a a", "b\tc1\t"])  # counts (4, 1); 4^600 = 2^1200
+        with pytest.raises(SamplerError, match="overflows"):
+            build_noise_table(vocab, alpha=600)
+
+    def test_degenerate_alpha_rejected(self):
+        # counts (1, 3) at alpha 600: entity b holds all but 3^-600 of the mass
+        vocab = build_vocabulary(["a\tc1\tb b", "b\tc1\t"])
+        assert vocab.entity_counts().tolist() == [1, 3]
+        assert np.isfinite(3.0**600)
+        with pytest.raises(SamplerError, match="one entity"):
+            build_noise_table(vocab, alpha=600)
+
     def test_cumulative_ends_at_one(self):
         vocab = build_vocabulary([f"e{i}\tc1\te{(i+1) % 7}" for i in range(7)])
         table = build_noise_table(vocab, alpha=0.75)
@@ -82,9 +94,9 @@ class TestNoiseTable:
 class TestDrawNegatives:
     def test_exclusion_forces_other_entity(self):
         vocab = build_vocabulary(["a\tc1\tb", "b\tc1\ta"])
-        table = build_noise_table(vocab, alpha=1.0, seed=3)
+        table = build_noise_table(vocab, alpha=1.0)
         e0 = vocab.entity_id("a")
-        draws = draw_negatives(table, 50, exclude=e0)
+        draws = draw_negatives_batch(table, 50, np.array([e0]), np.random.default_rng(3))[0]
         assert np.all(draws != e0)
         assert len(draws) == 50
 
@@ -93,21 +105,21 @@ class TestDrawNegatives:
         table = build_noise_table(vocab, alpha=0.75)
         rng1 = np.random.default_rng(42)
         rng2 = np.random.default_rng(42)
-        first = draw_negatives(table, 20, exclude=0, rng=rng1)
-        second = draw_negatives(table, 20, exclude=0, rng=rng2)
+        first = draw_negatives_batch(table, 20, np.array([0]), rng1)
+        second = draw_negatives_batch(table, 20, np.array([0]), rng2)
         assert np.array_equal(first, second)
 
     def test_single_entity_with_exclusion_errors(self):
         vocab = build_vocabulary(["a\tc1\ta"])
         table = build_noise_table(vocab)
         with pytest.raises(SamplerError):
-            draw_negatives(table, 5, exclude=0)
+            draw_negatives_batch(table, 5, np.array([0]), np.random.default_rng(0))
 
     def test_k_must_be_positive(self):
         vocab = build_vocabulary(["a\tc1\tb", "b\tc1\ta"])
         table = build_noise_table(vocab)
         with pytest.raises(SamplerError):
-            draw_negatives(table, 0)
+            draw_negatives_batch(table, 0, np.array([0]), np.random.default_rng(0))
 
     def test_batch_respects_exclusions(self):
         vocab = build_vocabulary(["a\tc1\tb c", "b\tc1\ta c", "c\tc1\ta b"])
@@ -121,8 +133,8 @@ class TestDrawNegatives:
         # counts (3, 1), alpha 1 -> (0.75, 0.25); small-n sanity (the million-draw
         # version lives in the acceptance suite)
         vocab = build_vocabulary(["a\tc1\ta a", "b\tc1\t"])
-        table = build_noise_table(vocab, alpha=1.0, seed=11)
-        draws = draw_negatives(table, 100_000)
+        table = build_noise_table(vocab, alpha=1.0)
+        draws = table.sample(100_000, np.random.default_rng(11))
         freq = np.bincount(draws, minlength=2) / len(draws)
         assert freq[0] == pytest.approx(0.75, abs=0.01)
         assert freq[1] == pytest.approx(0.25, abs=0.01)

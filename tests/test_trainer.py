@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,8 +12,6 @@ from catembed.kernels import CLAMP
 from catembed.trainer import (
     TrainConfig,
     apply_gradient,
-    config_as_dict,
-    config_from_dict,
     pair_loss_and_grad,
     softmax_prob,
     train,
@@ -91,8 +90,8 @@ class TestTrainConfig:
 
     def test_dict_roundtrip(self):
         cfg = TrainConfig(dim=32, lr0=0.05, mode="ce")
-        again = config_from_dict(config_as_dict(cfg))
-        assert config_as_dict(again) == config_as_dict(cfg)
+        again = TrainConfig(**asdict(cfg))
+        assert asdict(again) == asdict(cfg)
 
 
 class TestInitEmbeddings:
