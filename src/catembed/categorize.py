@@ -89,9 +89,25 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / norms
 
 
-def _pairwise_sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.maximum(d2, 0.0)
+# Differences _pairwise_sq_dists holds at once; 64k was fastest for n = 500,
+# d = 100 on a 2-core x86-64 machine, and 8x smaller or larger was slower.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared euclidean distance from every row of ``x`` to every row of ``y``.
+
+    Rows of ``x`` are taken in blocks so that memory stays at the (n, m)
+    result. Each entry still sums its d squared differences in one contiguous
+    reduction, so it is bitwise equal to reducing the full (n, m, d) tensor.
+    """
+    out = np.empty((len(x), len(y)))
+    step = max(1, _BLOCK_ELEMENTS // max(1, y.size))
+    for start in range(0, len(x), step):
+        diff = x[start:start + step, None, :] - y[None, :, :]
+        np.square(diff, out=diff)
+        diff.sum(axis=2, out=out[start:start + step])
+    return out
 
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -143,6 +159,10 @@ def kmeans(
         raise EvalError(f"k={k} exceeds the number of points ({n})")
     if metric not in METRICS:
         raise EvalError(f"metric must be one of {METRICS}, got {metric!r}")
+    if restarts < 1:
+        raise EvalError(f"restarts must be >= 1, got {restarts}")
+    if max_iters < 1:
+        raise EvalError(f"max_iters must be >= 1, got {max_iters}")
     if metric == "cosine":
         x = _normalize_rows(x)
     if k == n:
@@ -195,10 +215,9 @@ def agglomerative(
 
     # Initial dissimilarity: squared euclidean for ward (Lance-Williams form),
     # plain euclidean otherwise.
-    diff = x[:, None, :] - x[None, :, :]
-    d = (diff**2).sum(axis=2)
+    d = _pairwise_sq_dists(x, x)
     if linkage != "ward":
-        d = np.sqrt(np.maximum(d, 0.0))
+        np.sqrt(d, out=d)
     np.fill_diagonal(d, np.inf)
 
     active = np.ones(n, dtype=bool)
@@ -213,18 +232,20 @@ def agglomerative(
         if i > j:
             i, j = j, i
         a, b = sizes[i], sizes[j]
-        dij = d[i, j]
-        for c in np.where(active)[0]:
-            if c == i or c == j:
-                continue
-            if linkage == "average":
-                d_new = (a * d[i, c] + b * d[j, c]) / (a + b)
-            elif linkage == "complete":
-                d_new = max(d[i, c], d[j, c])
-            else:  # ward
-                cc = sizes[c]
-                d_new = ((a + cc) * d[i, c] + (b + cc) * d[j, c] - cc * dij) / (a + b + cc)
-            d[i, c] = d[c, i] = d_new
+        # Lance-Williams update of the merged row against every other active
+        # cluster c at once; elementwise the same arithmetic as one c at a time
+        c = np.flatnonzero(active)
+        c = c[(c != i) & (c != j)]
+        di, dj = d[i, c], d[j, c]
+        if linkage == "average":
+            d_new = (a * di + b * dj) / (a + b)
+        elif linkage == "complete":
+            d_new = np.maximum(di, dj)
+        else:  # ward
+            cc = sizes[c]
+            d_new = ((a + cc) * di + (b + cc) * dj - cc * d[i, j]) / (a + b + cc)
+        d[i, c] = d_new
+        d[c, i] = d_new
         members[i].extend(members[j])
         sizes[i] += sizes[j]
         active[j] = False

@@ -270,6 +270,8 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
     if not cfg.embeddings:
         raise ConfigError("missing --embeddings path")
+    if args.top_n < 1:
+        raise ConfigError(f"--top-n must be >= 1, got {args.top_n}")
     index = embeddings.load_embeddings(cfg.embeddings)
     node = relatedness.map_word_to_node(args.label, index)
     if node is None:

@@ -145,6 +145,15 @@ def _split_prefixed(label: str, source: str, lineno: int) -> tuple[NodeKind, str
     raise FormatError(f"row label {label!r} lacks an e:/c: prefix", source, lineno)
 
 
+def _stack(vecs: list[np.ndarray], dim: int) -> np.ndarray:
+    return np.vstack(vecs) if vecs else np.empty((0, dim))
+
+
+def _non_finite(vecs: np.ndarray, positions: list[int]) -> list[int]:
+    """Positions of the rows of ``vecs`` that hold a NaN or an infinity."""
+    return [positions[i] for i in np.flatnonzero(~np.isfinite(vecs).all(axis=1))]
+
+
 def load_text(path: str | Path) -> EmbeddingIndex:
     path = Path(path)
     if not path.exists():
@@ -160,6 +169,8 @@ def load_text(path: str | Path) -> EmbeddingIndex:
     cat_labels: list[str] = []
     ent_vecs: list[np.ndarray] = []
     cat_vecs: list[np.ndarray] = []
+    ent_lines: list[int] = []
+    cat_lines: list[int] = []
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
@@ -171,19 +182,20 @@ def load_text(path: str | Path) -> EmbeddingIndex:
         if kind is NodeKind.ENTITY:
             ent_labels.append(label)
             ent_vecs.append(vec)
+            ent_lines.append(lineno)
         else:
             cat_labels.append(label)
             cat_vecs.append(vec)
+            cat_lines.append(lineno)
     if len(ent_labels) + len(cat_labels) != n_rows:
         raise FormatError(
             f"header promised {n_rows} rows, found {len(ent_labels) + len(cat_labels)}", str(path)
         )
-    return EmbeddingIndex(
-        ent_labels,
-        cat_labels,
-        np.vstack(ent_vecs) if ent_vecs else np.empty((0, dim)),
-        np.vstack(cat_vecs) if cat_vecs else np.empty((0, dim)),
-    )
+    ents, cats = _stack(ent_vecs, dim), _stack(cat_vecs, dim)
+    bad = _non_finite(ents, ent_lines) + _non_finite(cats, cat_lines)
+    if bad:
+        raise FormatError("non-finite value", str(path), min(bad))
+    return EmbeddingIndex(ent_labels, cat_labels, ents, cats)
 
 
 def load_binary(path: str | Path) -> EmbeddingIndex:
@@ -202,6 +214,8 @@ def load_binary(path: str | Path) -> EmbeddingIndex:
     cat_labels: list[str] = []
     ent_vecs: list[np.ndarray] = []
     cat_vecs: list[np.ndarray] = []
+    ent_rows: list[int] = []
+    cat_rows: list[int] = []
     pos = nl + 1
     row_bytes = 8 * dim
     for row in range(n_rows):
@@ -217,16 +231,17 @@ def load_binary(path: str | Path) -> EmbeddingIndex:
         if kind is NodeKind.ENTITY:
             ent_labels.append(label)
             ent_vecs.append(vec)
+            ent_rows.append(row + 1)
         else:
             cat_labels.append(label)
             cat_vecs.append(vec)
+            cat_rows.append(row + 1)
         pos = end + 1
-    return EmbeddingIndex(
-        ent_labels,
-        cat_labels,
-        np.vstack(ent_vecs) if ent_vecs else np.empty((0, dim)),
-        np.vstack(cat_vecs) if cat_vecs else np.empty((0, dim)),
-    )
+    ents, cats = _stack(ent_vecs, dim), _stack(cat_vecs, dim)
+    bad = _non_finite(ents, ent_rows) + _non_finite(cats, cat_rows)
+    if bad:
+        raise FormatError(f"non-finite value in row {min(bad)}", str(path))
+    return EmbeddingIndex(ent_labels, cat_labels, ents, cats)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingIndex:

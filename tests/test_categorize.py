@@ -4,6 +4,8 @@ import pytest
 from catembed.categorize import (
     ClusteringSolution,
     GoldLabeling,
+    _pairwise_sq_dists,
+    _sweep_combos,
     agglomerative,
     kmeans,
     load_gold,
@@ -130,6 +132,13 @@ class TestKmeans:
         with pytest.raises(EvalError):
             kmeans(np.zeros((3, 2)), 0)
 
+    @pytest.mark.parametrize("arg", ["restarts", "max_iters"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_iteration_counts_below_one_error(self, arg, value):
+        pts = np.random.default_rng(2).normal(size=(6, 2))
+        with pytest.raises(EvalError, match=f"{arg} must be >= 1"):
+            kmeans(pts, 2, **{arg: value})
+
     def test_deterministic_given_seed(self):
         pts = np.random.default_rng(3).normal(size=(20, 4))
         a = kmeans(pts, 3, seed=11)
@@ -216,6 +225,96 @@ class TestAgglomerative:
         ref = scipy_hier.fcluster(Z, k, criterion="maxclust")
         assert purity_from_labels(sol.assignment, ref) == 1.0
         assert purity_from_labels(ref, sol.assignment) == 1.0
+
+
+def reference_agglomerative(x, k, metric, linkage):
+    """Oracle for ``agglomerative``: the one-shot (n, n, d) difference tensor
+    and a Lance-Williams update that visits one active cluster at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    if metric == "cosine":
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        x = x / norms
+    n = len(x)
+    diff = x[:, None, :] - x[None, :, :]
+    d = (diff**2).sum(axis=2)
+    if linkage != "ward":
+        d = np.sqrt(np.maximum(d, 0.0))
+    np.fill_diagonal(d, np.inf)
+    active = np.ones(n, dtype=bool)
+    sizes = np.ones(n, dtype=np.int64)
+    members = [[i] for i in range(n)]
+    for _ in range(n - k):
+        i, j = divmod(int(np.argmin(d)), n)
+        if i > j:
+            i, j = j, i
+        a, b = sizes[i], sizes[j]
+        dij = d[i, j]
+        for c in np.where(active)[0]:
+            if c == i or c == j:
+                continue
+            if linkage == "average":
+                d_new = (a * d[i, c] + b * d[j, c]) / (a + b)
+            elif linkage == "complete":
+                d_new = max(d[i, c], d[j, c])
+            else:
+                cc = sizes[c]
+                d_new = ((a + cc) * d[i, c] + (b + cc) * d[j, c] - cc * dij) / (a + b + cc)
+            d[i, c] = d[c, i] = d_new
+        members[i].extend(members[j])
+        sizes[i] += sizes[j]
+        active[j] = False
+        d[j, :] = np.inf
+        d[:, j] = np.inf
+    assignment = np.empty(n, dtype=np.int64)
+    for cluster, slot in enumerate(np.where(active)[0]):
+        assignment[members[slot]] = cluster
+    return assignment
+
+
+def gaussian_blobs(seed=0, n=60, dim=6):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(4, dim)) * 4
+    return centers[rng.integers(0, 4, size=n)] + rng.normal(size=(n, dim))
+
+
+def integer_grid(seed=0, n=45):
+    """Points on a 5x5 integer grid: duplicates and exactly tied distances."""
+    pts = np.random.default_rng(seed).integers(-2, 3, size=(n, 2)).astype(np.float64)
+    assert len(np.unique(pts, axis=0)) < n
+    return pts
+
+
+AGGLOMERATIVE_COMBOS = [(m, link) for algo, m, link in _sweep_combos() if algo == "agglomerative"]
+
+
+class TestExactEquivalence:
+    @pytest.mark.parametrize("block", [1, 7, 100, 1 << 16])
+    def test_blocked_distances_equal_one_shot_tensor(self, monkeypatch, block):
+        monkeypatch.setattr("catembed.categorize._BLOCK_ELEMENTS", block)
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(37, 9)), rng.normal(size=(11, 9))
+        for a, b in ((x, y), (x, x), (y, x[:1])):
+            want = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+            assert np.array_equal(_pairwise_sq_dists(a, b), want)
+
+    @pytest.mark.parametrize("metric,linkage", AGGLOMERATIVE_COMBOS)
+    @pytest.mark.parametrize("data", ["blobs", "grid"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agglomerative_matches_reference(self, metric, linkage, data, seed):
+        pts = gaussian_blobs(seed) if data == "blobs" else integer_grid(seed)
+        for k in (1, 2, 4, 9, len(pts) - 1):
+            sol = agglomerative(pts, k, metric=metric, linkage=linkage)
+            assert np.array_equal(sol.assignment, reference_agglomerative(pts, k, metric, linkage))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_nn_equals_per_entity_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        cands = np.vstack([integer_grid(seed, n=12), [[0.0, 0.0]], [[0.0, 0.0]]])
+        ents = np.vstack([integer_grid(seed + 10, n=30), rng.normal(size=(30, 2))])
+        d2 = _pairwise_sq_dists(ents, cands)
+        assert (np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1) > 1).any()  # ties occur
+        assert d2.argmin(axis=1).tolist() == [nn_classify(e, cands) for e in ents]
 
 
 class TestNNClassify:

@@ -204,6 +204,15 @@ class TestNeighbors:
         rows = capsys.readouterr().out.strip().splitlines()
         assert len(rows) == 15 + 7 - 1  # all rows except the query itself
 
+    @pytest.mark.parametrize("top_n", ["0", "-1"])
+    def test_top_n_below_one_rejected(self, trained_dir, capsys, top_n):
+        rc = main(["neighbors", "--embeddings", str(trained_dir / "embeddings.txt"),
+                   "--label", "p0_l0_e00", "--top-n", top_n, "--verbosity", "0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --top-n must be >= 1, got {top_n}")
+
     def test_absent_label_nonzero(self, trained_dir, capsys):
         rc = main(["neighbors", "--embeddings", str(trained_dir / "embeddings.txt"),
                    "--label", "nope", "--verbosity", "0"])

@@ -64,6 +64,15 @@ class TestTextFormat:
             load_text(path)
 
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_value_rejected(self, tmp_path, token):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"3 2\ne:alpha 0.5 0.5\n\nc:beta 0.5 {token}\ne:gamma nan 1\n")
+        with pytest.raises(FormatError, match="non-finite") as info:
+            load_text(path)
+        assert info.value.lineno == 4  # first bad line, counting the header and the blank line
+
+
 class TestBinaryFormat:
     def test_round_trip_exact(self, small_setup, tmp_path):
         vocab, table = small_setup
@@ -87,6 +96,16 @@ class TestBinaryFormat:
         save_binary(table, vocab, path)
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(FormatError):
+            load_binary(path)
+
+
+    def test_non_finite_value_rejected(self, small_setup, tmp_path):
+        vocab, table = small_setup
+        table.cat_in[0, 1] = np.inf
+        table.ent_in[1, 3] = np.nan
+        path = tmp_path / "emb.bin"
+        save_binary(table, vocab, path)
+        with pytest.raises(FormatError, match="non-finite value in row 2$"):
             load_binary(path)
 
 

@@ -128,11 +128,10 @@ class TestLoopKernel:
 
 
 def child_env(**extra):
-    """Minimal child environment that still finds an uninstalled checkout."""
-    env = {"PATH": "/usr/bin:/bin", **extra}
-    if "PYTHONPATH" in os.environ:
-        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
-    return env
+    """Minimal child environment that imports the same catembed as this process."""
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": path, **extra}
 
 
 class TestBackendSelection:
