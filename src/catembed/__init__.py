@@ -19,7 +19,7 @@ from .corpus import (
 )
 from .embeddings import EmbeddingIndex, EmbeddingTable, init_embeddings, load_embeddings, save_text
 from .errors import CatembedError
-from .hierarchy import AncestorWeights, ancestors, avg_steps_down, category_weights, ce_weights
+from .hierarchy import AncestorWeights, category_weights, ce_weights, steps_down
 from .sampler import NoiseTable, build_noise_table, draw_negatives_batch, pairs_arrays
 from .trainer import TrainConfig, train
 
@@ -39,8 +39,6 @@ __all__ = [
     "TrainConfig",
     "Vocabulary",
     "__version__",
-    "ancestors",
-    "avg_steps_down",
     "build_noise_table",
     "build_vocabulary",
     "category_weights",
@@ -53,5 +51,6 @@ __all__ = [
     "pairs_arrays",
     "prune_to_dag",
     "save_text",
+    "steps_down",
     "train",
 ]

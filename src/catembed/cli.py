@@ -97,7 +97,11 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
     names = {f.name for f in fields(RunConfig)}
     # flags use SUPPRESS, so present means explicitly given
     values.update((key, value) for key, value in vars(args).items() if key in names)
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    for pattern in cfg.drop_patterns:
+        if "," in pattern:
+            raise ConfigError(f"drop pattern {pattern!r} contains ',', which {ECHO_NAME} uses to separate patterns")
+    return cfg
 
 
 def echo_config(cfg: RunConfig, out_dir: Path) -> None:
@@ -301,12 +305,13 @@ def cmd_inspect_weights(args: argparse.Namespace) -> int:
     direct = graph.entity_categories.get(ent)
     if not direct:
         raise CatembedError(f"entity {args.entity!r} has no category labeling")
-    weights = hierarchy.weights_for_entity(graph, ent, cfg.mode)
+    steps = hierarchy.steps_down(graph, direct)
+    weights = hierarchy.category_weights(steps) if cfg.mode == "hce" else hierarchy.ce_weights(direct)
     print(f"# entity {vocab.entity_label(ent)} mode={cfg.mode}")
     for cat, w in zip(weights.categories, weights.weights):
-        steps = hierarchy.avg_steps_down(graph, cat, direct)
         marker = "direct" if cat in direct else "ancestor"
-        print(f"c:{vocab.category_label(cat)}\t{w:.6f}\tavg_steps={steps:.3f}\t{marker}")
+        # steps has no root key; the root can be a direct category in ce mode
+        print(f"c:{vocab.category_label(cat)}\t{w:.6f}\tavg_steps={steps.get(cat, 0.0):.3f}\t{marker}")
     return 0
 
 
@@ -372,7 +377,8 @@ def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
                                               help="noise distribution exponent over entity counts"),
         "seed": lambda: p.add_argument("--seed", type=int, default=S, help="RNG seed"),
         "workers": lambda: p.add_argument("--workers", type=int, default=S,
-                                          help="training threads (reproducible only with 1)"),
+                                          help="training threads; reproducible only with 1, and slower "
+                                               "than 1 on the numpy backend"),
         "mode": lambda: p.add_argument("--mode", choices=("ce", "hce"), default=S,
                                        help="direct categories only (ce) or weighted ancestors (hce)"),
         "shuffle": lambda: p.add_argument("--shuffle", action=argparse.BooleanOptionalAction, default=S,

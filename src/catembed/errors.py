@@ -24,7 +24,14 @@ class CorpusError(CatembedError):
 
 
 class HierarchyError(CatembedError):
-    """Category-graph contract violation (missing root, bad ancestor query, ...)."""
+    """Category-graph contract violation (missing root, unknown category, ...).
+
+    ``entity`` is the vocabulary index of the entity whose weights failed, when known.
+    """
+
+    def __init__(self, message: str, entity: int | None = None):
+        self.entity = entity
+        super().__init__(message)
 
 
 class SamplerError(CatembedError):

@@ -1,4 +1,4 @@
-"""Ancestor sets, downward step distances, and category prediction weights.
+"""Downward step distances over an entity's ancestors, and category prediction weights.
 
 The hierarchical model weights each weighted category c_i of an entity by
 ``1 / (1 + l(c_i))`` where ``l`` is the average length, in edges, of all
@@ -10,7 +10,7 @@ only, each with weight exactly 1.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +41,15 @@ class AncestorWeights:
             raise HierarchyError(f"weights sum to {total!r}, expected 1.0")
 
 
-def ancestors(graph: CategoryGraph, direct: Iterable[int]) -> set[int]:
-    """Direct categories plus all transitive ancestors, excluding the root.
+def steps_down(graph: CategoryGraph, direct: Iterable[int]) -> dict[int, float]:
+    """Mean downward steps to ``direct`` from every weighted category of an entity.
 
-    The root ancestors every entity and carries no discriminative signal, so
-    it never receives a weight even when it labels an entity directly.
+    The keys are the direct categories plus all their transitive ancestors,
+    excluding the root: the root ancestors every entity and carries no
+    discriminative signal, so it never receives a weight even when it labels
+    an entity directly. A direct category maps to 0.0; any other key maps to
+    the mean length, in edges, of all downward paths from it to a member of
+    ``direct``. Only the ancestor closure of ``direct`` is walked.
     """
     direct = set(direct)
     if not direct:
@@ -53,72 +57,50 @@ def ancestors(graph: CategoryGraph, direct: Iterable[int]) -> set[int]:
     for cat in direct:
         if cat not in graph:
             raise HierarchyError(f"category {cat} not in graph")
-    seen = set(direct)
-    stack = list(direct)
-    while stack:
-        node = stack.pop()
-        for parent in graph.parents[node]:
-            if parent not in seen:
-                seen.add(parent)
-                stack.append(parent)
-    seen.discard(graph.root)
-    return seen
+    # Upward DFS: a category finishes after all of its ancestors, so the
+    # reversed finish order lists every category before its parents.
+    parents_of = graph.parents
+    finished: dict[int, bool] = {}
+    order: list[int] = []
+    for start in direct:
+        if start in finished:
+            continue
+        finished[start] = False
+        stack = [(start, iter(parents_of[start]))]
+        while stack:
+            node, parents = stack[-1]
+            for parent in parents:
+                if parent not in finished:
+                    finished[parent] = False
+                    stack.append((parent, iter(parents_of[parent])))
+                    break
+                if not finished[parent]:
+                    raise HierarchyError("category graph contains a cycle")
+            else:
+                stack.pop()
+                finished[node] = True
+                order.append(node)
+    # n[v]: downward paths from v ending in ``direct`` (a direct v contributes
+    # its zero-length path); s[v]: their summed length in edges.
+    n = {node: int(node in direct) for node in order}
+    s = dict.fromkeys(order, 0)
+    for node in reversed(order):
+        for parent in parents_of[node]:
+            n[parent] += n[node]
+            s[parent] += s[node] + n[node]
+    return {c: 0.0 if c in direct else s[c] / n[c] for c in order if c != graph.root}
 
 
-def _path_stats(graph: CategoryGraph, direct: frozenset[int]) -> tuple[dict[int, int], dict[int, int]]:
-    """Count downward paths into ``direct`` and their total length, per node.
+def category_weights(steps: Mapping[int, float]) -> AncestorWeights:
+    """Normalized ``1 / (1 + steps)`` weights over an entity's weighted categories.
 
-    Walking the graph in reverse topological order gives, for every node v,
-    ``n[v]`` = number of downward paths from v ending at a member of ``direct``
-    (v itself contributes a zero-length path when it is direct) and ``s[v]`` =
-    the summed length of those paths in edges.
+    ``steps`` is the result of :func:`steps_down`. Closer categories (fewer
+    average downward steps) receive strictly larger weight; the result sums to 1.
     """
-    n: dict[int, int] = {}
-    s: dict[int, int] = {}
-    for node in reversed(graph.topological_order()):
-        count = 1 if node in direct else 0
-        total = 0
-        for child in graph.children[node]:
-            count += n[child]
-            total += s[child] + n[child]
-        n[node] = count
-        s[node] = total
-    return n, s
-
-
-def avg_steps_down(graph: CategoryGraph, c_i: int, direct: Iterable[int]) -> float:
-    """Mean length of all downward paths from ``c_i`` to the direct categories.
-
-    Returns 0 exactly when ``c_i`` is itself direct; raises when ``c_i`` is not
-    an ancestor of the direct set.
-    """
-    direct = frozenset(direct)
-    if c_i in direct:
-        return 0.0
-    if c_i not in ancestors(graph, direct):
-        raise HierarchyError(f"category {c_i} is not an ancestor of {sorted(direct)}")
-    n, s = _path_stats(graph, direct)
-    return s[c_i] / n[c_i]
-
-
-def category_weights(graph: CategoryGraph, direct: Iterable[int]) -> AncestorWeights:
-    """Normalized weights over the weighted category set of an entity.
-
-    Closer categories (fewer average downward steps) receive strictly larger
-    weight; the result sums to 1.
-    """
-    direct = frozenset(direct)
-    anc = ancestors(graph, direct)
-    if not anc:
-        raise HierarchyError(
-            "entity has no weighted categories (directly labeled with the root only)"
-        )
-    n, s = _path_stats(graph, direct)
-    cats = tuple(sorted(anc))
-    raw = np.array(
-        [1.0 if c in direct else 1.0 / (1.0 + s[c] / n[c]) for c in cats],
-        dtype=np.float64,
-    )
+    if not steps:
+        raise HierarchyError("no weighted categories (directly labeled with the root only)")
+    cats = tuple(sorted(steps))
+    raw = np.array([1.0 / (1.0 + steps[c]) for c in cats], dtype=np.float64)
     out = AncestorWeights(categories=cats, weights=raw / raw.sum())
     out.check_normalized()
     return out
@@ -130,13 +112,6 @@ def ce_weights(direct: Iterable[int]) -> AncestorWeights:
     if not cats:
         raise HierarchyError("entity has no direct categories")
     return AncestorWeights(categories=cats, weights=np.ones(len(cats), dtype=np.float64))
-
-
-def weights_for_entity(graph: CategoryGraph, entity: int, mode: str) -> AncestorWeights:
-    direct = graph.entity_categories.get(entity)
-    if not direct:
-        raise HierarchyError(f"entity {entity} has no category labeling")
-    return category_weights(graph, direct) if mode == "hce" else ce_weights(direct)
 
 
 def weight_csr(
@@ -158,7 +133,10 @@ def weight_csr(
     for ent in range(n_entities):
         direct = graph.entity_categories.get(ent)
         if direct:
-            aw = category_weights(graph, direct) if mode == "hce" else ce_weights(direct)
+            try:
+                aw = category_weights(steps_down(graph, direct)) if mode == "hce" else ce_weights(direct)
+            except HierarchyError as exc:
+                raise HierarchyError(str(exc), entity=ent) from exc
             ids.extend(aw.categories)
             ws.extend(aw.weights)
         offsets[ent + 1] = len(ids)

@@ -26,7 +26,7 @@ import numpy as np
 from . import kernels
 from .corpus import CategoryGraph, Corpus, NodeId
 from .embeddings import EmbeddingTable, init_embeddings
-from .errors import ConfigError, TrainError
+from .errors import ConfigError, HierarchyError, TrainError
 from .hierarchy import AncestorWeights, weight_csr
 from .sampler import build_noise_table, draw_negatives_batch, pairs_arrays
 
@@ -195,8 +195,10 @@ def train(
     """
     config.validate()
     vocab = corpus.vocab
-    mode_weights = weight_csr(graph, vocab.n_entities, config.mode)
-    cat_offsets, cat_ids, cat_ws = mode_weights
+    try:
+        cat_offsets, cat_ids, cat_ws = weight_csr(graph, vocab.n_entities, config.mode)
+    except HierarchyError as exc:  # past config.validate(), every weight_csr error carries its entity
+        raise HierarchyError(f"entity {vocab.entity_label(exc.entity)!r}: {exc}") from exc
     table = init_embeddings(vocab.n_entities, max(1, vocab.n_categories), config.dim, config.seed)
     noise = build_noise_table(vocab, config.noise_alpha)
     counts = vocab.entity_counts().astype(np.float64)

@@ -11,7 +11,7 @@ from catembed.categorize import load_gold, purity_from_labels, run_categorizatio
 from catembed.cli import dota_gold_path, main
 from catembed.corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
 from catembed.embeddings import EmbeddingIndex
-from catembed.hierarchy import AncestorWeights, ancestors, avg_steps_down, category_weights
+from catembed.hierarchy import AncestorWeights, category_weights, steps_down
 from catembed.relatedness import spearman
 from catembed.sampler import build_noise_table
 from catembed.synthetic import SyntheticSpec, generate_world
@@ -113,16 +113,16 @@ def test_criterion_04_weight_contract():
         if not direct:
             continue
         n_dags += 1
-        w = category_weights(graph, direct)
+        steps = steps_down(graph, direct)
+        w = category_weights(steps)
         if not (np.all(w.weights > 0) and abs(w.weights.sum() - 1.0) <= 1e-9):
             contract_ok = False
-        steps = {c: avg_steps_down(graph, c, direct) for c in w.categories}
         for i, ci in enumerate(w.categories):
             for j, cj in enumerate(w.categories):
                 if steps[ci] < steps[cj] and not w.weights[i] > w.weights[j]:
                     contract_ok = False
         if n <= 12:
-            if ancestors(graph, direct) != brute_ancestors(graph, direct):
+            if set(steps) != brute_ancestors(graph, direct):
                 brute_ok = False
             for c in w.categories:
                 if c in direct:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from catembed.cli import build_parser, effective_config, main
+from catembed.corpus import build_vocabulary, load_hierarchy, prune_to_dag
 from catembed.embeddings import load_binary, load_text
+
+from test_hierarchy import brute_path_lengths
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +108,26 @@ class TestTrain:
     def test_extreme_noise_alpha_fails_fast(self, world_dir, tmp_path, capsys):
         assert main(train_args(world_dir, tmp_path / "x", "--noise-alpha", "600")) == 1
         assert capsys.readouterr().err.startswith("error: noise_alpha=600.0")
+
+    def test_drop_pattern_with_comma_rejected(self, world_dir, tmp_path, capsys):
+        # config.echo joins patterns with ',', so a re-run would read 'q,z' back as 'q' and 'z'
+        assert main(train_args(world_dir, tmp_path / "x", "--drop-pattern", "q,z")) == 1
+        assert "drop pattern 'q,z'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_hce_error_names_root_only_entity(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("alpha\troot\tbeta gamma\nbeta\tc1\talpha gamma\ngamma\tc1\talpha beta\n",
+                          encoding="utf-8")
+        hier = tmp_path / "hierarchy.tsv"
+        hier.write_text("root\tc1\n", encoding="utf-8")
+        rc = main(["train", "--corpus", str(corpus), "--hierarchy", str(hier), "--root", "root",
+                   "--mode", "hce", "--output", str(tmp_path / "o"), "--dim", "4", "--epochs", "1",
+                   "--verbosity", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: entity 'alpha': ")
+        assert "root only" in err
 
     def test_paper_named_hyperparameters_accepted(self, world_dir, tmp_path):
         out = tmp_path / "paper"
@@ -246,6 +269,42 @@ class TestInspectWeights:
         assert len(rows) == 2  # leaf + parent branch (root excluded)
         weights = [float(r.split("\t")[1]) for r in rows]
         assert sum(weights) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.fixture()
+    def diamond(self, tmp_path):
+        # root -> a -> d, root -> b -> d, a -> m -> d: a reaches d in 1 and 2 steps
+        hier = tmp_path / "hierarchy.tsv"
+        hier.write_text("root\ta\nroot\tb\nroot\tx\na\td\nb\td\na\tm\nm\td\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("ent\td\tother\nother\tx\tent\n", encoding="utf-8")
+        return corpus, hier
+
+    @staticmethod
+    def inspect_rows(corpus, hier, mode, capsys):
+        rc = main(["inspect-weights", "--corpus", str(corpus), "--hierarchy", str(hier), "--root", "root",
+                   "--mode", mode, "--entity", "ent", "--verbosity", "0"])
+        assert rc == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines() if line.startswith("c:")]
+        return {label[2:]: (float(w), float(steps.removeprefix("avg_steps=")), marker)
+                for label, w, steps, marker in rows}
+
+    def test_hce_avg_steps_match_path_enumeration(self, diamond, capsys):
+        corpus, hier = diamond
+        vocab = build_vocabulary(corpus)
+        graph, _ = prune_to_dag(load_hierarchy(hier, vocab), vocab, "root")
+        d = vocab.category_id("d")
+        rows = self.inspect_rows(corpus, hier, "hce", capsys)
+        assert set(rows) == {"a", "b", "m", "d"}
+        for label, (_w, steps, marker) in rows.items():
+            assert marker == ("direct" if label == "d" else "ancestor")
+            expected = 0.0 if label == "d" else float(np.mean(brute_path_lengths(graph, vocab.category_id(label), {d})))
+            assert steps == pytest.approx(expected, abs=5e-4)
+        assert rows["a"][1] == pytest.approx(1.5, abs=5e-4)
+        assert sum(w for w, _s, _m in rows.values()) == pytest.approx(1.0, abs=1e-5)
+
+    def test_ce_prints_direct_categories_only(self, diamond, capsys):
+        rows = self.inspect_rows(*diamond, "ce", capsys)
+        assert rows == {"d": (1.0, 0.0, "direct")}
 
     def test_unknown_entity_nonzero(self, world_dir, capsys):
         rc = main([

@@ -3,13 +3,7 @@ import pytest
 
 from catembed.corpus import CategoryGraph
 from catembed.errors import HierarchyError
-from catembed.hierarchy import (
-    ancestors,
-    avg_steps_down,
-    category_weights,
-    ce_weights,
-    weight_csr,
-)
+from catembed.hierarchy import category_weights, ce_weights, steps_down, weight_csr
 
 
 def make_graph(n, edges, root=0):
@@ -71,21 +65,21 @@ class TestAncestors:
     def test_chain(self):
         # root(0) -> c2(1) -> c1(2)
         g = make_graph(3, [(0, 1), (1, 2)])
-        assert ancestors(g, {2}) == {1, 2}
+        assert set(steps_down(g, {2})) == {1, 2}
 
     def test_child_of_root_is_alone(self):
         g = make_graph(2, [(0, 1)])
-        assert ancestors(g, {1}) == {1}
+        assert set(steps_down(g, {1})) == {1}
 
     def test_diamond(self):
         # root(0) -> a(1) -> d(3), root -> b(2) -> d
         g = make_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        assert ancestors(g, {3}) == {1, 2, 3}
+        assert set(steps_down(g, {3})) == {1, 2, 3}
 
     def test_empty_direct_errors(self):
         g = make_graph(2, [(0, 1)])
         with pytest.raises(HierarchyError):
-            ancestors(g, set())
+            steps_down(g, set())
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_bruteforce_closure(self, seed):
@@ -94,29 +88,24 @@ class TestAncestors:
         g = random_rooted_dag(rng, n)
         size = int(rng.integers(1, max(2, n // 2)))
         direct = set(int(x) for x in rng.choice(np.arange(1, n), size=min(size, n - 1), replace=False)) if n > 1 else {0}
-        assert ancestors(g, direct) == brute_ancestors(g, direct)
+        assert set(steps_down(g, direct)) == brute_ancestors(g, direct)
 
 
 class TestAvgStepsDown:
     def test_direct_is_zero(self):
         g = make_graph(3, [(0, 1), (1, 2)])
-        assert avg_steps_down(g, 2, {2}) == 0.0
+        assert steps_down(g, {2})[2] == 0.0
 
     def test_chain_of_two(self):
         # c3(1) -> c2(2) -> c1(3) under root(0)
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert avg_steps_down(g, 1, {3}) == 2.0
+        assert steps_down(g, {3})[1] == 2.0
 
     def test_diamond_averages_paths(self):
         # c_i(1) reaches d(4) via 1 step and via a 3-step chain: mean 2.0
         g = make_graph(5, [(0, 1), (1, 4), (1, 2), (2, 3), (3, 4)])
-        assert avg_steps_down(g, 1, {4}) == 2.0
+        assert steps_down(g, {4})[1] == 2.0
         assert brute_path_lengths(g, 1, {4}) in ([1, 3], [3, 1])
-
-    def test_non_ancestor_errors(self):
-        g = make_graph(3, [(0, 1), (0, 2)])
-        with pytest.raises(HierarchyError):
-            avg_steps_down(g, 1, {2})
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_path_enumeration(self, seed):
@@ -125,8 +114,7 @@ class TestAvgStepsDown:
         g = random_rooted_dag(rng, n)
         k = int(rng.integers(1, max(2, n // 2)))
         direct = set(int(x) for x in rng.choice(np.arange(1, n), size=min(k, n - 1), replace=False)) if n > 1 else {0}
-        for c_i in sorted(ancestors(g, direct)):
-            got = avg_steps_down(g, c_i, direct)
+        for c_i, got in sorted(steps_down(g, direct).items()):
             if c_i in direct:
                 assert got == 0.0
             else:
@@ -137,14 +125,14 @@ class TestAvgStepsDown:
 class TestCategoryWeights:
     def test_single_direct_no_ancestors(self):
         g = make_graph(2, [(0, 1)])
-        w = category_weights(g, {1})
+        w = category_weights(steps_down(g, {1}))
         assert w.categories == (1,)
         assert w.weights[0] == pytest.approx(1.0)
 
     def test_chain_weights(self):
         # c3(1) -> c2(2) -> c1(3); direct {c1}: raw (1, 1/2, 1/3) -> (6/11, 3/11, 2/11)
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-        w = category_weights(g, {3})
+        w = category_weights(steps_down(g, {3}))
         by_cat = dict(zip(w.categories, w.weights))
         assert by_cat[3] == pytest.approx(6 / 11)
         assert by_cat[2] == pytest.approx(3 / 11)
@@ -153,7 +141,7 @@ class TestCategoryWeights:
     def test_sibling_directs_share_parent(self):
         # parent p(1) with direct children c1(2), c2(3): raw (1, 1, 1/2)
         g = make_graph(4, [(0, 1), (1, 2), (1, 3)])
-        w = category_weights(g, {2, 3})
+        w = category_weights(steps_down(g, {2, 3}))
         by_cat = dict(zip(w.categories, w.weights))
         assert by_cat[2] == pytest.approx(0.4)
         assert by_cat[3] == pytest.approx(0.4)
@@ -162,7 +150,7 @@ class TestCategoryWeights:
     def test_root_only_direct_errors(self):
         g = make_graph(2, [(0, 1)])
         with pytest.raises(HierarchyError):
-            category_weights(g, {0})
+            category_weights(steps_down(g, {0}))
 
     @pytest.mark.parametrize("seed", range(60))
     def test_weight_contract_random_dags(self, seed):
@@ -173,11 +161,11 @@ class TestCategoryWeights:
         direct = set(int(x) for x in rng.choice(np.arange(1, n), size=min(size, n - 1), replace=False)) if n > 1 else set()
         if not direct:
             return
-        w = category_weights(g, direct)
+        steps = steps_down(g, direct)
+        w = category_weights(steps)
         w.check_normalized()
         assert abs(w.weights.sum() - 1.0) <= 1e-9
         assert np.all(w.weights > 0)
-        steps = {c: avg_steps_down(g, c, direct) for c in w.categories}
         for i, ci in enumerate(w.categories):
             for j, cj in enumerate(w.categories):
                 if steps[ci] < steps[cj]:
@@ -217,3 +205,114 @@ class TestWeightCsr:
         offsets, ids, ws = weight_csr(g, n_entities=1, mode="ce")
         assert ws.tolist() == [1.0, 1.0]
         assert sorted(ids.tolist()) == [1, 2]
+
+    def test_failing_entity_is_named(self):
+        g = make_graph(3, [(0, 1), (1, 2)])
+        g.entity_categories[0] = (2,)
+        g.entity_categories[1] = (0,)  # root only: no weighted category
+        with pytest.raises(HierarchyError) as exc:
+            weight_csr(g, n_entities=2, mode="hce")
+        assert exc.value.entity == 1
+
+
+def test_cycle_in_ancestor_closure_errors():
+    g = make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 2)])
+    with pytest.raises(HierarchyError, match="cycle"):
+        steps_down(g, {3})
+
+
+def reference_category_weights(graph, direct):
+    """Whole-graph path statistics and weights as computed before ``steps_down``: test-only oracle."""
+    direct = frozenset(direct)
+    n, s = {}, {}
+    for node in reversed(graph.topological_order()):
+        count = 1 if node in direct else 0
+        total = 0
+        for child in graph.children[node]:
+            count += n[child]
+            total += s[child] + n[child]
+        n[node] = count
+        s[node] = total
+    cats = tuple(sorted(c for c in n if n[c] and c != graph.root))
+    if not cats:
+        raise HierarchyError("entity has no weighted categories (directly labeled with the root only)")
+    raw = np.array(
+        [1.0 if c in direct else 1.0 / (1.0 + s[c] / n[c]) for c in cats],
+        dtype=np.float64,
+    )
+    return cats, raw / raw.sum()
+
+
+def reference_weight_csr(graph, n_entities, mode):
+    offsets = np.zeros(n_entities + 1, dtype=np.int64)
+    ids, ws = [], []
+    for ent in range(n_entities):
+        direct = graph.entity_categories.get(ent)
+        if direct:
+            if mode == "hce":
+                cats, weights = reference_category_weights(graph, direct)
+            else:
+                cats, weights = tuple(sorted(set(direct))), np.ones(len(set(direct)))
+            ids.extend(cats)
+            ws.extend(weights)
+        offsets[ent + 1] = len(ids)
+    return offsets, np.asarray(ids, dtype=np.int64), np.asarray(ws, dtype=np.float64)
+
+
+def layered_dag(rng, widths, extra_parents):
+    """Multi-level DAG: each node has one parent on the level above plus extra parents on any level above."""
+    levels = [[0]]
+    edges = set()
+    nxt = 1
+    for width in widths:
+        level = list(range(nxt, nxt + width))
+        nxt += width
+        above = [v for lvl in levels for v in lvl]
+        for child in level:
+            edges.add((int(rng.choice(levels[-1])), child))
+            for p in rng.choice(above, size=min(extra_parents, len(above)), replace=False):
+                if rng.random() < 0.5:
+                    edges.add((int(p), child))
+        levels.append(level)
+    return make_graph(nxt, edges), levels
+
+
+class TestMatchesWholeGraphReference:
+    """``weight_csr`` arrays are bitwise equal to the whole-graph computation."""
+
+    @staticmethod
+    def assert_csr_equal(g, n_entities):
+        for mode in ("ce", "hce"):
+            got = weight_csr(g, n_entities, mode)
+            want = reference_weight_csr(g, n_entities, mode)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_dags_with_root_and_nested_directs(self, seed):
+        rng = np.random.default_rng(5000 + seed)
+        n = int(rng.integers(2, 31))
+        g = random_rooted_dag(rng, n)
+        n_entities = 12
+        for ent in range(n_entities):
+            if ent % 4 == 3:
+                continue  # unlabeled entity: empty slice
+            direct = {int(x) for x in rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False)}
+            if ent % 3 == 0:
+                leaf = max(direct)
+                direct.add(int(rng.choice(g.parents[leaf])) if g.parents[leaf] else 0)  # nest a parent
+            if direct == {0}:
+                direct.add(int(rng.integers(1, n)))
+            g.entity_categories[ent] = tuple(sorted(direct))
+        self.assert_csr_equal(g, n_entities)
+
+    def test_multi_level_dag_with_extra_parents(self):
+        rng = np.random.default_rng(77)
+        g, levels = layered_dag(rng, widths=(4, 10, 25, 50, 80), extra_parents=3)
+        deep = levels[-1] + levels[-2]
+        n_entities = 150
+        for ent in range(n_entities):
+            size = int(rng.integers(1, 6))
+            g.entity_categories[ent] = tuple(sorted({int(x) for x in rng.choice(deep, size=size)}))
+        self.assert_csr_equal(g, n_entities)
