@@ -8,7 +8,6 @@ nearest-neighbor classification) and semantic relatedness (Spearman's rho).
 from .corpus import (
     CategoryGraph,
     Corpus,
-    Document,
     NodeId,
     NodeKind,
     Vocabulary,
@@ -30,7 +29,6 @@ __all__ = [
     "CatembedError",
     "CategoryGraph",
     "Corpus",
-    "Document",
     "EmbeddingIndex",
     "EmbeddingTable",
     "NodeId",

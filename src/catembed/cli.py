@@ -58,7 +58,7 @@ def _coerce(raw: str, typ) -> object:
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
+        raise ValueError(raw)
     if typ == int:
         return int(raw)
     if typ == float:
@@ -84,7 +84,10 @@ def load_config_file(path: str | Path) -> dict:
         key = key.strip().replace("-", "_")
         if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-        values[key] = _coerce(raw.strip(), types[key])
+        try:
+            values[key] = _coerce(raw.strip(), types[key])
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {raw.strip()!r}") from None
     return values
 
 
@@ -298,11 +301,11 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
 
 def cmd_inspect_weights(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
-    vocab, graph, _corpus = _build_pipeline(cfg)
+    vocab, graph, corpus = _build_pipeline(cfg)
     ent = vocab.match_entity(args.entity)
     if ent is None:
         raise CatembedError(f"entity {args.entity!r} not in vocabulary")
-    direct = graph.entity_categories.get(ent)
+    direct = corpus.entity_categories.get(ent)
     if not direct:
         raise CatembedError(f"entity {args.entity!r} has no category labeling")
     steps = hierarchy.steps_down(graph, direct)

@@ -6,9 +6,10 @@ File formats (UTF-8 text, one record per line):
   space-separated, so labels never contain spaces (use underscores) or tabs.
 * hierarchy: ``parent<TAB>child`` edges between category labels.
 
-Loading is single-threaded and pure; the resulting :class:`Vocabulary`,
-:class:`CategoryGraph` and :class:`Corpus` are frozen afterwards and safe to
-share across training workers read-only.
+Loading is single-threaded. A :class:`CategoryGraph` is immutable once
+:func:`prune_to_dag` returns it; :func:`load_corpus` only reads it. The
+resulting :class:`Vocabulary`, :class:`CategoryGraph` and :class:`Corpus` are
+safe to share across training workers read-only.
 """
 
 from __future__ import annotations
@@ -259,16 +260,15 @@ class PruneReport:
 
 @dataclass
 class CategoryGraph:
-    """Rooted category DAG plus the direct-category labeling of entities.
+    """Rooted category DAG, immutable after :func:`prune_to_dag` builds it.
 
-    ``entity_categories`` is populated by :func:`load_corpus` (the union of a
-    target's labels over its documents) and frozen afterwards.
+    The labeling of entities with direct categories is corpus data and lives
+    on :class:`Corpus`.
     """
 
     root: int
     children: dict[int, tuple[int, ...]]
     parents: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    entity_categories: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.parents:
@@ -393,17 +393,19 @@ def prune_to_dag(
 
 
 @dataclass
-class Document:
-    """One training document: a target entity, its labels, its context entities."""
-
-    target: int
-    labels: tuple[int, ...]
-    contexts: tuple[int, ...]
-
-
-@dataclass
 class Corpus:
-    documents: list[Document]
+    """Training documents as flat int64 arrays, plus the entity labeling.
+
+    Document ``i`` has target ``doc_target[i]`` and contexts
+    ``ctx_ids[ctx_offsets[i]:ctx_offsets[i + 1]]``; documents without contexts
+    are kept. ``entity_categories`` maps each target entity to the sorted union
+    of its surviving labels over its documents.
+    """
+
+    doc_target: np.ndarray
+    ctx_offsets: np.ndarray
+    ctx_ids: np.ndarray
+    entity_categories: dict[int, tuple[int, ...]]
     vocab: Vocabulary
     skipped_documents: int = 0
     dropped_contexts: int = 0
@@ -411,10 +413,10 @@ class Corpus:
 
     @property
     def n_pairs(self) -> int:
-        return sum(len(d.contexts) for d in self.documents)
+        return len(self.ctx_ids)
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.doc_target)
 
 
 def load_corpus(
@@ -426,41 +428,35 @@ def load_corpus(
 
     Out-of-vocabulary context entities are skipped silently (counted); a
     document is dropped when its target is out of vocabulary or none of its
-    labels survive in the graph. Also fills ``graph.entity_categories`` with
-    the per-entity union of direct categories.
+    labels survive in the graph. ``graph`` is only read.
     """
-    documents: list[Document] = []
+    targets: list[int] = []
+    offsets = [0]
+    ctx_ids: list[int] = []
     skipped = 0
     dropped_contexts = 0
     dropped_labels = 0
     direct: dict[int, set[int]] = {}
     for _lineno, target, labels, contexts in _iter_documents(source):
         target_id = vocab.entity_id(target)
-        cat_ids = []
-        for cat in labels:
-            cid = vocab.category_id(cat)
-            if cid is not None and cid in graph:
-                cat_ids.append(cid)
-            else:
-                dropped_labels += 1
+        cat_ids = [cid for cid in map(vocab.category_id, labels) if cid is not None and cid in graph]
+        dropped_labels += len(labels) - len(cat_ids)
         if target_id is None or not cat_ids:
             skipped += 1
             continue
-        ctx_ids = []
-        for ctx in contexts:
-            cid = vocab.entity_id(ctx)
-            if cid is None:
-                dropped_contexts += 1
-            else:
-                ctx_ids.append(cid)
-        documents.append(Document(target_id, tuple(cat_ids), tuple(ctx_ids)))
+        known = [cid for cid in map(vocab.entity_id, contexts) if cid is not None]
+        dropped_contexts += len(contexts) - len(known)
+        ctx_ids.extend(known)
+        targets.append(target_id)
+        offsets.append(len(ctx_ids))
         direct.setdefault(target_id, set()).update(cat_ids)
-    if not documents:
+    if not targets:
         raise CorpusError("all documents were filtered out (check vocabulary and hierarchy)")
-    for ent, cats in direct.items():
-        graph.entity_categories[ent] = tuple(sorted(cats))
     return Corpus(
-        documents=documents,
+        doc_target=np.asarray(targets, dtype=np.int64),
+        ctx_offsets=np.asarray(offsets, dtype=np.int64),
+        ctx_ids=np.asarray(ctx_ids, dtype=np.int64),
+        entity_categories={ent: tuple(sorted(cats)) for ent, cats in direct.items()},
         vocab=vocab,
         skipped_documents=skipped,
         dropped_contexts=dropped_contexts,

@@ -145,13 +145,30 @@ def _split_prefixed(label: str, source: str, lineno: int) -> tuple[NodeKind, str
     raise FormatError(f"row label {label!r} lacks an e:/c: prefix", source, lineno)
 
 
-def _stack(vecs: list[np.ndarray], dim: int) -> np.ndarray:
-    return np.vstack(vecs) if vecs else np.empty((0, dim))
+def _index(rows: list[tuple[NodeKind, str, np.ndarray, int]], dim: int) -> tuple[EmbeddingIndex, int | None]:
+    """Index over ``(kind, label, vector, position)`` rows in file order.
+
+    Also returns the position of the first row that holds a NaN or an infinity, or None.
+    """
+    labels, vecs, bad = [], [], []
+    for kind in (NodeKind.ENTITY, NodeKind.CATEGORY):
+        part = [r for r in rows if r[0] is kind]
+        stacked = np.vstack([r[2] for r in part]) if part else np.empty((0, dim))
+        labels.append([r[1] for r in part])
+        vecs.append(stacked)
+        bad += [part[i][3] for i in np.flatnonzero(~np.isfinite(stacked).all(axis=1))]
+    return EmbeddingIndex(labels[0], labels[1], vecs[0], vecs[1]), min(bad, default=None)
 
 
-def _non_finite(vecs: np.ndarray, positions: list[int]) -> list[int]:
-    """Positions of the rows of ``vecs`` that hold a NaN or an infinity."""
-    return [positions[i] for i in np.flatnonzero(~np.isfinite(vecs).all(axis=1))]
+def _header(line: str | bytes, source: str) -> tuple[int, int]:
+    """``n_rows dim`` from the first line, which both formats share."""
+    try:
+        n_rows, dim = (int(x) for x in line.split())
+    except ValueError:
+        raise FormatError(f"bad header {line!r}", source, 1) from None
+    if n_rows < 0 or dim < 1:
+        raise FormatError(f"bad header {line!r}: need rows >= 0 and dim >= 1", source, 1)
+    return n_rows, dim
 
 
 def load_text(path: str | Path) -> EmbeddingIndex:
@@ -161,16 +178,8 @@ def load_text(path: str | Path) -> EmbeddingIndex:
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise FormatError("empty embedding file", str(path), 1)
-    try:
-        n_rows, dim = (int(x) for x in lines[0].split())
-    except ValueError:
-        raise FormatError(f"bad header {lines[0]!r}", str(path), 1) from None
-    ent_labels: list[str] = []
-    cat_labels: list[str] = []
-    ent_vecs: list[np.ndarray] = []
-    cat_vecs: list[np.ndarray] = []
-    ent_lines: list[int] = []
-    cat_lines: list[int] = []
+    n_rows, dim = _header(lines[0], str(path))
+    rows: list[tuple[NodeKind, str, np.ndarray, int]] = []
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
@@ -178,24 +187,17 @@ def load_text(path: str | Path) -> EmbeddingIndex:
         if len(parts) != dim + 1:
             raise FormatError(f"expected {dim + 1} columns, got {len(parts)}", str(path), lineno)
         kind, label = _split_prefixed(parts[0], str(path), lineno)
-        vec = np.array([float(x) for x in parts[1:]])
-        if kind is NodeKind.ENTITY:
-            ent_labels.append(label)
-            ent_vecs.append(vec)
-            ent_lines.append(lineno)
-        else:
-            cat_labels.append(label)
-            cat_vecs.append(vec)
-            cat_lines.append(lineno)
-    if len(ent_labels) + len(cat_labels) != n_rows:
-        raise FormatError(
-            f"header promised {n_rows} rows, found {len(ent_labels) + len(cat_labels)}", str(path)
-        )
-    ents, cats = _stack(ent_vecs, dim), _stack(cat_vecs, dim)
-    bad = _non_finite(ents, ent_lines) + _non_finite(cats, cat_lines)
-    if bad:
-        raise FormatError("non-finite value", str(path), min(bad))
-    return EmbeddingIndex(ent_labels, cat_labels, ents, cats)
+        try:
+            vec = np.array([float(x) for x in parts[1:]])
+        except ValueError as exc:
+            raise FormatError(f"non-numeric value ({exc})", str(path), lineno) from None
+        rows.append((kind, label, vec, lineno))
+    if len(rows) != n_rows:
+        raise FormatError(f"header promised {n_rows} rows, found {len(rows)}", str(path))
+    index, bad = _index(rows, dim)
+    if bad is not None:
+        raise FormatError("non-finite value", str(path), bad)
+    return index
 
 
 def load_binary(path: str | Path) -> EmbeddingIndex:
@@ -206,16 +208,8 @@ def load_binary(path: str | Path) -> EmbeddingIndex:
     nl = data.find(b"\n")
     if nl < 0:
         raise FormatError("missing header line", str(path), 1)
-    try:
-        n_rows, dim = (int(x) for x in data[:nl].split())
-    except ValueError:
-        raise FormatError(f"bad header {data[:nl]!r}", str(path), 1) from None
-    ent_labels: list[str] = []
-    cat_labels: list[str] = []
-    ent_vecs: list[np.ndarray] = []
-    cat_vecs: list[np.ndarray] = []
-    ent_rows: list[int] = []
-    cat_rows: list[int] = []
+    n_rows, dim = _header(data[:nl], str(path))
+    rows: list[tuple[NodeKind, str, np.ndarray, int]] = []
     pos = nl + 1
     row_bytes = 8 * dim
     for row in range(n_rows):
@@ -227,21 +221,14 @@ def load_binary(path: str | Path) -> EmbeddingIndex:
         end = start + row_bytes
         if end + 1 > len(data) or data[end:end + 1] != b"\n":
             raise FormatError(f"truncated or misaligned row {row + 1}", str(path))
-        vec = np.frombuffer(data[start:end], dtype="<f8").astype(np.float64)
-        if kind is NodeKind.ENTITY:
-            ent_labels.append(label)
-            ent_vecs.append(vec)
-            ent_rows.append(row + 1)
-        else:
-            cat_labels.append(label)
-            cat_vecs.append(vec)
-            cat_rows.append(row + 1)
+        rows.append((kind, label, np.frombuffer(data[start:end], dtype="<f8").astype(np.float64), row + 1))
         pos = end + 1
-    ents, cats = _stack(ent_vecs, dim), _stack(cat_vecs, dim)
-    bad = _non_finite(ents, ent_rows) + _non_finite(cats, cat_rows)
-    if bad:
-        raise FormatError(f"non-finite value in row {min(bad)}", str(path))
-    return EmbeddingIndex(ent_labels, cat_labels, ents, cats)
+    if pos != len(data):
+        raise FormatError(f"header promised {n_rows} rows, found {len(data) - pos} more bytes after them", str(path))
+    index, bad = _index(rows, dim)
+    if bad is not None:
+        raise FormatError(f"non-finite value in row {bad}", str(path))
+    return index
 
 
 def load_embeddings(path: str | Path) -> EmbeddingIndex:

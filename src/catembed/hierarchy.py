@@ -115,12 +115,16 @@ def ce_weights(direct: Iterable[int]) -> AncestorWeights:
 
 
 def weight_csr(
-    graph: CategoryGraph, n_entities: int, mode: str
+    graph: CategoryGraph,
+    entity_categories: Mapping[int, tuple[int, ...]],
+    n_entities: int,
+    mode: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flatten per-entity weights into CSR arrays for the training kernel.
 
-    Computed once at training start (the graph is static during training).
-    Entities without a labeling (context-only entities) get an empty slice.
+    Computed once at training start from the direct categories of each entity
+    (``Corpus.entity_categories``). Entities without a labeling (context-only
+    entities) get an empty slice.
 
     Returns ``(offsets, cat_ids, cat_ws)`` where entity e's categories live in
     ``cat_ids[offsets[e]:offsets[e+1]]``.
@@ -131,7 +135,7 @@ def weight_csr(
     ids: list[int] = []
     ws: list[float] = []
     for ent in range(n_entities):
-        direct = graph.entity_categories.get(ent)
+        direct = entity_categories.get(ent)
         if direct:
             try:
                 aw = category_weights(steps_down(graph, direct)) if mode == "hce" else ce_weights(direct)

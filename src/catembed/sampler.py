@@ -13,20 +13,16 @@ from .errors import SamplerError
 
 def pairs_arrays(corpus: Corpus, doc_order: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(targets, contexts) int64 arrays: one pair per context occurrence, in document order."""
-    docs = corpus.documents
-    order = range(len(docs)) if doc_order is None else doc_order
-    targets: list[np.ndarray] = []
-    contexts: list[np.ndarray] = []
-    for di in order:
-        doc = docs[di]
-        if not doc.contexts:
-            continue
-        ctx = np.asarray(doc.contexts, dtype=np.int64)
-        targets.append(np.full(len(ctx), doc.target, dtype=np.int64))
-        contexts.append(ctx)
-    if not targets:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(targets), np.concatenate(contexts)
+    order = np.arange(len(corpus))
+    if doc_order is not None:
+        order = order[np.asarray(doc_order, dtype=np.int64)]  # a negative index counts from the end, as in a list
+    starts = corpus.ctx_offsets[order]
+    lengths = corpus.ctx_offsets[order + 1] - starts
+    targets = np.repeat(corpus.doc_target[order], lengths)
+    # Output pair p reads ctx_ids at its document's start plus p's offset within that document.
+    shift = starts - (np.cumsum(lengths) - lengths)
+    contexts = corpus.ctx_ids[np.arange(len(targets)) + np.repeat(shift, lengths)]
+    return targets, contexts
 
 
 @dataclass

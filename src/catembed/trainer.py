@@ -196,7 +196,7 @@ def train(
     config.validate()
     vocab = corpus.vocab
     try:
-        cat_offsets, cat_ids, cat_ws = weight_csr(graph, vocab.n_entities, config.mode)
+        cat_offsets, cat_ids, cat_ws = weight_csr(graph, corpus.entity_categories, vocab.n_entities, config.mode)
     except HierarchyError as exc:  # past config.validate(), every weight_csr error carries its entity
         raise HierarchyError(f"entity {vocab.entity_label(exc.entity)!r}: {exc}") from exc
     table = init_embeddings(vocab.n_entities, max(1, vocab.n_categories), config.dim, config.seed)
@@ -207,7 +207,7 @@ def train(
     subsample_rng = np.random.default_rng([config.seed, 301])
     worker_rngs = [np.random.default_rng([config.seed, 201, w]) for w in range(config.workers)]
 
-    n_docs = len(corpus.documents)
+    n_docs = len(corpus)
     pairs_per_epoch = corpus.n_pairs
     if pairs_per_epoch == 0:
         raise TrainError("corpus yields no training pairs")

@@ -190,6 +190,17 @@ class TestEvalRelatedness:
         assert report["n_mapped"] == 4
         assert -1.0 <= report["spearman"] <= 1.0
 
+    def test_non_numeric_embedding_is_a_one_line_error(self, tmp_path, capsys):
+        emb = tmp_path / "bad.txt"
+        emb.write_text("1 3\nc:b 1 x 3\n", encoding="utf-8")
+        data = tmp_path / "rel.tsv"
+        data.write_text("a\tb\t1.0\n", encoding="utf-8")
+        rc = main(["eval-relatedness", "--embeddings", str(emb), "--dataset", str(data),
+                   "--output", str(tmp_path / "o"), "--verbosity", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {emb}:2: non-numeric value") and err.count("\n") == 1
+
     def test_unmapped_words_dropped(self, trained_dir, tmp_path):
         dataset = tmp_path / "pairs.tsv"
         dataset.write_text(
@@ -354,6 +365,15 @@ class TestConfigFile:
         rc = main(["train", "--config", str(cfg), "--verbosity", "0"])
         assert rc == 1
         assert "bogus_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["epochs=two", "lr0=fast", "shuffle=maybe"])
+    def test_unparsable_value_is_a_one_line_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# comment\n{line}\n", encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--verbosity", "0"]) == 1
+        key, _, value = line.partition("=")
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:2: bad value for {key!r}: {value!r}\n"
 
     def test_checkpoint_every_is_no_longer_an_option(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

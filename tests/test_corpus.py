@@ -206,7 +206,7 @@ class TestLoadCorpus:
             ["t\tc1\ta b c", "a\tc1\tt", "b\tc1\tt", "c\tc1\tt"],
             ["root\tc1"],
         )
-        assert len(corpus.documents[0].contexts) == 3
+        assert corpus.ctx_offsets[1] - corpus.ctx_offsets[0] == 3
 
     def test_out_of_vocab_context_skipped(self):
         lines = ["t\tc1\ta b rare", "a\tc1\tt b", "b\tc1\tt a"]
@@ -215,7 +215,7 @@ class TestLoadCorpus:
         graph, _ = prune_to_dag(raw, vocab, "root")
         corpus = load_corpus(lines, vocab, graph)
         assert vocab.entity_id("rare") is None
-        assert len(corpus.documents[0].contexts) == 2
+        assert corpus.ctx_offsets[1] - corpus.ctx_offsets[0] == 2
         assert corpus.dropped_contexts == 1
 
     def test_all_docs_filtered_errors(self):
@@ -231,11 +231,13 @@ class TestLoadCorpus:
             ["t\tc1,c2\ta b", "a\tc2\tt", "b\tc1\ta t"],
             ["root\tc1", "root\tc2", "c1\tc3"],
         )
-        for doc in corpus.documents:
-            assert 0 <= doc.target < vocab.n_entities
-            assert all(0 <= c < vocab.n_entities for c in doc.contexts)
-            assert all(c in graph for c in doc.labels)
-            assert doc.labels
+        for i in range(len(corpus)):
+            assert 0 <= corpus.doc_target[i] < vocab.n_entities
+            contexts = corpus.ctx_ids[corpus.ctx_offsets[i]:corpus.ctx_offsets[i + 1]]
+            assert all(0 <= c < vocab.n_entities for c in contexts)
+            labels = corpus.entity_categories[int(corpus.doc_target[i])]
+            assert all(c in graph for c in labels)
+            assert labels
 
     def test_entity_labeling_is_union_over_docs(self):
         vocab, graph, corpus, _ = build_world(
@@ -243,5 +245,30 @@ class TestLoadCorpus:
             ["root\tc1", "root\tc2"],
         )
         t = vocab.entity_id("t")
-        got = {vocab.category_label(c) for c in graph.entity_categories[t]}
+        got = {vocab.category_label(c) for c in corpus.entity_categories[t]}
         assert got == {"c1", "c2"}
+        assert corpus.entity_categories[t] == tuple(sorted(corpus.entity_categories[t]))
+
+    def test_flat_arrays_keep_documents_without_contexts(self):
+        vocab, graph, corpus, _ = build_world(
+            ["t\tc1\ta b", "a\tc1\t", "b\tc1\tt", "x\tmissing\tt"],
+            ["root\tc1"],
+        )
+        assert len(corpus) == 3 and corpus.skipped_documents == 1
+        assert corpus.doc_target.tolist() == [vocab.entity_id(x) for x in "tab"]
+        assert corpus.ctx_offsets.tolist() == [0, 2, 2, 3]
+        assert corpus.ctx_ids.tolist() == [vocab.entity_id(x) for x in "abt"]
+        assert corpus.n_pairs == 3
+        for arr in (corpus.doc_target, corpus.ctx_offsets, corpus.ctx_ids):
+            assert arr.dtype == np.int64
+
+    def test_load_leaves_graph_unchanged(self):
+        lines = ["t\tc1,c3\ta b", "a\tc2\tt", "b\tc3,gone\ta"]
+        vocab = build_vocabulary(lines)
+        raw = load_hierarchy(["root\tc1", "root\tc2", "c1\tc3", "c3\tc1"], vocab)
+        graph, _ = prune_to_dag(raw, vocab, "root")
+        children, parents = dict(graph.children), dict(graph.parents)
+        load_corpus(lines, vocab, graph)
+        assert graph.children == children
+        assert graph.parents == parents
+        assert not hasattr(graph, "entity_categories")

@@ -72,6 +72,22 @@ class TestTextFormat:
             load_text(path)
         assert info.value.lineno == 4  # first bad line, counting the header and the blank line
 
+    def test_non_numeric_value_rejected(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 3\ne:a 1 2 3\nc:b 1 x 3\n")
+        with pytest.raises(FormatError, match="non-numeric") as info:
+            load_text(path)
+        assert info.value.source == str(path)
+        assert info.value.lineno == 3
+
+    @pytest.mark.parametrize("header", ["1 0", "0 -2"])
+    def test_dim_below_one_rejected(self, tmp_path, header):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"{header}\n")
+        with pytest.raises(FormatError, match="dim >= 1") as info:
+            load_text(path)
+        assert info.value.lineno == 1
+
 
 class TestBinaryFormat:
     def test_round_trip_exact(self, small_setup, tmp_path):
@@ -98,6 +114,36 @@ class TestBinaryFormat:
         with pytest.raises(FormatError):
             load_binary(path)
 
+    def test_trailing_row_rejected(self, small_setup, tmp_path):
+        vocab, table = small_setup
+        path = tmp_path / "emb.bin"
+        save_binary(table, vocab, path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        n_rows, dim = (int(x) for x in header.split())
+        extra = b"e:extra " + np.ones(dim, dtype="<f8").tobytes() + b"\n"
+        path.write_bytes(header + b"\n" + body + extra)
+        with pytest.raises(FormatError, match=f"header promised {n_rows} rows"):
+            load_binary(path)
+
+    def test_trailing_byte_rejected(self, small_setup, tmp_path):
+        vocab, table = small_setup
+        path = tmp_path / "emb.bin"
+        save_binary(table, vocab, path)
+        path.write_bytes(path.read_bytes() + b"\n")
+        with pytest.raises(FormatError, match="1 more bytes"):
+            load_binary(path)
+
+    def test_negative_row_count_rejected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        path.write_bytes(b"-1 3\n")
+        with pytest.raises(FormatError, match="rows >= 0"):
+            load_binary(path)
+
+    def test_dim_below_one_rejected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        path.write_bytes(b"1 0\ne:a \n")
+        with pytest.raises(FormatError, match="dim >= 1"):
+            load_binary(path)
 
     def test_non_finite_value_rejected(self, small_setup, tmp_path):
         vocab, table = small_setup

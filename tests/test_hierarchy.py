@@ -191,9 +191,8 @@ class TestCeWeights:
 class TestWeightCsr:
     def test_csr_layout(self):
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-        g.entity_categories[0] = (3,)
-        g.entity_categories[2] = (2, 3)
-        offsets, ids, ws = weight_csr(g, n_entities=3, mode="hce")
+        labeling = {0: (3,), 2: (2, 3)}
+        offsets, ids, ws = weight_csr(g, labeling, n_entities=3, mode="hce")
         assert offsets.tolist()[0] == 0
         assert offsets[1] - offsets[0] == 3  # entity 0: c1 + two ancestors
         assert offsets[2] - offsets[1] == 0  # entity 1 unlabeled
@@ -201,17 +200,15 @@ class TestWeightCsr:
 
     def test_ce_mode_unnormalized(self):
         g = make_graph(3, [(0, 1), (0, 2)])
-        g.entity_categories[0] = (1, 2)
-        offsets, ids, ws = weight_csr(g, n_entities=1, mode="ce")
+        offsets, ids, ws = weight_csr(g, {0: (1, 2)}, n_entities=1, mode="ce")
         assert ws.tolist() == [1.0, 1.0]
         assert sorted(ids.tolist()) == [1, 2]
 
     def test_failing_entity_is_named(self):
         g = make_graph(3, [(0, 1), (1, 2)])
-        g.entity_categories[0] = (2,)
-        g.entity_categories[1] = (0,)  # root only: no weighted category
+        labeling = {0: (2,), 1: (0,)}  # entity 1 is labeled with the root only: no weighted category
         with pytest.raises(HierarchyError) as exc:
-            weight_csr(g, n_entities=2, mode="hce")
+            weight_csr(g, labeling, n_entities=2, mode="hce")
         assert exc.value.entity == 1
 
 
@@ -243,11 +240,11 @@ def reference_category_weights(graph, direct):
     return cats, raw / raw.sum()
 
 
-def reference_weight_csr(graph, n_entities, mode):
+def reference_weight_csr(graph, labeling, n_entities, mode):
     offsets = np.zeros(n_entities + 1, dtype=np.int64)
     ids, ws = [], []
     for ent in range(n_entities):
-        direct = graph.entity_categories.get(ent)
+        direct = labeling.get(ent)
         if direct:
             if mode == "hce":
                 cats, weights = reference_category_weights(graph, direct)
@@ -281,10 +278,10 @@ class TestMatchesWholeGraphReference:
     """``weight_csr`` arrays are bitwise equal to the whole-graph computation."""
 
     @staticmethod
-    def assert_csr_equal(g, n_entities):
+    def assert_csr_equal(g, labeling, n_entities):
         for mode in ("ce", "hce"):
-            got = weight_csr(g, n_entities, mode)
-            want = reference_weight_csr(g, n_entities, mode)
+            got = weight_csr(g, labeling, n_entities, mode)
+            want = reference_weight_csr(g, labeling, n_entities, mode)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
@@ -295,6 +292,7 @@ class TestMatchesWholeGraphReference:
         n = int(rng.integers(2, 31))
         g = random_rooted_dag(rng, n)
         n_entities = 12
+        labeling = {}
         for ent in range(n_entities):
             if ent % 4 == 3:
                 continue  # unlabeled entity: empty slice
@@ -304,15 +302,16 @@ class TestMatchesWholeGraphReference:
                 direct.add(int(rng.choice(g.parents[leaf])) if g.parents[leaf] else 0)  # nest a parent
             if direct == {0}:
                 direct.add(int(rng.integers(1, n)))
-            g.entity_categories[ent] = tuple(sorted(direct))
-        self.assert_csr_equal(g, n_entities)
+            labeling[ent] = tuple(sorted(direct))
+        self.assert_csr_equal(g, labeling, n_entities)
 
     def test_multi_level_dag_with_extra_parents(self):
         rng = np.random.default_rng(77)
         g, levels = layered_dag(rng, widths=(4, 10, 25, 50, 80), extra_parents=3)
         deep = levels[-1] + levels[-2]
         n_entities = 150
+        labeling = {}
         for ent in range(n_entities):
             size = int(rng.integers(1, 6))
-            g.entity_categories[ent] = tuple(sorted({int(x) for x in rng.choice(deep, size=size)}))
-        self.assert_csr_equal(g, n_entities)
+            labeling[ent] = tuple(sorted({int(x) for x in rng.choice(deep, size=size)}))
+        self.assert_csr_equal(g, labeling, n_entities)

@@ -44,8 +44,83 @@ class TestGeneratePairs:
     def test_pairs_arrays_matches_stream(self):
         corpus, _ = small_corpus(["t\tc1\ta b a", "b\tc1\tt a"])
         targets, contexts = pairs_arrays(corpus, [1, 0])
-        stream = [(d.target, c) for d in (corpus.documents[1], corpus.documents[0]) for c in d.contexts]
+        docs = documents(corpus)
+        stream = [(t, c) for t, ctx in (docs[1], docs[0]) for c in ctx]
         assert list(zip(targets, contexts)) == stream
+
+
+def documents(corpus):
+    """``(target, contexts)`` per document, read back from the flat arrays."""
+    return [
+        (int(corpus.doc_target[i]), tuple(int(c) for c in corpus.ctx_ids[corpus.ctx_offsets[i]:corpus.ctx_offsets[i + 1]]))
+        for i in range(len(corpus))
+    ]
+
+
+def reference_pairs_arrays(corpus, doc_order=None):
+    """Per-document loop the vectorized stream replaced: test-only oracle."""
+    docs = documents(corpus)
+    order = range(len(docs)) if doc_order is None else doc_order
+    targets, contexts = [], []
+    for di in order:
+        target, ctx = docs[di]
+        if not ctx:
+            continue
+        targets.append(np.full(len(ctx), target, dtype=np.int64))
+        contexts.append(np.asarray(ctx, dtype=np.int64))
+    if not targets:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(targets), np.concatenate(contexts)
+
+
+def random_corpus(rng, n_docs):
+    labels = [f"e{i}" for i in range(12)]
+    lines = []
+    for i in range(n_docs):
+        n_ctx = 0 if i % 3 == 1 else int(rng.integers(0, 5))  # every third document has no contexts
+        ctx = " ".join(labels[int(j)] for j in rng.integers(0, len(labels), size=n_ctx))
+        lines.append(f"{labels[int(rng.integers(len(labels)))]}\tc1\t{ctx}")
+    return small_corpus(lines)[0]
+
+
+class TestPairsArraysOracle:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_per_document_loop(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        corpus = random_corpus(rng, int(rng.integers(2, 40)))
+        n = len(corpus)
+        assert np.any(np.diff(corpus.ctx_offsets) == 0)
+        orders = [
+            None,
+            rng.permutation(n),
+            list(rng.permutation(n)),
+            rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False),
+            [],
+            np.empty(0, dtype=np.int64),
+            [-1, 0, -n],
+        ]
+        for order in orders:
+            got = pairs_arrays(corpus, order)
+            want = reference_pairs_arrays(corpus, order)
+            for a, b in zip(got, want):
+                assert a.dtype == np.int64
+                assert np.array_equal(a, b)
+
+    def test_out_of_range_order_raises(self):
+        corpus = small_corpus(["t\tc1\ta", "a\tc1\tt"])[0]
+        for bad in ([2], [-3]):
+            with pytest.raises(IndexError):
+                reference_pairs_arrays(corpus, bad)
+            with pytest.raises(IndexError):
+                pairs_arrays(corpus, bad)
+
+    def test_only_empty_documents(self):
+        corpus = small_corpus(["t\tc1\t", "a\tc1\t"])[0]
+        assert corpus.n_pairs == 0
+        for order in (None, [1, 0], [0]):
+            targets, contexts = pairs_arrays(corpus, order)
+            assert targets.dtype == contexts.dtype == np.int64
+            assert len(targets) == len(contexts) == 0
 
 
 class TestNoiseTable:
