@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import records
 from .embeddings import EmbeddingIndex
 from .errors import EvalError, FormatError
 
@@ -56,17 +57,12 @@ def load_gold(path: str | Path) -> GoldLabeling:
     categories: list[str] = []
     seen: set[str] = set()
     classes: dict[str, None] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 2:
-            raise FormatError(f"expected 2 tab-separated fields, got {len(parts)}", str(path), lineno)
-        entity, category = parts[0].strip(), parts[1].strip()
+    for name, lineno, fields in records(path, ("entity", "category")):
+        entity, category = (f.strip() for f in fields)
         if not entity or not category:
-            raise FormatError("empty label", str(path), lineno)
+            raise FormatError("empty label", name, lineno)
         if entity in seen:
-            raise FormatError(f"duplicate entity {entity!r}", str(path), lineno)
+            raise FormatError(f"duplicate entity {entity!r}", name, lineno)
         seen.add(entity)
         entities.append(entity)
         categories.append(category)
@@ -191,6 +187,10 @@ def kmeans(
     return best
 
 
+# Largest n x n float64 distance matrix agglomerative() builds: 1 GiB, n <= 11,585.
+AGGLOMERATIVE_MAX_BYTES = 1 << 30
+
+
 def agglomerative(
     vectors: np.ndarray,
     k: int,
@@ -210,6 +210,11 @@ def agglomerative(
         raise EvalError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
     if linkage == "ward" and metric != "euclidean":
         raise EvalError("ward linkage requires the euclidean metric")
+    if n * n * 8 > AGGLOMERATIVE_MAX_BYTES:
+        raise EvalError(
+            f"agglomerative clustering of n={n} items needs an {n * n * 8}-byte distance matrix, "
+            f"above the {AGGLOMERATIVE_MAX_BYTES}-byte limit"
+        )
     if metric == "cosine":
         x = _normalize_rows(x)
 

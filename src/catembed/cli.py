@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import categorize, embeddings, hierarchy, kernels, relatedness, synthetic, trainer
-from .corpus import NodeKind, build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
+from .corpus import NodeKind, build_vocabulary, load_corpus, load_hierarchy, prune_to_dag, read_lines
 from .errors import CatembedError, ConfigError
 from .synthetic import SyntheticSpec
 
@@ -74,7 +74,8 @@ def load_config_file(path: str | Path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     types = {f.name: _FIELD_TYPES.get(f.type, f.type) for f in fields(RunConfig)}
     values: dict = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    _, lines = read_lines(path)
+    for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

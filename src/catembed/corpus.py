@@ -1,10 +1,16 @@
-"""Corpus and category-hierarchy ingestion.
+"""Text input reading, plus corpus and category-hierarchy ingestion.
 
-File formats (UTF-8 text, one record per line):
+Every text input is read here: :func:`read_lines` decodes UTF-8 once and
+:func:`records` splits the four tab-separated formats, one record per line:
 
-* corpus:    ``target<TAB>cat1,cat2,...<TAB>ctx1 ctx2 ...`` -- context labels are
-  space-separated, so labels never contain spaces (use underscores) or tabs.
-* hierarchy: ``parent<TAB>child`` edges between category labels.
+* corpus:      ``target<TAB>cat1,cat2,...<TAB>ctx1 ctx2 ...`` -- context labels
+  are space-separated, so labels never contain spaces (use underscores) or tabs.
+* hierarchy:   ``parent<TAB>child`` edges between category labels.
+* gold:        ``entity<TAB>category`` (:func:`catembed.categorize.load_gold`).
+* relatedness: ``word1<TAB>word2<TAB>score`` (:func:`catembed.relatedness.load_relatedness`).
+
+Blank lines are skipped. An invalid UTF-8 byte or a wrong field count raises
+:class:`FormatError` with the source name and line number.
 
 Loading is single-threaded. A :class:`CategoryGraph` is immutable once
 :func:`prune_to_dag` returns it; :func:`load_corpus` only reads it. The
@@ -61,13 +67,34 @@ class FoldedLabels:
         return self._folded.get(normalize_label(word))
 
 
-def _iter_lines(source: str | Path | Iterable[str]) -> tuple[str, Iterator[str]]:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if not path.exists():
-            raise CorpusError(f"input file not found: {path}")
-        return str(path), iter(path.read_text(encoding="utf-8").splitlines())
-    return "<stream>", iter(source)
+def read_lines(source: str | Path | Iterable[str]) -> tuple[str, Iterable[str]]:
+    """The source name and its lines, from a path (decoded as UTF-8) or a line stream."""
+    if not isinstance(source, (str, Path)):
+        return "<stream>", source
+    path = Path(source)
+    if not path.exists():
+        raise CorpusError(f"input file not found: {path}")
+    data = path.read_bytes()
+    try:
+        return str(path), data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode; a sentinel counts the line it opens
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise FormatError(f"invalid UTF-8 at byte {exc.start}", str(path), lineno) from None
+
+
+def records(source: str | Path | Iterable[str], names: tuple[str, ...]) -> Iterator[tuple[str, int, list[str]]]:
+    """``(source name, line number, fields)`` per non-blank line of ``len(names)`` tab-separated fields."""
+    name, lines = read_lines(source)
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != len(names):
+            raise FormatError(
+                f"expected {len(names)} tab-separated fields ({', '.join(names)}), got {len(fields)}", name, lineno,
+            )
+        yield name, lineno, fields
 
 
 class Vocabulary:
@@ -143,31 +170,16 @@ class Vocabulary:
         return self._folded_cat.get(word)
 
 
-def parse_corpus_line(line: str, lineno: int, source: str = "<stream>") -> tuple[str, list[str], list[str]]:
-    """Split one corpus line into (target, category labels, context labels)."""
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) != 3:
-        raise FormatError(
-            f"expected 3 tab-separated fields (target, categories, contexts), got {len(parts)}",
-            source, lineno,
-        )
-    target = parts[0].strip()
-    if not target:
-        raise FormatError("empty target label", source, lineno)
-    labels = [c.strip() for c in parts[1].split(",") if c.strip()]
-    if not labels:
-        raise FormatError(f"document {target!r} has no category labels", source, lineno)
-    contexts = parts[2].split()
-    return target, labels, contexts
-
-
-def _iter_documents(source) -> Iterator[tuple[int, str, list[str], list[str]]]:
-    name, lines = _iter_lines(source)
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        target, labels, contexts = parse_corpus_line(line, lineno, name)
-        yield lineno, target, labels, contexts
+def _iter_documents(source) -> Iterator[tuple[str, list[str], list[str]]]:
+    """``(target, category labels, context labels)`` per corpus line."""
+    for name, lineno, (target, cats, contexts) in records(source, ("target", "categories", "contexts")):
+        target = target.strip()
+        if not target:
+            raise FormatError("empty target label", name, lineno)
+        labels = [c.strip() for c in cats.split(",") if c.strip()]
+        if not labels:
+            raise FormatError(f"document {target!r} has no category labels", name, lineno)
+        yield target, labels, contexts.split()
 
 
 def build_vocabulary(source: str | Path | Iterable[str], min_count: int = 1) -> Vocabulary:
@@ -179,7 +191,7 @@ def build_vocabulary(source: str | Path | Iterable[str], min_count: int = 1) -> 
     counts: dict[str, int] = {}
     categories: dict[str, None] = {}
     n_docs = 0
-    for _lineno, target, labels, contexts in _iter_documents(source):
+    for target, labels, contexts in _iter_documents(source):
         n_docs += 1
         counts[target] = counts.get(target, 0) + 1
         for cat in labels:
@@ -220,14 +232,8 @@ def load_hierarchy(source: str | Path | Iterable[str], vocab: Vocabulary) -> Dir
     Duplicate edges collapse to one; a self-loop is a format error.
     """
     graph = DirectedGraph()
-    name, lines = _iter_lines(source)
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 2:
-            raise FormatError(f"expected 2 tab-separated fields (parent, child), got {len(parts)}", name, lineno)
-        parent, child = parts[0].strip(), parts[1].strip()
+    for name, lineno, fields in records(source, ("parent", "child")):
+        parent, child = (f.strip() for f in fields)
         if not parent or not child:
             raise FormatError("empty category label in edge", name, lineno)
         if parent == child:
@@ -437,7 +443,7 @@ def load_corpus(
     dropped_contexts = 0
     dropped_labels = 0
     direct: dict[int, set[int]] = {}
-    for _lineno, target, labels, contexts in _iter_documents(source):
+    for target, labels, contexts in _iter_documents(source):
         target_id = vocab.entity_id(target)
         cat_ids = [cid for cid in map(vocab.category_id, labels) if cid is not None and cid in graph]
         dropped_labels += len(labels) - len(cat_ids)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import FoldedLabels, NodeId, NodeKind, Vocabulary
+from .corpus import FoldedLabels, NodeId, NodeKind, Vocabulary, read_lines
 from .errors import CorpusError, FormatError
 
 
@@ -46,9 +46,6 @@ class EmbeddingTable:
         for name in ("ent_in", "cat_in", "ent_out"):
             if not np.isfinite(getattr(self, name)).all():
                 raise CorpusError(f"non-finite values in {name}")
-
-    def input_vector(self, node: NodeId) -> np.ndarray:
-        return (self.ent_in if node.kind is NodeKind.ENTITY else self.cat_in)[node.index]
 
 
 def init_embeddings(n_entities: int, n_categories: int, dim: int, seed: int) -> EmbeddingTable:
@@ -175,7 +172,7 @@ def load_text(path: str | Path) -> EmbeddingIndex:
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"embedding file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    _, lines = read_lines(path)
     if not lines:
         raise FormatError("empty embedding file", str(path), 1)
     n_rows, dim = _header(lines[0], str(path))
@@ -216,7 +213,11 @@ def load_binary(path: str | Path) -> EmbeddingIndex:
         sp = data.find(b" ", pos)
         if sp < 0:
             raise FormatError(f"truncated row {row + 1}", str(path))
-        kind, label = _split_prefixed(data[pos:sp].decode("utf-8"), str(path), row + 2)
+        try:
+            label = data[pos:sp].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"row {row + 1} label is not valid UTF-8", str(path), row + 2) from None
+        kind, label = _split_prefixed(label, str(path), row + 2)
         start = sp + 1
         end = start + row_bytes
         if end + 1 > len(data) or data[end:end + 1] != b"\n":

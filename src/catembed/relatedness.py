@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import NodeId, NodeKind
+from .corpus import NodeId, NodeKind, records
 from .errors import EvalError, FormatError
 
 
@@ -31,24 +31,19 @@ def load_relatedness(path: str | Path) -> list[RelatednessPair]:
         raise EvalError(f"relatedness dataset not found: {path}")
     pairs: list[RelatednessPair] = []
     seen: set[frozenset[str]] = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 3:
-            raise FormatError(f"expected 3 tab-separated fields, got {len(parts)}", str(path), lineno)
-        w1, w2 = parts[0].strip(), parts[1].strip()
+    for name, lineno, (w1, w2, raw_score) in records(path, ("word1", "word2", "score")):
+        w1, w2 = w1.strip(), w2.strip()
         try:
-            score = float(parts[2])
+            score = float(raw_score)
         except ValueError:
-            raise FormatError(f"bad score {parts[2]!r}", str(path), lineno) from None
+            raise FormatError(f"bad score {raw_score!r}", name, lineno) from None
         if not w1 or not w2:
-            raise FormatError("empty word", str(path), lineno)
+            raise FormatError("empty word", name, lineno)
         if not (0.0 <= score <= 10.0):
-            raise FormatError(f"score {score} outside [0, 10]", str(path), lineno)
+            raise FormatError(f"score {score} outside [0, 10]", name, lineno)
         key = frozenset((w1.lower(), w2.lower()))
         if key in seen:
-            raise FormatError(f"duplicate pair ({w1!r}, {w2!r})", str(path), lineno)
+            raise FormatError(f"duplicate pair ({w1!r}, {w2!r})", name, lineno)
         seen.add(key)
         pairs.append(RelatednessPair(w1, w2, score))
     if not pairs:
@@ -99,11 +94,10 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def spearman(xs, ys) -> float:
-    """Spearman's rank correlation.
+    """Spearman's rank correlation: the Pearson correlation of average ranks.
 
-    Tie-free inputs take the closed form 1 - 6*sum(d^2)/(n(n^2-1)); inputs
-    with ties use average ranks and the Pearson correlation of the rank
-    vectors, which reduces to the closed form when no ties exist.
+    Exact with or without ties; without ties it equals the closed form
+    1 - 6*sum(d^2)/(n(n^2-1)).
     """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
@@ -114,13 +108,8 @@ def spearman(xs, ys) -> float:
         raise EvalError(f"spearman needs at least 2 pairs, got {n}")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise EvalError("spearman undefined for constant scores")
-    x_tied = len(np.unique(x)) < n
-    y_tied = len(np.unique(y)) < n
     rx = _average_ranks(x)
     ry = _average_ranks(y)
-    if not x_tied and not y_tied:
-        d = rx - ry
-        return float(1.0 - 6.0 * (d @ d) / (n * (n * n - 1.0)))
     rx -= rx.mean()
     ry -= ry.mean()
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))

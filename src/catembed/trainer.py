@@ -1,7 +1,6 @@
 """Optimization of the flat (CE) and hierarchy-weighted (HCE) objectives.
 
-Per-pair negative-sampling SGD. ``pair_loss_and_grad`` is the slow reference
-used by tests and oracles; ``train`` drives the chunk kernels in
+Per-pair negative-sampling SGD: ``train`` drives the chunk kernels in
 :mod:`catembed.kernels` over the pair stream.
 
 Concurrency: with ``workers > 1`` each epoch's pair arrays are split into
@@ -18,16 +17,16 @@ import logging
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import kernels
-from .corpus import CategoryGraph, Corpus, NodeId
+from .corpus import CategoryGraph, Corpus
 from .embeddings import EmbeddingTable, init_embeddings
 from .errors import ConfigError, HierarchyError, TrainError
-from .hierarchy import AncestorWeights, weight_csr
+from .hierarchy import weight_csr
 from .sampler import build_noise_table, draw_negatives_batch, pairs_arrays
 
 log = logging.getLogger(__name__)
@@ -72,78 +71,6 @@ class TrainConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.subsample < 0:
             raise ConfigError(f"subsample must be >= 0, got {self.subsample}")
-
-
-@dataclass
-class PairGradient:
-    """Sparse gradient of one pair's loss: (table name, row) -> d-vector."""
-
-    loss: float
-    deltas: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
-
-    def _add(self, table: str, row: int, delta: np.ndarray) -> None:
-        key = (table, int(row))
-        if key in self.deltas:
-            self.deltas[key] += delta
-        else:
-            self.deltas[key] = delta.copy()
-
-
-def softmax_prob(table: EmbeddingTable, predictor: NodeId, context: int) -> float:
-    """Exact softmax p(context | predictor) over all entity output rows.
-
-    Test oracle only: iterates the whole vocabulary, with max-subtraction for
-    stability.
-    """
-    v = table.input_vector(predictor)
-    scores = table.ent_out @ v
-    scores -= scores.max()
-    exp_s = np.exp(scores)
-    return float(exp_s[context] / exp_s.sum())
-
-
-def pair_loss_and_grad(
-    table: EmbeddingTable,
-    pair: tuple[int, int],
-    weights: AncestorWeights,
-    negatives: np.ndarray,
-) -> PairGradient:
-    """Reference loss and exact analytic gradient for one training pair.
-
-    Touches exactly the rows {target input, each weighted category input,
-    context output, each negative output}; duplicate negatives accumulate.
-    """
-    t, c = pair
-    cids = np.asarray(weights.categories, dtype=np.int64)
-    w = np.concatenate(([1.0], np.asarray(weights.weights, dtype=np.float64)))
-    preds = np.vstack([table.ent_in[t][None, :], table.cat_in[cids]]) if len(cids) else table.ent_in[t][None, :]
-    negatives = np.asarray(negatives, dtype=np.int64)
-    outs = np.vstack([table.ent_out[c][None, :], table.ent_out[negatives]]) if negatives.size else table.ent_out[c][None, :]
-
-    scores = np.clip(outs @ preds.T, -kernels.CLAMP, kernels.CLAMP)
-    exp_s = np.exp(scores)
-    loss = float((w * np.log1p(1.0 / exp_s[0])).sum() + (w[None, :] * np.log1p(exp_s[1:])).sum())
-
-    coef = np.empty_like(scores)
-    coef[0] = -w / (1.0 + exp_s[0])
-    coef[1:] = w[None, :] * (exp_s[1:] / (1.0 + exp_s[1:]))
-    d_preds = coef.T @ outs
-    d_outs = coef @ preds
-
-    grad = PairGradient(loss=loss)
-    grad._add("ent_in", t, d_preds[0])
-    for row, delta in zip(cids, d_preds[1:]):
-        grad._add("cat_in", row, delta)
-    grad._add("ent_out", c, d_outs[0])
-    for row, delta in zip(negatives, d_outs[1:]):
-        grad._add("ent_out", row, delta)
-    return grad
-
-
-def apply_gradient(table: EmbeddingTable, grad: PairGradient, lr: float) -> None:
-    """One SGD step: row <- row - lr * delta for every touched row."""
-    for (name, row), delta in grad.deltas.items():
-        getattr(table, name)[row] -= lr * delta
 
 
 @dataclass

@@ -15,8 +15,9 @@ from catembed.hierarchy import AncestorWeights, category_weights, steps_down
 from catembed.relatedness import spearman
 from catembed.sampler import build_noise_table
 from catembed.synthetic import SyntheticSpec, generate_world
-from catembed.trainer import TrainConfig, pair_loss_and_grad, train
+from catembed.trainer import TrainConfig, train
 
+from oracles import pair_loss_and_grad
 from test_categorize import brute_purity, partition_to_labels, set_partitions
 from test_hierarchy import brute_ancestors, brute_path_lengths, random_rooted_dag
 from test_trainer import EMPTY_WEIGHTS, fd_gradient, random_table

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from catembed import categorize
 from catembed.categorize import (
     ClusteringSolution,
     GoldLabeling,
@@ -195,6 +196,14 @@ class TestAgglomerative:
         for linkage in ("ward", "complete", "average"):
             sol = agglomerative(pts, 3, linkage=linkage)
             assert sol.assignment[0] == sol.assignment[2]
+
+    def test_matrix_above_size_limit_rejected(self, monkeypatch):
+        pts = np.random.default_rng(2).normal(size=(5, 2))
+        monkeypatch.setattr(categorize, "AGGLOMERATIVE_MAX_BYTES", 5 * 5 * 8)
+        assert agglomerative(pts, 2).k == 2  # exactly at the limit
+        monkeypatch.setattr(categorize, "AGGLOMERATIVE_MAX_BYTES", 5 * 5 * 8 - 1)
+        with pytest.raises(EvalError, match=r"^agglomerative clustering of n=5 items needs an 200-byte"):
+            agglomerative(pts, 2)
 
     def test_ward_cosine_rejected(self):
         with pytest.raises(EvalError):
@@ -414,6 +423,12 @@ class TestGoldLoader:
         assert gold.entities == ["cat", "dog", "car"]
         assert gold.class_labels == ["animals", "vehicles"]
         assert gold.n_classes == 2
+
+    def test_field_count_message_names_fields(self, tmp_path):
+        path = tmp_path / "gold.tsv"
+        path.write_text("cat\tanimals\n\ndog\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r":3: expected 2 tab-separated fields \(entity, category\), got 1$"):
+            load_gold(path)
 
     def test_duplicate_entity_rejected(self, tmp_path):
         path = tmp_path / "gold.tsv"

@@ -393,3 +393,59 @@ class TestConfigFile:
         cfg.write_text("lr0=0.05\nlr_min=0.001\n", encoding="utf-8")
         config = effective_config(build_parser().parse_args(["train", "--config", str(cfg)]))
         assert config.lr_min == 0.001
+
+
+GOOD_EMBEDDING = b"2 2\ne:a 1 0\ne:b 0 1\n"
+BAD_UTF8_CASES = {
+    # name: (files as {name: bytes}, argv built from the tmp dir, the file that holds the bad byte)
+    "corpus": (
+        {"corpus.tsv": b"a\tc1\tb\nb\tc1\ta\n\xff\tc1\tb\n"},
+        lambda d: ["build-vocab", "--corpus", str(d / "corpus.tsv"), "--output", str(d / "o")],
+        "corpus.tsv",
+    ),
+    "hierarchy": (
+        {"corpus.tsv": b"a\tc1\tb\n", "hierarchy.tsv": b"root\tc1\nroot\tc2\nc1\tc\xff\n"},
+        lambda d: ["train", "--corpus", str(d / "corpus.tsv"), "--hierarchy", str(d / "hierarchy.tsv"),
+                   "--output", str(d / "o")],
+        "hierarchy.tsv",
+    ),
+    "gold": (
+        {"emb.txt": GOOD_EMBEDDING, "gold.tsv": b"a\tc1\nb\tc2\n\xff\tc1\n"},
+        lambda d: ["eval-categorize", "--embeddings", str(d / "emb.txt"), "--gold", str(d / "gold.tsv"),
+                   "--output", str(d / "o")],
+        "gold.tsv",
+    ),
+    "relatedness": (
+        {"emb.txt": GOOD_EMBEDDING, "pairs.tsv": b"a\tb\t5.0\nb\tc\t3.0\na\t\xff\t1.0\n"},
+        lambda d: ["eval-relatedness", "--embeddings", str(d / "emb.txt"), "--dataset", str(d / "pairs.tsv"),
+                   "--output", str(d / "o")],
+        "pairs.tsv",
+    ),
+    "config": (
+        {"run.cfg": b"# comment\ndim=3\nroot=r\xff\n"},
+        lambda d: ["build-vocab", "--config", str(d / "run.cfg")],
+        "run.cfg",
+    ),
+    # line 2 is longer than the 4 KB format probe, so the file is sniffed as text
+    "text-embedding": (
+        {"emb.txt": b"2 1\ne:" + b"a" * 5000 + b" 1\ne:\xff 2\n"},
+        lambda d: ["neighbors", "--embeddings", str(d / "emb.txt"), "--label", "a"],
+        "emb.txt",
+    ),
+    "binary-label": (
+        {"emb.bin": b"2 1\ne:a " + np.float64(1.0).tobytes() + b"\ne:\xff " + np.float64(2.0).tobytes() + b"\n"},
+        lambda d: ["neighbors", "--embeddings", str(d / "emb.bin"), "--label", "a"],
+        "emb.bin",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_UTF8_CASES))
+def test_invalid_utf8_is_a_one_line_error_with_its_line(tmp_path, capsys, case):
+    files, argv, bad = BAD_UTF8_CASES[case]
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert main(argv(tmp_path) + ["--verbosity", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / bad}:3: ")
+    assert "UTF-8" in err and err.count("\n") == 1 and "Traceback" not in err

@@ -5,8 +5,9 @@ from catembed.corpus import (
     build_vocabulary,
     load_corpus,
     load_hierarchy,
-    parse_corpus_line,
     prune_to_dag,
+    read_lines,
+    records,
 )
 from catembed.embeddings import EmbeddingIndex
 from catembed.errors import CorpusError, FormatError, HierarchyError
@@ -69,7 +70,7 @@ class TestBuildVocabulary:
 
     def test_missing_categories_is_malformed(self):
         with pytest.raises(FormatError):
-            parse_corpus_line("t\t\ta b", 1)
+            build_vocabulary(["t\t\ta b"])
 
     def test_first_seen_order(self):
         lines = ["t\tc\tb a", "a\tc\tz"]
@@ -99,6 +100,56 @@ class TestFoldedMatch:
         load_hierarchy(["Cat_A\tCat_B"], vocab)
         assert vocab.match_category("cat b") == vocab.category_id("Cat_B")
         assert vocab.match_category("CAT A") == vocab.category_id("Cat_A")
+
+
+class TestReadLines:
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(CorpusError, match="input file not found"):
+            read_lines(tmp_path / "absent.tsv")
+
+    def test_stream_passes_through(self):
+        assert read_lines(["a", "b"]) == ("<stream>", ["a", "b"])
+
+    @pytest.mark.parametrize("data, lineno, byte", [
+        (b"\xff\n", 1, 0),
+        (b"a\nb\n\xff", 3, 4),
+        (b"a\r\nb\r\nc\xff", 3, 7),
+        (b"\xc3\xa9\n\xc3\xa9x\xff\n", 2, 6),
+        (b"ok\n\xc3", 2, 3),  # a multi-byte character cut off at the end
+        (b"a\n\n\xe2\x82\n", 3, 3),
+    ])
+    def test_invalid_byte_names_line_and_offset(self, tmp_path, data, lineno, byte):
+        path = tmp_path / "in.tsv"
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as exc:
+            read_lines(path)
+        assert str(exc.value) == f"{path}:{lineno}: invalid UTF-8 at byte {byte}"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_line_number_matches_splitlines(self, tmp_path, seed):
+        # every token is valid UTF-8, so the one 0xff is the first bad byte, and
+        # decoding with replacement keeps the line structure the reader sees
+        tokens = [b"a", b"\t", b"\n", b"\r", b"\r\n", b"\xc3\xa9", b"\xc2\x85", b"\xe2\x80\xa8", b"\x1c"]
+        rng = np.random.default_rng(seed)
+        parts = [tokens[i] for i in rng.integers(len(tokens), size=60)]
+        parts.insert(int(rng.integers(61)), b"\xff")
+        data = b"".join(parts)
+        path = tmp_path / "in.tsv"
+        path.write_bytes(data)
+        lines = data.decode("utf-8", "replace").splitlines()
+        want = next(i for i, line in enumerate(lines, 1) if "\ufffd" in line)
+        with pytest.raises(FormatError) as exc:
+            read_lines(path)
+        assert exc.value.lineno == want
+
+    def test_records_skip_blank_lines(self):
+        got = list(records(["a\tb", "  ", "c\td\n"], ("x", "y")))
+        assert got == [("<stream>", 1, ["a", "b"]), ("<stream>", 3, ["c", "d"])]
+
+    def test_records_field_count_names_fields(self):
+        with pytest.raises(FormatError) as exc:
+            list(records(["a\tb", "", "c"], ("x", "y")))
+        assert str(exc.value) == "<stream>:3: expected 2 tab-separated fields (x, y), got 1"
 
 
 class TestLoadHierarchy:

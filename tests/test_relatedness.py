@@ -164,6 +164,12 @@ class TestLoadRelatedness:
         with pytest.raises(FormatError):
             load_relatedness(path)
 
+    def test_field_count_message_names_fields(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("cat\tdog\t8\nsun\tmoon\t6\t1\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r":2: expected 3 tab-separated fields \(word1, word2, score\), got 4$"):
+            load_relatedness(path)
+
 
 def pair_list(rows):
     from catembed.relatedness import RelatednessPair

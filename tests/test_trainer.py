@@ -9,13 +9,9 @@ from catembed.embeddings import EmbeddingTable, init_embeddings
 from catembed.errors import ConfigError
 from catembed.hierarchy import AncestorWeights
 from catembed.kernels import CLAMP
-from catembed.trainer import (
-    TrainConfig,
-    apply_gradient,
-    pair_loss_and_grad,
-    softmax_prob,
-    train,
-)
+from catembed.trainer import TrainConfig, train
+
+from oracles import apply_gradient, pair_loss_and_grad, softmax_prob
 
 EMPTY_WEIGHTS = AncestorWeights(categories=(), weights=np.empty(0))
 
