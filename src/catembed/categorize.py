@@ -110,7 +110,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     n = len(x)
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    d2 = _pairwise_sq_dists(x, centers[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -118,7 +118,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[j] = x[idx]
-        d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _pairwise_sq_dists(x, centers[j:j + 1])[:, 0])
     return centers
 
 
@@ -277,19 +277,22 @@ def purity_from_labels(assignment: np.ndarray, classes: np.ndarray) -> float:
     n = len(assignment)
     if n == 0:
         raise EvalError("empty clustering")
-    total = 0
-    for cluster in np.unique(assignment):
-        overlap = np.bincount(classes[assignment == cluster])
-        total += int(overlap.max())
-    return total / n
+    return int(_contingency(assignment, classes)[1].max(axis=1).sum()) / n
 
 
-def nn_classify(entity_vec: np.ndarray, candidates: np.ndarray) -> int:
-    """Index of the candidate category vector nearest in euclidean distance."""
+def _contingency(assignment: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row per item, cluster x class counts)``; the rows follow ``np.unique(assignment)``."""
+    _, rows = np.unique(assignment, return_inverse=True)
+    n_classes = int(classes.max()) + 1
+    counts = np.bincount(rows * n_classes + classes, minlength=(int(rows.max()) + 1) * n_classes)
+    return rows, counts.reshape(-1, n_classes)
+
+
+def nn_classify(entity_vecs: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Per entity row, the index of the candidate category vector nearest in euclidean distance."""
     if len(candidates) < 1:
         raise EvalError("nn_classify needs at least one candidate")
-    d2 = ((candidates - entity_vec[None, :]) ** 2).sum(axis=1)
-    return int(d2.argmin())  # argmin takes the first minimum: lowest index on ties
+    return _pairwise_sq_dists(entity_vecs, candidates).argmin(axis=1)  # first minimum: lowest index on ties
 
 
 def _sweep_combos() -> list[tuple[str, str, str | None]]:
@@ -387,24 +390,22 @@ def run_categorization(
                 cand_labels.append(cat)
         if not cand_labels:
             raise EvalError("no gold category resolves to an embedding row")
-        candidates = index.cat_vecs[cand_rows]
-        predicted = [cand_labels[nn_classify(v, candidates)] for v in vectors]
-        pred_lookup = {lab: i for i, lab in enumerate(dict.fromkeys(cand_labels))}
-        pred_idx = np.array([pred_lookup[p] for p in predicted], dtype=np.int64)
+        nearest = nn_classify(vectors, index.cat_vecs[cand_rows])
+        predicted = [cand_labels[j] for j in nearest]
         accuracy = float(np.mean([p == g for p, g in zip(predicted, sub.categories)]))
-        counts = {lab: predicted.count(lab) for lab in cand_labels}
+        counts = dict(zip(cand_labels, np.bincount(nearest, minlength=len(cand_labels)).tolist()))
         report["nn"] = {
-            "purity": purity_from_labels(pred_idx, classes),
+            "purity": purity_from_labels(nearest, classes),
             "accuracy": accuracy,
             "missing_categories": missing_cats,
             "prediction_counts": counts,  # a single dominant category signals hubness
-            "misclassified": _nn_misclassifications(predicted, sub),
+            "misclassified": _misclassifications(predicted, sub),
         }
     return report
 
 
-def _nn_misclassifications(predicted: list[str], gold: GoldLabeling) -> dict[str, list[dict]]:
-    """Entities wrongly pulled into each predicted category."""
+def _misclassifications(predicted: list[str], gold: GoldLabeling) -> dict[str, list[dict]]:
+    """Entities wrongly pulled into each predicted category, in gold order."""
     by_predicted: dict[str, list[dict]] = {}
     for entity, gold_cat, pred in zip(gold.entities, gold.categories, predicted):
         if pred != gold_cat:
@@ -413,17 +414,8 @@ def _nn_misclassifications(predicted: list[str], gold: GoldLabeling) -> dict[str
 
 
 def _cluster_misclassifications(solution: ClusteringSolution, gold: GoldLabeling) -> dict[str, list[dict]]:
-    """Map each cluster to its majority class, then list the out-of-class items."""
-    classes = gold.class_indices()
-    by_predicted: dict[str, list[dict]] = {}
-    for cluster in np.unique(solution.assignment):
-        in_cluster = solution.assignment == cluster
-        overlap = np.bincount(classes[in_cluster], minlength=gold.n_classes)
-        majority = int(overlap.argmax())
-        majority_label = gold.class_labels[majority]
-        for i in np.where(in_cluster)[0]:
-            if classes[i] != majority:
-                by_predicted.setdefault(majority_label, []).append(
-                    {"entity": gold.entities[i], "gold": gold.categories[i]}
-                )
-    return by_predicted
+    """Map each cluster to its majority class, then list the out-of-class items, cluster by cluster."""
+    rows, counts = _contingency(solution.assignment, gold.class_indices())
+    majority = counts.argmax(axis=1)  # argmax keeps the lowest class on ties
+    order = np.argsort(rows, kind="stable")  # cluster first, then item index
+    return _misclassifications([gold.class_labels[majority[rows[i]]] for i in order], gold.subset(order))

@@ -51,6 +51,11 @@ class RunConfig(trainer.TrainConfig):
 _FIELD_TYPES = {"str": str, "int": int, "float": float, "float | None": float, "bool": bool, "list[str]": list[str]}
 
 
+def _field_types(cls) -> dict:
+    """Parser per field of a dataclass; config files and command-line flags both read values with it."""
+    return {f.name: _FIELD_TYPES[f.type] for f in fields(cls)}
+
+
 def _coerce(raw: str, typ) -> object:
     if typ == bool:
         low = raw.strip().lower()
@@ -72,7 +77,7 @@ def load_config_file(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    types = {f.name: _FIELD_TYPES.get(f.type, f.type) for f in fields(RunConfig)}
+    types = _field_types(RunConfig)
     values: dict = {}
     _, lines = read_lines(path)
     for lineno, line in enumerate(lines, 1):
@@ -97,7 +102,7 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
 
     Built in one step, so ``TrainConfig`` derives an unset ``lr_min`` from the final ``lr0``.
     """
-    values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    values = load_config_file(args.config) if args.config else {}
     names = {f.name for f in fields(RunConfig)}
     # flags use SUPPRESS, so present means explicitly given
     values.update((key, value) for key, value in vars(args).items() if key in names)
@@ -126,11 +131,14 @@ def dota_gold_path() -> Path:
     return Path(str(importlib.resources.files("catembed").joinpath("data", "dota.tsv")))
 
 
+def _require(cfg: RunConfig, *names: str) -> None:
+    for name in names:
+        if not getattr(cfg, name):
+            raise ConfigError(f"missing --{name} path")
+
+
 def _build_pipeline(cfg: RunConfig):
-    if not cfg.corpus:
-        raise ConfigError("missing --corpus path")
-    if not cfg.hierarchy:
-        raise ConfigError("missing --hierarchy path")
+    _require(cfg, "corpus", "hierarchy")
     vocab = build_vocabulary(cfg.corpus, min_count=cfg.min_count)
     raw = load_hierarchy(cfg.hierarchy, vocab)
     graph, report = prune_to_dag(raw, vocab, cfg.root, cfg.drop_patterns)
@@ -148,10 +156,8 @@ def _build_pipeline(cfg: RunConfig):
     return vocab, graph, corpus
 
 
-def cmd_build_vocab(args: argparse.Namespace) -> int:
-    cfg = effective_config(args)
-    if not cfg.corpus:
-        raise ConfigError("missing --corpus path")
+def cmd_build_vocab(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _require(cfg, "corpus")
     vocab = build_vocabulary(cfg.corpus, min_count=cfg.min_count)
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -166,9 +172,9 @@ def cmd_build_vocab(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = effective_config(args)
+def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     vocab, graph, corpus = _build_pipeline(cfg)
+    embeddings.check_labels(vocab.entity_labels(), vocab.category_labels())
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     echo_config(cfg, out_dir)
@@ -238,10 +244,8 @@ def _misclassified_text(by_predicted: dict) -> list[str]:
     return lines
 
 
-def cmd_eval_categorize(args: argparse.Namespace) -> int:
-    cfg = effective_config(args)
-    if not cfg.embeddings:
-        raise ConfigError("missing --embeddings path")
+def cmd_eval_categorize(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _require(cfg, "embeddings")
     index = embeddings.load_embeddings(cfg.embeddings)
     gold_path = Path(cfg.gold) if cfg.gold else dota_gold_path()
     gold = categorize.load_gold(gold_path)
@@ -254,12 +258,8 @@ def cmd_eval_categorize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval_relatedness(args: argparse.Namespace) -> int:
-    cfg = effective_config(args)
-    if not cfg.embeddings:
-        raise ConfigError("missing --embeddings path")
-    if not cfg.dataset:
-        raise ConfigError("missing --dataset path")
+def cmd_eval_relatedness(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _require(cfg, "embeddings", "dataset")
     index = embeddings.load_embeddings(cfg.embeddings)
     pairs = relatedness.load_relatedness(cfg.dataset)
     report = relatedness.run_relatedness(index, pairs)
@@ -274,10 +274,8 @@ def cmd_eval_relatedness(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_neighbors(args: argparse.Namespace) -> int:
-    cfg = effective_config(args)
-    if not cfg.embeddings:
-        raise ConfigError("missing --embeddings path")
+def cmd_neighbors(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _require(cfg, "embeddings")
     if args.top_n < 1:
         raise ConfigError(f"--top-n must be >= 1, got {args.top_n}")
     index = embeddings.load_embeddings(cfg.embeddings)
@@ -300,8 +298,7 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_inspect_weights(args: argparse.Namespace) -> int:
-    cfg = effective_config(args)
+def cmd_inspect_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
     vocab, graph, corpus = _build_pipeline(cfg)
     ent = vocab.match_entity(args.entity)
     if ent is None:
@@ -319,17 +316,9 @@ def cmd_inspect_weights(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gen_synthetic(args: argparse.Namespace) -> int:
-    cfg = effective_config(args)
-    spec = SyntheticSpec(
-        parents=args.parents,
-        leaves_per_parent=args.leaves_per_parent,
-        entities_per_leaf=args.entities_per_leaf,
-        docs=args.docs,
-        contexts_per_doc=args.contexts_per_doc,
-        p_in=args.p_in,
-        seed=cfg.seed,
-    )
+def cmd_gen_synthetic(cfg: RunConfig, args: argparse.Namespace) -> int:
+    flags = {f.name: getattr(args, f.name) for f in fields(SyntheticSpec) if f.name != "seed"}
+    spec = SyntheticSpec(**flags, seed=cfg.seed)
     world = synthetic.generate_world(cfg.output, spec)
     echo_config(cfg, Path(cfg.output))
     log.info(
@@ -342,7 +331,7 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_export(args: argparse.Namespace) -> int:
+def cmd_export(_cfg: None, args: argparse.Namespace) -> int:
     index = embeddings.load_embeddings(args.input)
     if args.to == "binary":
         index.save_binary(args.output)
@@ -352,47 +341,47 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+# The help text of each flag; its type comes from its RunConfig or SyntheticSpec field.
+_FLAG_HELP = {
+    "corpus": "corpus file (target<TAB>cats<TAB>contexts)",
+    "hierarchy": "hierarchy edge file (parent<TAB>child)",
+    "embeddings": "embedding export to evaluate",
+    "gold": "gold file (entity<TAB>category); default: bundled fixture",
+    "dataset": "relatedness file (word1<TAB>word2<TAB>score)",
+    "output": "output directory",
+    "root": "root category label",
+    "drop_patterns": "drop categories whose label contains this substring (repeatable)",
+    "min_count": "exclude entities seen fewer times than this",
+    "verbosity": "0=warnings, 1=info, 2=debug",
+    "dim": "embedding dimensionality",
+    "epochs": "passes over the pair stream",
+    "lr0": "initial learning rate",
+    "lr_min": "learning-rate floor (default 1e-4 * lr0)",
+    "negatives": "negative samples per pair",
+    "chunk": "pairs per scheduling chunk (lr updates, progress)",
+    "noise_alpha": "noise distribution exponent over entity counts",
+    "seed": "RNG seed",
+    "workers": "training threads; reproducible only with 1, and slower than 1 on the numpy backend",
+    "mode": "direct categories only (ce) or weighted ancestors (hce)",
+    "shuffle": "shuffle document order each epoch",
+    "subsample": "frequent-entity subsampling threshold; 0 disables",
+    "parents": "branches under the root",
+    "p_in": "probability a context comes from the target's own leaf",
+}
+
+
 def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
-    S = argparse.SUPPRESS
-    flags = {
-        "corpus": lambda: p.add_argument("--corpus", default=S, help="corpus file (target<TAB>cats<TAB>contexts)"),
-        "hierarchy": lambda: p.add_argument("--hierarchy", default=S, help="hierarchy edge file (parent<TAB>child)"),
-        "embeddings": lambda: p.add_argument("--embeddings", default=S, help="embedding export to evaluate"),
-        "gold": lambda: p.add_argument("--gold", default=S, help="gold file (entity<TAB>category); default: bundled fixture"),
-        "dataset": lambda: p.add_argument("--dataset", default=S, help="relatedness file (word1<TAB>word2<TAB>score)"),
-        "output": lambda: p.add_argument("--output", default=S, help="output directory"),
-        "root": lambda: p.add_argument("--root", default=S, help="root category label"),
-        "drop_patterns": lambda: p.add_argument(
-            "--drop-pattern", dest="drop_patterns", action="append", default=S,
-            help="drop categories whose label contains this substring (repeatable)",
-        ),
-        "min_count": lambda: p.add_argument("--min-count", dest="min_count", type=int, default=S,
-                                            help="exclude entities seen fewer times than this"),
-        "verbosity": lambda: p.add_argument("--verbosity", type=int, default=S, help="0=warnings, 1=info, 2=debug"),
-        "dim": lambda: p.add_argument("--dim", type=int, default=S, help="embedding dimensionality"),
-        "epochs": lambda: p.add_argument("--epochs", type=int, default=S, help="passes over the pair stream"),
-        "lr0": lambda: p.add_argument("--lr0", type=float, default=S, help="initial learning rate"),
-        "lr_min": lambda: p.add_argument("--lr-min", dest="lr_min", type=float, default=S,
-                                         help="learning-rate floor (default 1e-4 * lr0)"),
-        "negatives": lambda: p.add_argument("--negatives", type=int, default=S, help="negative samples per pair"),
-        "chunk": lambda: p.add_argument("--chunk", type=int, default=S,
-                                        help="pairs per scheduling chunk (lr updates, progress)"),
-        "noise_alpha": lambda: p.add_argument("--noise-alpha", dest="noise_alpha", type=float, default=S,
-                                              help="noise distribution exponent over entity counts"),
-        "seed": lambda: p.add_argument("--seed", type=int, default=S, help="RNG seed"),
-        "workers": lambda: p.add_argument("--workers", type=int, default=S,
-                                          help="training threads; reproducible only with 1, and slower "
-                                               "than 1 on the numpy backend"),
-        "mode": lambda: p.add_argument("--mode", choices=("ce", "hce"), default=S,
-                                       help="direct categories only (ce) or weighted ancestors (hce)"),
-        "shuffle": lambda: p.add_argument("--shuffle", action=argparse.BooleanOptionalAction, default=S,
-                                          help="shuffle document order each epoch"),
-        "subsample": lambda: p.add_argument("--subsample", type=float, default=S,
-                                            help="frequent-entity subsampling threshold; 0 disables"),
-    }
     p.add_argument("--config", default=None, help="key=value config file; flags override")
+    types = _field_types(RunConfig)
     for name in names:
-        flags[name]()
+        if types[name] == bool:
+            how = {"action": argparse.BooleanOptionalAction}
+        elif types[name] == list[str]:
+            how = {"action": "append"}  # one pattern per flag; a config file separates them with ','
+        else:
+            how = {"type": types[name], "choices": trainer.MODES if name == "mode" else None}
+        flag = "--drop-pattern" if name == "drop_patterns" else "--" + name.replace("_", "-")
+        p.add_argument(flag, dest=name, default=argparse.SUPPRESS, help=_FLAG_HELP[name], **how)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,13 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synthetic", help="generate a synthetic corpus/hierarchy/gold world")
     _add_config_flags(p, "output", "seed", "verbosity")
-    p.add_argument("--parents", type=int, default=3, help="branches under the root")
-    p.add_argument("--leaves-per-parent", dest="leaves_per_parent", type=int, default=1)
-    p.add_argument("--entities-per-leaf", dest="entities_per_leaf", type=int, default=10)
-    p.add_argument("--docs", type=int, default=200)
-    p.add_argument("--contexts-per-doc", dest="contexts_per_doc", type=int, default=20)
-    p.add_argument("--p-in", dest="p_in", type=float, default=0.9,
-                   help="probability a context comes from the target's own leaf")
+    for f in fields(SyntheticSpec):
+        if f.name != "seed":  # the spec's seed is the run's --seed
+            p.add_argument("--" + f.name.replace("_", "-"), type=_FIELD_TYPES[f.type], default=f.default,
+                           help=_FLAG_HELP.get(f.name))
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = sub.add_parser("export", help="convert an embedding file between text and binary")
@@ -460,18 +446,13 @@ def _setup_logging(verbosity: int) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        verbosity = getattr(args, "verbosity", None)
-        if verbosity is None and getattr(args, "config", None):
-            verbosity = load_config_file(args.config).get("verbosity")
-        _setup_logging(verbosity if verbosity is not None else 1)
-        return args.func(args)
-    except CatembedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        # the one RunConfig of this run; export takes no --config and gets None
+        cfg = effective_config(args) if "config" in args else None
+        _setup_logging(cfg.verbosity if cfg else 1)
+        return args.func(cfg, args)
+    except (CatembedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -105,8 +105,7 @@ class Vocabulary:
     category indices in first-seen order over label lists and hierarchy edges.
     """
 
-    def __init__(self, min_count: int = 1):
-        self.min_count = min_count
+    def __init__(self):
         self._ent_index: dict[str, int] = {}
         self._ent_labels: list[str] = []
         self._ent_counts: list[int] = []
@@ -200,7 +199,7 @@ def build_vocabulary(source: str | Path | Iterable[str], min_count: int = 1) -> 
             counts[ctx] = counts.get(ctx, 0) + 1
     if n_docs == 0:
         raise CorpusError("empty corpus: no documents found")
-    vocab = Vocabulary(min_count=min_count)
+    vocab = Vocabulary()
     for label, count in counts.items():
         if count >= min_count:
             vocab.add_entity(label, count)

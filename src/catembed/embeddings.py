@@ -13,6 +13,7 @@ train against and are discarded here.
 from __future__ import annotations
 
 import codecs
+import mmap
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,18 +89,6 @@ class EmbeddingIndex:
     def vector(self, node: NodeId) -> np.ndarray:
         return (self.ent_vecs if node.kind is NodeKind.ENTITY else self.cat_vecs)[node.index]
 
-    def label(self, node: NodeId) -> str:
-        return (self.ent_labels if node.kind is NodeKind.ENTITY else self.cat_labels)[node.index]
-
-    @classmethod
-    def from_table(cls, table: EmbeddingTable, vocab: Vocabulary) -> "EmbeddingIndex":
-        return cls(
-            ent_labels=vocab.entity_labels(),
-            cat_labels=vocab.category_labels(),
-            ent_vecs=table.ent_in.copy(),
-            cat_vecs=table.cat_in.copy(),
-        )
-
     def _rows(self):
         """``(prefixed label, vector)`` per row: entities first, then categories."""
         for label, vec in zip(self.ent_labels, self.ent_vecs):
@@ -108,18 +97,28 @@ class EmbeddingIndex:
             yield "c:" + label, vec
 
     def save_text(self, path: str | Path) -> None:
+        check_labels(self.ent_labels, self.cat_labels)
         with Path(path).open("w", encoding="utf-8") as fh:
             fh.write(f"{self.n_rows} {self.dim}\n")
             for label, vec in self._rows():
                 fh.write(label + " " + " ".join(f"{x:.6g}" for x in vec) + "\n")
 
     def save_binary(self, path: str | Path) -> None:
+        check_labels(self.ent_labels, self.cat_labels)
         with Path(path).open("wb") as fh:
             fh.write(f"{self.n_rows} {self.dim}\n".encode("utf-8"))
             for label, vec in self._rows():
                 fh.write(label.encode("utf-8") + b" ")
                 fh.write(np.ascontiguousarray(vec, dtype="<f8").tobytes())
                 fh.write(b"\n")
+
+
+def check_labels(ent_labels: list[str], cat_labels: list[str]) -> None:
+    """Refuse a label that holds whitespace: both export formats end a row's label at the first one."""
+    for prefix, labels in (("e:", ent_labels), ("c:", cat_labels)):
+        for label in labels:
+            if any(map(str.isspace, label)):
+                raise CorpusError(f"label {prefix + label!r} holds whitespace, which an embedding export cannot store")
 
 
 def save_text(table: EmbeddingTable, vocab: Vocabulary, path: str | Path) -> None:
@@ -245,8 +244,21 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
         codecs.getincrementaldecoder("utf-8")().decode(probe, final=False)
         header.decode("ascii")
     except UnicodeDecodeError:
-        return load_binary(path)
-    # A text row after the header never contains NUL; binary float payloads often do.
-    if b"\x00" in probe:
-        return load_binary(path)
-    return load_text(path)
+        text = False
+    else:
+        # A text row after the header never contains NUL; binary float payloads often do.
+        text = b"\x00" not in probe
+    # A text file with a bad byte in the probe fails that test too, so binary also needs row 1 in binary layout.
+    return load_text(path) if text or not _binary_row_one(path, header) else load_binary(path)
+
+
+def _binary_row_one(path: Path, header: bytes) -> bool:
+    """Whether row 1 is a label, a space, then 8 * dim bytes and a newline, as ``load_binary`` requires."""
+    try:
+        dim = int(header.split()[1])
+    except (IndexError, ValueError):
+        return False
+    with path.open("rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+        space = data.find(b" ", len(header))
+        end = space + 1 + 8 * dim
+        return space >= 0 and dim >= 1 and data[end:end + 1] == b"\n"

@@ -34,7 +34,6 @@ class NoiseTable:
     """
 
     cumulative: np.ndarray
-    alpha: float
 
     @property
     def n_entities(self) -> int:
@@ -64,7 +63,7 @@ def build_noise_table(vocab: Vocabulary, alpha: float = 0.75) -> NoiseTable:
     probs /= total
     cumulative = np.cumsum(probs)
     cumulative[-1] = 1.0  # kill accumulated rounding at the top end
-    return NoiseTable(cumulative=cumulative, alpha=alpha)
+    return NoiseTable(cumulative=cumulative)
 
 
 def draw_negatives_batch(

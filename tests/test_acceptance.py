@@ -10,7 +10,6 @@ import numpy as np
 from catembed.categorize import load_gold, purity_from_labels, run_categorization
 from catembed.cli import dota_gold_path, main
 from catembed.corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
-from catembed.embeddings import EmbeddingIndex
 from catembed.hierarchy import AncestorWeights, category_weights, steps_down
 from catembed.relatedness import spearman
 from catembed.sampler import build_noise_table
@@ -19,6 +18,7 @@ from catembed.trainer import TrainConfig, train
 
 from oracles import pair_loss_and_grad
 from test_categorize import brute_purity, partition_to_labels, set_partitions
+from test_embeddings import index_from_table
 from test_hierarchy import brute_ancestors, brute_path_lengths, random_rooted_dag
 from test_trainer import EMPTY_WEIGHTS, fd_gradient, random_table
 
@@ -152,7 +152,7 @@ def test_criterion_05_end_to_end_synthetic(tmp_path):
     corpus = load_corpus(world.corpus_path, vocab, graph)
     cfg = TrainConfig(dim=50, epochs=5, negatives=10, chunk=500, seed=42, workers=1, mode="hce")
     table = train(corpus, graph, cfg)
-    index = EmbeddingIndex.from_table(table, vocab)
+    index = index_from_table(table, vocab)
     gold = load_gold(world.gold_path)
     rep = run_categorization(index, gold, method="both", seed=0)
     elapsed = time.time() - start

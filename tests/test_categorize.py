@@ -5,6 +5,7 @@ from catembed import categorize
 from catembed.categorize import (
     ClusteringSolution,
     GoldLabeling,
+    _cluster_misclassifications,
     _pairwise_sq_dists,
     _sweep_combos,
     agglomerative,
@@ -323,32 +324,52 @@ class TestExactEquivalence:
         ents = np.vstack([integer_grid(seed + 10, n=30), rng.normal(size=(30, 2))])
         d2 = _pairwise_sq_dists(ents, cands)
         assert (np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1) > 1).any()  # ties occur
-        assert d2.argmin(axis=1).tolist() == [nn_classify(e, cands) for e in ents]
+        per_entity = [int(((cands - e[None, :]) ** 2).sum(axis=1).argmin()) for e in ents]
+        assert nn_classify(ents, cands).tolist() == per_entity
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_contingency_table_matches_per_cluster_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        assignment = rng.choice([-3, 5, 9, 100], size=17)  # any labels, as np.unique takes them
+        gold = gold_from_classes(rng.integers(0, 4, size=17).tolist())
+        classes = gold.class_indices()
+        total, want = 0, {}
+        for cluster in np.unique(assignment):
+            in_cluster = assignment == cluster
+            overlap = np.bincount(classes[in_cluster], minlength=gold.n_classes)
+            total += int(overlap.max())
+            for i in np.flatnonzero(in_cluster & (classes != overlap.argmax())):
+                want.setdefault(gold.class_labels[overlap.argmax()], []).append(
+                    {"entity": gold.entities[i], "gold": gold.categories[i]})
+        assert purity_from_labels(assignment, classes) == total / len(assignment)
+        got = _cluster_misclassifications(ClusteringSolution(assignment, k=4), gold)
+        assert list(got.items()) == list(want.items())
 
 
 class TestNNClassify:
     def test_exact_match_wins(self):
         cands = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert nn_classify(np.array([3.0, 4.0]), cands) == 1
+        assert nn_classify(np.array([[3.0, 4.0]]), cands)[0] == 1
 
     def test_distance_comparison(self):
         cands = np.array([[1.0, 0.0], [3.0, 4.0]])
-        assert nn_classify(np.array([0.0, 0.0]), cands) == 0  # distances 1 vs 5
+        assert nn_classify(np.array([[0.0, 0.0]]), cands)[0] == 0  # distances 1 vs 5
 
     def test_tie_goes_to_lowest_index(self):
         cands = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert nn_classify(np.array([0.0, 0.0]), cands) == 0
+        assert nn_classify(np.array([[0.0, 0.0]]), cands)[0] == 0
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(6)
         cands = rng.normal(size=(5, 3))
-        e = rng.normal(size=3)
+        e = rng.normal(size=(1, 3))
         shift = rng.normal(size=3)
-        assert nn_classify(e, cands) == nn_classify(e + shift, cands + shift)
+        assert nn_classify(e, cands)[0] == nn_classify(e + shift, cands + shift)[0]
 
     def test_needs_candidates(self):
         with pytest.raises(EvalError):
-            nn_classify(np.zeros(2), np.zeros((0, 2)))
+            nn_classify(np.zeros((1, 2)), np.zeros((0, 2)))
 
 
 def separable_index(per_class=6, n_classes=3, dim=8, spread=0.05, seed=0):

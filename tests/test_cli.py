@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from catembed import cli
 from catembed.cli import build_parser, effective_config, main
 from catembed.corpus import build_vocabulary, load_hierarchy, prune_to_dag
 from catembed.embeddings import load_binary, load_text
@@ -128,6 +129,24 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: entity 'alpha': ")
         assert "root only" in err
+
+    @pytest.mark.parametrize("target,cats,named", [
+        ("alpha", "Living people", "'c:Living people'"),
+        ("Jane\xa0Doe", "c1", "'e:Jane\\xa0Doe'"),
+    ])
+    def test_whitespace_label_refused_before_training(self, tmp_path, capsys, target, cats, named):
+        # the export formats end a row's label at whitespace, so no reader could load this run's output
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text(f"{target}\t{cats}\tbeta gamma\nbeta\tc1\tgamma\ngamma\tc1\tbeta\n", encoding="utf-8")
+        hier = tmp_path / "hierarchy.tsv"
+        hier.write_text(f"root\tc1\nroot\t{cats}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        rc = main(["train", "--corpus", str(corpus), "--hierarchy", str(hier), "--root", "root",
+                   "--output", str(out), "--dim", "4", "--epochs", "1", "--verbosity", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: label {named} holds whitespace") and err.count("\n") == 1
+        assert not (out / "embeddings.txt").exists()
 
     def test_paper_named_hyperparameters_accepted(self, world_dir, tmp_path):
         out = tmp_path / "paper"
@@ -381,6 +400,36 @@ class TestConfigFile:
         assert main(["train", "--config", str(cfg), "--verbosity", "0"]) == 1
         assert "unknown option 'checkpoint_every'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["build-vocab", "train", "inspect-weights"])
+    def test_config_file_read_once_per_run(self, world_dir, tmp_path, monkeypatch, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"corpus={world_dir / 'corpus.tsv'}\nhierarchy={world_dir / 'hierarchy.tsv'}\n"
+            f"output={tmp_path / 'o'}\ndim=4\nepochs=1\nverbosity=0\n",
+            encoding="utf-8",
+        )
+        reads = []
+        inner = cli.read_lines
+
+        def counting(source):
+            reads.append(source)
+            return inner(source)
+
+        monkeypatch.setattr(cli, "read_lines", counting)
+        extra = ["--entity", "p0_l0_e00"] if command == "inspect-weights" else []
+        assert main([command, "--config", str(cfg), *extra]) == 0
+        assert [str(r) for r in reads].count(str(cfg)) == 1
+
+    def test_config_built_once_and_passed_to_the_command(self, monkeypatch):
+        built, got = [], []
+        cfg = cli.RunConfig(verbosity=0)
+        monkeypatch.setattr(cli, "effective_config", lambda args: built.append(args) or cfg)
+        monkeypatch.setattr(cli, "cmd_neighbors", lambda cfg, args: got.append(cfg) or 0)
+        monkeypatch.setattr(cli, "cmd_export", lambda cfg, args: got.append(cfg) or 0)
+        assert main(["neighbors", "--label", "x"]) == 0
+        assert main(["export", "--input", "a", "--output", "b", "--to", "text"]) == 0
+        assert len(built) == 1 and got[0] is cfg and got[1] is None  # export takes no --config
+
     def test_lr_min_follows_lr0_from_flags_and_file(self, tmp_path):
         from_flags = effective_config(build_parser().parse_args(["train", "--lr0", "0.05"]))
         cfg = tmp_path / "run.cfg"
@@ -431,6 +480,12 @@ BAD_UTF8_CASES = {
         {"emb.txt": b"2 1\ne:" + b"a" * 5000 + b" 1\ne:\xff 2\n"},
         lambda d: ["neighbors", "--embeddings", str(d / "emb.txt"), "--label", "a"],
         "emb.txt",
+    ),
+    # short enough for the 4 KB probe to see the bad byte; row 1 has no binary layout, so it is read as text
+    "short-text-embedding": (
+        {"small.txt": b"2 1\ne:a 1\ne:\xff 2\n"},
+        lambda d: ["neighbors", "--embeddings", str(d / "small.txt"), "--label", "a"],
+        "small.txt",
     ),
     "binary-label": (
         {"emb.bin": b"2 1\ne:a " + np.float64(1.0).tobytes() + b"\ne:\xff " + np.float64(2.0).tobytes() + b"\n"},

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,15 @@ from catembed.embeddings import (
     save_text,
 )
 from catembed.errors import CorpusError, FormatError
+
+
+def index_from_table(table, vocab):
+    """Evaluation view of a trained table, without the export's rounding."""
+    return EmbeddingIndex(vocab.entity_labels(), vocab.category_labels(), table.ent_in.copy(), table.cat_in.copy())
+
+
+def node_label(index, node):
+    return (index.ent_labels if node.kind is NodeKind.ENTITY else index.cat_labels)[node.index]
 
 
 @pytest.fixture
@@ -177,24 +188,50 @@ class TestSniffing:
         loaded = load_embeddings(path)
         assert loaded.ent_labels == labels
 
+    @pytest.mark.parametrize("label_bytes,dim", [(4, 600), (3000, 200)])
+    def test_binary_row_past_the_probe(self, tmp_path, label_bytes, dim):
+        # row 1 ends beyond the 4096-byte probe, after a long payload or a long label
+        labels = ["x" * label_bytes, "y"]
+        vecs = np.arange(2.0 * dim).reshape(2, dim)
+        path = tmp_path / "long.bin"
+        EmbeddingIndex(labels, ["c"], vecs, np.zeros((1, dim))).save_binary(path)
+        assert load_embeddings(path).ent_labels == labels
+        assert np.array_equal(load_embeddings(path).ent_vecs, vecs)
+
+
+class TestExportableLabels:
+    @pytest.mark.parametrize("save", ["save_text", "save_binary"])
+    @pytest.mark.parametrize("ents,cats,named", [
+        (["a", "b c"], ["k"], "'e:b c'"),
+        (["a"], ["Living people"], "'c:Living people'"),
+        (["a\xa0b"], ["k"], "'e:a\\xa0b'"),
+        (["a"], ["k\tl"], "'c:k\\tl'"),
+    ])
+    def test_whitespace_label_refused_before_writing(self, tmp_path, save, ents, cats, named):
+        index = EmbeddingIndex(ents, cats, np.ones((len(ents), 2)), np.ones((len(cats), 2)))
+        path = tmp_path / "emb"
+        with pytest.raises(CorpusError, match="^label " + re.escape(named) + " holds whitespace"):
+            getattr(index, save)(path)
+        assert not path.exists()
+
 
 class TestEmbeddingIndex:
     def test_vector_lookup_by_node(self, small_setup):
         vocab, table = small_setup
-        index = EmbeddingIndex.from_table(table, vocab)
+        index = index_from_table(table, vocab)
         node = NodeId(NodeKind.CATEGORY, 1)
         assert np.array_equal(index.vector(node), table.cat_in[1])
-        assert index.label(node) == vocab.category_label(1)
+        assert node_label(index, node) == vocab.category_label(1)
 
     def test_match_is_normalized(self, small_setup):
         vocab, table = small_setup
-        index = EmbeddingIndex.from_table(table, vocab)
+        index = index_from_table(table, vocab)
         assert index.match_entity("ALPHA") == vocab.entity_id("alpha")
         assert index.match_category("Cat A") == vocab.category_id("cat_a")
 
     def test_index_save_round_trip(self, small_setup, tmp_path):
         vocab, table = small_setup
-        index = EmbeddingIndex.from_table(table, vocab)
+        index = index_from_table(table, vocab)
         path = tmp_path / "again.bin"
         index.save_binary(path)
         again = load_binary(path)
