@@ -98,10 +98,11 @@ class EmbeddingIndex:
 
     def save_text(self, path: str | Path) -> None:
         check_labels(self.ent_labels, self.cat_labels)
+        fmt = "%s " + " ".join(["%.6g"] * self.dim) + "\n"
         with Path(path).open("w", encoding="utf-8") as fh:
             fh.write(f"{self.n_rows} {self.dim}\n")
             for label, vec in self._rows():
-                fh.write(label + " " + " ".join(f"{x:.6g}" for x in vec) + "\n")
+                fh.write(fmt % (label, *vec.tolist()))
 
     def save_binary(self, path: str | Path) -> None:
         check_labels(self.ent_labels, self.cat_labels)
@@ -247,13 +248,18 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
         text = False
     else:
         # A text row after the header never contains NUL; binary float payloads often do.
-        text = b"\x00" not in probe
+        # A probe without a newline may hold only row 1's label, which says nothing: the layout then decides alone.
+        text = b"\x00" not in probe and b"\n" in probe
     # A text file with a bad byte in the probe fails that test too, so binary also needs row 1 in binary layout.
     return load_text(path) if text or not _binary_row_one(path, header) else load_binary(path)
 
 
 def _binary_row_one(path: Path, header: bytes) -> bool:
-    """Whether row 1 is a label, a space, then 8 * dim bytes and a newline, as ``load_binary`` requires."""
+    """Whether row 1 is a label, a space, then 8 * dim bytes and a newline, as ``load_binary`` requires.
+
+    A text row whose ``dim`` values happen to fill exactly 8 * dim bytes has that layout too, so a
+    payload that reads as ``dim`` numbers counts as text.
+    """
     try:
         dim = int(header.split()[1])
     except (IndexError, ValueError):
@@ -261,4 +267,10 @@ def _binary_row_one(path: Path, header: bytes) -> bool:
     with path.open("rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
         space = data.find(b" ", len(header))
         end = space + 1 + 8 * dim
-        return space >= 0 and dim >= 1 and data[end:end + 1] == b"\n"
+        if space < 0 or dim < 1 or data[end:end + 1] != b"\n":
+            return False
+        values = data[space + 1:end].split()
+    try:
+        return len([float(v) for v in values]) != dim
+    except ValueError:
+        return True

@@ -1,7 +1,8 @@
 """Optimization of the flat (CE) and hierarchy-weighted (HCE) objectives.
 
-Per-pair negative-sampling SGD: ``train`` drives the chunk kernels in
-:mod:`catembed.kernels` over the pair stream.
+Negative-sampling SGD: ``train`` drives the chunk kernels in
+:mod:`catembed.kernels` over the pair stream, one step per group of at most
+``kernels.GROUP_MAX`` consecutive pairs that share a target.
 
 Concurrency: with ``workers > 1`` each epoch's pair arrays are split into
 contiguous shards and processed by threads that read and write the shared
@@ -118,7 +119,8 @@ def train(
     """Run negative-sampling SGD over the corpus and return the final table.
 
     The learning rate decays linearly from lr0 to lr_min over all scheduled
-    pairs, re-evaluated once per chunk; updates themselves are per-pair.
+    pairs, re-evaluated once per chunk; within a chunk the kernel takes one
+    step per group of same-target pairs.
     """
     config.validate()
     vocab = corpus.vocab

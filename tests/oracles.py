@@ -1,4 +1,4 @@
-"""Slow reference SGD: exact softmax, one pair's loss and gradient, one step.
+"""Slow reference SGD: exact softmax, one pair's or one group's loss and gradient, one step.
 
 The fast chunk kernels in :mod:`catembed.kernels` are checked against these.
 """
@@ -76,6 +76,27 @@ def pair_loss_and_grad(
     for row, delta in zip(negatives, d_outs[1:]):
         grad._add("ent_out", row, delta)
     return grad
+
+
+def group_loss_and_grad(
+    table: EmbeddingTable,
+    target: int,
+    contexts: np.ndarray,
+    weights: AncestorWeights,
+    negatives: np.ndarray,
+) -> PairGradient:
+    """Reference loss and gradient for one group: pairs ``(target, contexts[g])`` with ``negatives[g]``.
+
+    The sum of :func:`pair_loss_and_grad` over the group, every term evaluated
+    at the rows as they were before the group.
+    """
+    total = PairGradient(loss=0.0)
+    for c, negs in zip(contexts, negatives):
+        grad = pair_loss_and_grad(table, (target, c), weights, negs)
+        total.loss += grad.loss
+        for (name, row), delta in grad.deltas.items():
+            total._add(name, row, delta)
+    return total
 
 
 def apply_gradient(table: EmbeddingTable, grad: PairGradient, lr: float) -> None:

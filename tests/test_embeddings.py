@@ -188,15 +188,47 @@ class TestSniffing:
         loaded = load_embeddings(path)
         assert loaded.ent_labels == labels
 
-    @pytest.mark.parametrize("label_bytes,dim", [(4, 600), (3000, 200)])
+    @pytest.mark.parametrize("label_bytes,dim", [(4, 600), (3000, 200), (5000, 3)])
     def test_binary_row_past_the_probe(self, tmp_path, label_bytes, dim):
-        # row 1 ends beyond the 4096-byte probe, after a long payload or a long label
+        # row 1 ends beyond the 4096-byte probe, after a long payload or a long label;
+        # a 5000-byte label fills the whole probe with ASCII
         labels = ["x" * label_bytes, "y"]
         vecs = np.arange(2.0 * dim).reshape(2, dim)
         path = tmp_path / "long.bin"
         EmbeddingIndex(labels, ["c"], vecs, np.zeros((1, dim))).save_binary(path)
         assert load_embeddings(path).ent_labels == labels
         assert np.array_equal(load_embeddings(path).ent_vecs, vecs)
+
+    @pytest.mark.parametrize("row_one", [
+        [0.5, 1.5, 2.5],
+        # written as "0 1.23457e-05 1.2345e-05": exactly 8 * dim bytes, the binary row layout
+        [0.0, 1.23457e-05, 1.2345e-05],
+    ])
+    def test_text_label_past_the_probe(self, tmp_path, row_one):
+        labels = ["x" * 5000, "y"]
+        vecs = np.array([row_one, [3.5, 4.5, 5.5]])
+        path = tmp_path / "long.txt"
+        EmbeddingIndex(labels, ["c"], vecs, np.zeros((1, 3))).save_text(path)
+        loaded = load_embeddings(path)
+        assert loaded.ent_labels == labels
+        assert np.array_equal(loaded.ent_vecs, vecs)
+
+
+class TestSaveText:
+    def test_rows_match_per_float_formatting(self, tmp_path):
+        # every value class %.6g has to render as the per-float f-string did
+        rng = np.random.default_rng(12)
+        vecs = rng.normal(0, 1, (300, 100)) * 10.0 ** rng.integers(-300, 301, (300, 100))
+        vecs[0, :8] = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300, 123456.5, 1e16]
+        vecs[1, :3] = [np.inf, -np.inf, np.nan]
+        labels = [f"e{i}%s%%" for i in range(len(vecs))]
+        path = tmp_path / "emb.txt"
+        EmbeddingIndex(labels, ["c"], vecs, np.ones((1, 100))).save_text(path)
+        rows = [("e:" + label, vec) for label, vec in zip(labels, vecs)] + [("c:c", np.ones(100))]
+        expect = f"{len(rows)} 100\n" + "".join(
+            label + " " + " ".join(f"{x:.6g}" for x in vec) + "\n" for label, vec in rows
+        )
+        assert path.read_text(encoding="utf-8") == expect
 
 
 class TestExportableLabels:

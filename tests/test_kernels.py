@@ -7,10 +7,15 @@ from catembed import kernels
 from catembed.embeddings import EmbeddingTable
 from catembed.hierarchy import AncestorWeights
 
-from oracles import apply_gradient, pair_loss_and_grad
+from oracles import apply_gradient, group_loss_and_grad, pair_loss_and_grad
 
 
-def make_instance(seed, n_pairs=12, n_ent=9, n_cat=5, dim=7, k=4):
+def make_instance(seed, n_pairs=12, n_ent=9, n_cat=5, dim=7, k=4, runs=None):
+    """Random tables, CSR weights and one chunk of pairs.
+
+    ``runs`` (run lengths) replaces ``n_pairs``: the chunk is then runs of equal
+    targets, each run's target different from the one before it.
+    """
     rng = np.random.default_rng(seed)
     ent_in = rng.normal(0, 0.4, (n_ent, dim))
     cat_in = rng.normal(0, 0.4, (n_cat, dim))
@@ -25,7 +30,14 @@ def make_instance(seed, n_pairs=12, n_ent=9, n_cat=5, dim=7, k=4):
         ids.extend(int(c) for c in cats)
         ws.extend(raw / raw.sum() if m else [])
         offsets[e + 1] = len(ids)
-    targets = rng.integers(0, n_ent, size=n_pairs)
+    if runs is None:
+        targets = rng.integers(0, n_ent, size=n_pairs)
+    else:
+        heads = [int(rng.integers(n_ent))]
+        for _ in runs[1:]:
+            heads.append((heads[-1] + int(rng.integers(1, n_ent))) % n_ent)
+        targets = np.repeat(heads, runs)
+        n_pairs = len(targets)
     contexts = rng.integers(0, n_ent, size=n_pairs)
     negatives = rng.integers(0, n_ent, size=(n_pairs, k))
     return (
@@ -77,6 +89,12 @@ class TestNumpyKernel:
         apply_gradient(ref, grad, 0.1)
         assert np.allclose(ent_out, ref.ent_out, atol=1e-12)
 
+    def test_refuses_non_contiguous_output_table(self):
+        arrays = make_instance(8)
+        ent_out = np.asfortranarray(arrays[2])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernels.train_chunk_numpy(arrays[0].copy(), arrays[1].copy(), ent_out, *arrays[3:], 0.05)
+
     def test_huge_vectors_stay_finite(self):
         arrays = make_instance(2)
         ent_in, cat_in, ent_out = (a.copy() * 1e4 for a in arrays[:3])
@@ -126,6 +144,49 @@ class TestLoopKernel:
         assert l_nb == pytest.approx(l_np, rel=1e-12)
         for a, b in zip(nb, npv):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
+BACKENDS = {"numpy": kernels.train_chunk_numpy, "loops": loop_kernel}
+
+
+def group_reference(arrays, groups, lr):
+    """The table after one ``group_loss_and_grad`` step per ``(start, stop)`` group, in order, and the loss."""
+    targets, contexts, negatives, offsets, ids, ws = arrays[3:]
+    ref = EmbeddingTable(ent_in=arrays[0].copy(), cat_in=arrays[1].copy(), ent_out=arrays[2].copy())
+    loss = 0.0
+    for a, b in groups:
+        t = int(targets[a])
+        lo, hi = offsets[t], offsets[t + 1]
+        weights = AncestorWeights(categories=tuple(ids[lo:hi]), weights=ws[lo:hi])
+        grad = group_loss_and_grad(ref, t, contexts[a:b], weights, negatives[a:b])
+        apply_gradient(ref, grad, lr)
+        loss += grad.loss
+    return ref, loss
+
+
+class TestGroupedUpdate:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_group_oracle(self, backend):
+        arrays = make_instance(6, runs=(1, 7, 8, 9, 20))
+        tables = clone(arrays[:3])
+        loss = BACKENDS[backend](*tables, *arrays[3:], 0.05)
+        # runs of 1, 7, 8, 9 (8 + 1) and 20 (8 + 8 + 4) pairs
+        groups = [(0, 1), (1, 8), (8, 16), (16, 24), (24, 25), (25, 33), (33, 41), (41, 45)]
+        ref, ref_loss = group_reference(arrays, groups, 0.05)
+        assert loss == pytest.approx(ref_loss, abs=1e-10)
+        for got, want in zip(tables, (ref.ent_in, ref.cat_in, ref.ent_out)):
+            assert np.allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_run_of_20_is_three_steps(self, backend):
+        arrays = make_instance(7, runs=(20,))
+        tables = clone(arrays[:3])
+        BACKENDS[backend](*tables, *arrays[3:], 0.05)
+        three, _ = group_reference(arrays, [(0, 8), (8, 16), (16, 20)], 0.05)
+        one, _ = group_reference(arrays, [(0, 20)], 0.05)
+        assert np.allclose(tables[0], three.ent_in, atol=1e-12)
+        assert np.allclose(tables[2], three.ent_out, atol=1e-12)
+        assert not np.allclose(tables[0], one.ent_in, atol=1e-6)
 
 
 def child_env(**extra):

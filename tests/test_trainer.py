@@ -11,7 +11,7 @@ from catembed.hierarchy import AncestorWeights
 from catembed.kernels import CLAMP
 from catembed.trainer import TrainConfig, train
 
-from oracles import apply_gradient, pair_loss_and_grad, softmax_prob
+from oracles import apply_gradient, group_loss_and_grad, pair_loss_and_grad, softmax_prob
 
 EMPTY_WEIGHTS = AncestorWeights(categories=(), weights=np.empty(0))
 
@@ -42,9 +42,17 @@ def reference_loss(table, t, c, cats, ws, negs):
 
 def fd_gradient(table, t, c, cats, ws, negs, eps=1e-5):
     """Central finite differences of the reference loss over every touched row."""
-    touched = [("ent_in", t)] + [("cat_in", ci) for ci in cats] + [("ent_out", c)] + [
-        ("ent_out", n) for n in set(int(n) for n in negs)
-    ]
+    return fd_group_gradient(table, t, [c], cats, ws, [negs], eps)
+
+
+def fd_group_gradient(table, t, contexts, cats, ws, negatives, eps=1e-5):
+    """Central finite differences of the group's summed reference loss over every touched row."""
+    outs = {int(c) for c in contexts} | {int(n) for negs in negatives for n in negs}
+    touched = [("ent_in", t)] + [("cat_in", ci) for ci in cats] + [("ent_out", n) for n in outs]
+
+    def loss():
+        return sum(reference_loss(table, t, c, cats, ws, negs) for c, negs in zip(contexts, negatives))
+
     grads = {}
     for name, row in touched:
         arr = getattr(table, name)
@@ -52,9 +60,9 @@ def fd_gradient(table, t, c, cats, ws, negs, eps=1e-5):
         for j in range(arr.shape[1]):
             orig = arr[row, j]
             arr[row, j] = orig + eps
-            up = reference_loss(table, t, c, cats, ws, negs)
+            up = loss()
             arr[row, j] = orig - eps
-            down = reference_loss(table, t, c, cats, ws, negs)
+            down = loss()
             arr[row, j] = orig
             g[j] = (up - down) / (2 * eps)
         grads[(name, row)] = g
@@ -234,6 +242,33 @@ class TestPairLoss:
                 sgns_term(table.ent_out[n], table.ent_in[t], False) for n in negs[:i]
             )
             assert grad.loss == pytest.approx(running_i, abs=1e-12)
+
+
+class TestGroupLoss:
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(20):
+            dim = int(rng.integers(2, 9))
+            table = random_table(rng, 6, 4, dim)
+            n_cats = int(rng.integers(0, 4))
+            cats = tuple(int(x) for x in rng.choice(4, size=n_cats, replace=False))
+            ws = rng.random(n_cats) + 0.1
+            ws = ws / ws.sum()
+            size = int(rng.integers(1, 9))
+            contexts = rng.integers(0, 6, size=size)
+            negatives = rng.integers(0, 6, size=(size, int(rng.integers(1, 4))))
+            t = int(rng.integers(6))
+            grad = group_loss_and_grad(table, t, contexts, AncestorWeights(cats, ws), negatives)
+            expect = sum(reference_loss(table, t, c, cats, ws, negs) for c, negs in zip(contexts, negatives))
+            assert grad.loss == pytest.approx(expect, abs=1e-12)
+            fd = fd_group_gradient(table, t, contexts, cats, ws, negatives)
+            assert set(grad.deltas) == set(fd)
+            for key, fd_vec in fd.items():
+                an_vec = grad.deltas[key]
+                denom = np.maximum(np.maximum(np.abs(an_vec), np.abs(fd_vec)), 1e-8)
+                worst = max(worst, float(np.max(np.abs(an_vec - fd_vec) / denom)))
+        assert worst < 1e-4
 
 
 class TestApplyGradient:
