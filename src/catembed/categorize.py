@@ -96,14 +96,77 @@ def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Rows of ``x`` are taken in blocks so that memory stays at the (n, m)
     result. Each entry still sums its d squared differences in one contiguous
     reduction, so it is bitwise equal to reducing the full (n, m, d) tensor.
+    When ``y is x`` each block is computed against the rows from its own
+    first row on and mirrored into the transpose: ``(a - b)**2`` equals
+    ``(b - a)**2`` bit for bit, so the matrix is the same at half the work.
     """
+    same = y is x
     out = np.empty((len(x), len(y)))
     step = max(1, _BLOCK_ELEMENTS // max(1, y.size))
+    # one scratch block for the whole call: allocating each block of a
+    # shrinking width anew raised the deep-dag benchmark's peak RSS by 1.5 MB
+    buf = np.empty((min(step, len(x)), len(y), x.shape[1]))
     for start in range(0, len(x), step):
-        diff = x[start:start + step, None, :] - y[None, :, :]
+        stop, first = start + step, start if same else 0
+        diff = buf[:len(x) - start, first:]
+        np.subtract(x[start:stop, None, :], y[None, first:, :], out=diff)
         np.square(diff, out=diff)
-        diff.sum(axis=2, out=out[start:start + step])
+        diff.sum(axis=2, out=out[start:stop, first:])
+        if same:
+            out[stop:, start:stop] = out[start:stop, stop:].T
     return out
+
+
+_U = 2.0**-53  # unit roundoff of float64
+_TINY = 2.0**-1021  # _U * _TINY is the smallest subnormal, 2**-1074
+
+
+def _nearest_centers(x: np.ndarray, sq_x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Per row of ``x``, the first argmin of its row of ``_pairwise_sq_dists(x, centers)``.
+
+    Filter: one matmul gives ``approx = |x|^2 + |c|^2 - 2 x.c`` (``sq_x`` holds
+    ``|x|^2``). With u = 2^-53 and g_m = mu / (1 - mu), a length-d dot product
+    summed in any order errs by at most g_d times the dot product of the
+    absolute values (Higham, Accuracy and Stability of Numerical Algorithms,
+    3.1), so the three reductions err by g_d |x|^2, g_d |c|^2 and
+    g_d |x||c|, and the two additions by at most (2 + u)(1 + g_d) u
+    (|x| + |c|)^2: ``|approx - e| <= (g_d + 2.01u)(|x| + |c|)^2``, with e the
+    real squared distance. The exact value ``ref`` rounds each difference and
+    its square (g_3), then sums d terms (g_(d-1)): ``|ref - e| <= g_(d+2) e``,
+    and ``e <= (|x| + |c|)^2``. So ``|approx - ref| <= 1.01 (2d + 4) u
+    (|x| + |c|)^2`` for any d below 10^13, less than a third of
+    ``tol = 8(d + 4) u ((|x| + |c|)^2 + 2^-1021)``; the margin covers the
+    rounding of the norms, of tol and of ``approx -/+ tol``. The absolute
+    term covers underflow: each of the 5d products above can lose at most
+    2^-1075 outright, which no relative bound sees.
+
+    Refine: ``ref_j`` lies in ``approx_j -/+ tol_j``, so every j with
+    ``approx_j - tol_j > min_l(approx_l + tol_l) >= min_l ref_l`` is strictly
+    farther than the nearest center, and the candidates (every other j) hold
+    each index tied at the minimum. A row with one candidate is done. Any
+    other row, or a row whose approx or tol is not finite, takes the first
+    argmin of its exact row, which is the first argmin over its candidates.
+    """
+    sq_c = (centers * centers).sum(axis=1)
+    approx = sq_x[:, None] + sq_c[None, :] - 2.0 * (x @ centers.T)
+    scale = np.sqrt(sq_x)[:, None] + np.sqrt(sq_c)[None, :]
+    tol = (8 * (x.shape[1] + 4) * _U) * (scale * scale + _TINY)
+    upper = approx + tol
+    candidate = approx - tol <= upper.min(axis=1, keepdims=True)
+    nearest = candidate.argmax(axis=1)
+    exact = np.flatnonzero((candidate.sum(axis=1) != 1) | ~np.isfinite(upper).all(axis=1))
+    nearest[exact] = _pairwise_sq_dists(x[exact], centers).argmin(axis=1)
+    return nearest
+
+
+def _sq_dists_to_assigned(x: np.ndarray, centers: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """``_pairwise_sq_dists(x, centers)[i, assignment[i]]`` for every i, bitwise."""
+    diff = x - centers[assignment]
+    np.square(diff, out=diff)
+    return diff.sum(axis=1)
+
+
+_OVERFLOW = "squared distances between the vectors overflow float64"
 
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -113,6 +176,8 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     d2 = _pairwise_sq_dists(x, centers[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise EvalError(_OVERFLOW)
         if total <= 0:
             idx = int(rng.integers(n))
         else:
@@ -165,22 +230,23 @@ def kmeans(
         return ClusteringSolution(assignment=np.arange(n), k=k, objective=0.0)
 
     rng = np.random.default_rng(seed)
+    sq_x = (x * x).sum(axis=1)
     best: ClusteringSolution | None = None
     for _ in range(restarts):
         centers = _kmeanspp_init(x, k, rng)
         assignment = np.full(n, -1, dtype=np.int64)
         for _it in range(max_iters):
-            d2 = _pairwise_sq_dists(x, centers)
-            new_assignment = d2.argmin(axis=1)
-            d2_assigned = d2[np.arange(n), new_assignment]
+            new_assignment = _nearest_centers(x, sq_x, centers)
+            d2_assigned = _sq_dists_to_assigned(x, centers, new_assignment)
             _repair_empty(new_assignment, d2_assigned, k)
             if np.array_equal(new_assignment, assignment):
                 break
             assignment = new_assignment
             for j in range(k):
                 centers[j] = x[assignment == j].mean(axis=0)
-        d2 = _pairwise_sq_dists(x, centers)
-        objective = float(d2[np.arange(n), assignment].sum())
+        objective = float(_sq_dists_to_assigned(x, centers, assignment).sum())
+        if not np.isfinite(objective):
+            raise EvalError(_OVERFLOW)
         if best is None or objective < best.objective:
             best = ClusteringSolution(assignment=assignment.copy(), k=k, objective=objective)
     assert best is not None
@@ -197,7 +263,11 @@ def agglomerative(
     metric: str = "euclidean",
     linkage: str = "average",
 ) -> ClusteringSolution:
-    """Bottom-up merging until k clusters; ties go to the smallest slot pair."""
+    """Bottom-up merging until k clusters; ties go to the smallest slot pair.
+
+    Each merge rescans only the rows whose nearest neighbour it took away,
+    so a run is O(n^2) time on typical data rather than O(n^3).
+    """
     x = np.asarray(vectors, dtype=np.float64)
     n = len(x)
     if k < 1:
@@ -225,17 +295,23 @@ def agglomerative(
         np.sqrt(d, out=d)
     np.fill_diagonal(d, np.inf)
 
+    # Müllner's "generic" algorithm (arXiv:1109.2378): per row, the first
+    # argmin column nn and its value mind, kept exact through every merge.
+    nn = d.argmin(axis=1)
+    mind = d[np.arange(n), nn]
     active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=np.int64)
     members: list[list[int]] = [[i] for i in range(n)]
 
     for _ in range(n - k):
-        # argmin over the full matrix scans row-major, so the first minimum is
-        # exactly the lexicographically smallest (i, j) slot pair
-        flat = np.argmin(d)
-        i, j = divmod(int(flat), n)
-        if i > j:
-            i, j = j, i
+        # the first row holding the global minimum and that row's first
+        # argmin: the lexicographically smallest (i, j) slot pair, as a
+        # row-major argmin over the whole matrix finds it. d stays symmetric,
+        # so row j holds the same minimum and j > i.
+        i = int(np.argmin(mind))
+        if not np.isfinite(mind[i]):
+            raise EvalError(_OVERFLOW)
+        j = int(nn[i])
         a, b = sizes[i], sizes[j]
         # Lance-Williams update of the merged row against every other active
         # cluster c at once; elementwise the same arithmetic as one c at a time
@@ -256,6 +332,17 @@ def agglomerative(
         active[j] = False
         d[j, :] = np.inf
         d[:, j] = np.inf
+        mind[j] = np.inf
+        # rows whose neighbour was i or j rescan; any other row compares its
+        # new distance to i with its cached minimum, the lower column winning ties
+        stale = (nn[c] == i) | (nn[c] == j)
+        rest, d_rest = c[~stale], d_new[~stale]
+        closer = (d_rest < mind[rest]) | ((d_rest == mind[rest]) & (i < nn[rest]))
+        nn[rest[closer]] = i
+        mind[rest[closer]] = d_rest[closer]
+        rescan = np.append(c[stale], i)
+        nn[rescan] = d[rescan].argmin(axis=1)
+        mind[rescan] = d[rescan, nn[rescan]]
 
     assignment = np.empty(n, dtype=np.int64)
     for cluster, slot in enumerate(np.where(active)[0]):

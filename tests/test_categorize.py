@@ -3,10 +3,13 @@ import pytest
 
 from catembed import categorize
 from catembed.categorize import (
+    LINKAGES,
+    METRICS,
     ClusteringSolution,
     GoldLabeling,
     _cluster_misclassifications,
     _pairwise_sq_dists,
+    _repair_empty,
     _sweep_combos,
     agglomerative,
     kmeans,
@@ -155,6 +158,13 @@ class TestKmeans:
         b = kmeans(base * scales, 3, metric="cosine", seed=2)
         assert np.array_equal(a.assignment, b.assignment)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_overflowing_distances_rejected(self, k):
+        # finite vectors whose squared distances exceed float64
+        pts = np.random.default_rng(7).normal(size=(40, 3)) * 1e160
+        with pytest.raises(EvalError, match="^squared distances between the vectors overflow float64$"):
+            kmeans(pts, k, seed=0)
+
     def test_objective_non_increasing_within_restart(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(40, 3))
@@ -206,6 +216,14 @@ class TestAgglomerative:
         with pytest.raises(EvalError, match=r"^agglomerative clustering of n=5 items needs an 200-byte"):
             agglomerative(pts, 2)
 
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_overflowing_distances_rejected(self, linkage):
+        # the all-inf matrix once merged slot 0 with itself, doubling its
+        # member list on every merge until memory ran out
+        pts = np.random.default_rng(7).normal(size=(40, 3)) * 1e160
+        with pytest.raises(EvalError, match="^squared distances between the vectors overflow float64$"):
+            agglomerative(pts, 2, linkage=linkage)
+
     def test_ward_cosine_rejected(self):
         with pytest.raises(EvalError):
             agglomerative(np.zeros((4, 2)), 2, metric="cosine", linkage="ward")
@@ -237,14 +255,20 @@ class TestAgglomerative:
         assert purity_from_labels(ref, sol.assignment) == 1.0
 
 
-def reference_agglomerative(x, k, metric, linkage):
-    """Oracle for ``agglomerative``: the one-shot (n, n, d) difference tensor
-    and a Lance-Williams update that visits one active cluster at a time."""
+def reference_rows(x, metric):
+    """Rows as the clustering sees them: float64, unit length under cosine."""
     x = np.asarray(x, dtype=np.float64)
     if metric == "cosine":
         norms = np.linalg.norm(x, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         x = x / norms
+    return x
+
+
+def reference_agglomerative(x, k, metric, linkage):
+    """Oracle for ``agglomerative``: the one-shot (n, n, d) difference tensor
+    and a Lance-Williams update that visits one active cluster at a time."""
+    x = reference_rows(x, metric)
     n = len(x)
     diff = x[:, None, :] - x[None, :, :]
     d = (diff**2).sum(axis=2)
@@ -282,6 +306,42 @@ def reference_agglomerative(x, k, metric, linkage):
     return assignment
 
 
+def reference_kmeans(x, k, metric, restarts, max_iters, seed):
+    """Oracle for ``kmeans``: the same seeding and Lloyd loop, with the one-shot
+    (n, k, d) difference tensor and a full-row argmin. Returns
+    ``(assignment, objective)``."""
+    x = reference_rows(x, metric)
+    n = len(x)
+    if k == n:
+        return np.arange(n), 0.0
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        centers = np.empty((k, x.shape[1]))
+        centers[0] = x[rng.integers(n)]
+        d2 = ((x - centers[0]) ** 2).sum(axis=1)
+        for j in range(1, k):
+            total = d2.sum()
+            centers[j] = x[int(rng.integers(n)) if total <= 0 else int(rng.choice(n, p=d2 / total))]
+            d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
+        assignment = np.full(n, -1, dtype=np.int64)
+        for _it in range(max_iters):
+            dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_assignment = dist.argmin(axis=1)
+            d2_assigned = dist[np.arange(n), new_assignment]
+            _repair_empty(new_assignment, d2_assigned, k)
+            if np.array_equal(new_assignment, assignment):
+                break
+            assignment = new_assignment
+            for j in range(k):
+                centers[j] = x[assignment == j].mean(axis=0)
+        dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        objective = float(dist[np.arange(n), assignment].sum())
+        if best is None or objective < best[1]:
+            best = (assignment.copy(), objective)
+    return best
+
+
 def gaussian_blobs(seed=0, n=60, dim=6):
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(4, dim)) * 4
@@ -304,18 +364,50 @@ class TestExactEquivalence:
         monkeypatch.setattr("catembed.categorize._BLOCK_ELEMENTS", block)
         rng = np.random.default_rng(8)
         x, y = rng.normal(size=(37, 9)), rng.normal(size=(11, 9))
-        for a, b in ((x, y), (x, x), (y, x[:1])):
+        z = rng.normal(size=(5, 9))  # at block 100: rows in blocks of 2, the last one short
+        for a, b in ((x, y), (x, x), (y, x[:1]), (z, z)):
             want = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
             assert np.array_equal(_pairwise_sq_dists(a, b), want)
+        for a in (x, z):  # y is x takes the mirrored upper-triangle path
+            assert np.array_equal(_pairwise_sq_dists(a, a), _pairwise_sq_dists(a, a.copy()))
 
     @pytest.mark.parametrize("metric,linkage", AGGLOMERATIVE_COMBOS)
-    @pytest.mark.parametrize("data", ["blobs", "grid"])
+    @pytest.mark.parametrize("data", ["blobs", "grid", "grid150"])
     @pytest.mark.parametrize("seed", range(3))
     def test_agglomerative_matches_reference(self, metric, linkage, data, seed):
-        pts = gaussian_blobs(seed) if data == "blobs" else integer_grid(seed)
-        for k in (1, 2, 4, 9, len(pts) - 1):
+        if data == "grid150":  # many rows share a cached nearest neighbour
+            pts, ks = integer_grid(seed, n=150), (1, 2, 25, 149)
+        else:
+            pts = gaussian_blobs(seed) if data == "blobs" else integer_grid(seed)
+            ks = (1, 2, 4, 9, len(pts) - 1)
+        for k in ks:
             sol = agglomerative(pts, k, metric=metric, linkage=linkage)
             assert np.array_equal(sol.assignment, reference_agglomerative(pts, k, metric, linkage))
+
+    def test_merge_rounding_onto_a_cached_minimum(self):
+        # an average-linkage update rounds a merged distance exactly onto a
+        # row's cached minimum: the lower column must become its neighbour
+        pts = np.array([[1], [0], [0], [1], [0], [2], [1], [1], [0]]) * 0.1
+        sol = agglomerative(pts, 2, metric="euclidean", linkage="average")
+        assert np.array_equal(sol.assignment, reference_agglomerative(pts, 2, "euclidean", "average"))
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("data", ["blobs", "grid", "shifted", "tiny"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_kmeans_matches_reference(self, metric, data, seed):
+        # shifted: |x|^2 + |c|^2 - 2 x.c cancels to noise, so the exact refine
+        # decides; tiny: squared distances are subnormal and lose bits outright
+        pts = gaussian_blobs(seed) if data in ("blobs", "shifted") else integer_grid(seed)
+        if data == "shifted":
+            pts = pts + 1e9
+        elif data == "tiny":
+            pts = pts * 1e-158
+        for k in (1, 2, 4, len(pts) - 1):
+            for max_iters in (1, 2, 100):
+                sol = kmeans(pts, k, metric=metric, restarts=3, max_iters=max_iters, seed=seed)
+                assignment, objective = reference_kmeans(pts, k, metric, 3, max_iters, seed)
+                assert np.array_equal(sol.assignment, assignment)
+                assert sol.objective == objective
 
     @pytest.mark.parametrize("seed", range(4))
     def test_batched_nn_equals_per_entity_loop(self, seed):
@@ -423,6 +515,18 @@ class TestRunCategorization:
         assert ("agglomerative", "euclidean", "ward") in combos
         assert ("agglomerative", "cosine", "ward") not in combos
         assert len(combos) == 7
+
+    def test_sweep_calls_public_entry_points(self, monkeypatch):
+        # perfbench's tracer times the sweep by swapping these module attributes
+        calls = {}
+        for name in ("kmeans", "agglomerative", "nn_classify"):
+            def counted(*args, _name=name, _fn=getattr(categorize, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(categorize, name, counted)
+        index, gold = separable_index(per_class=4)
+        run_categorization(index, gold, method="both")
+        assert calls == {"kmeans": 2, "agglomerative": 5, "nn_classify": 1}
 
     def test_misclassification_grouped_by_predicted(self):
         # two classes bundled together plus one far entity guarantees a mix-up
