@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import records
-from .embeddings import EmbeddingIndex
+from .embeddings import EmbeddingIndex, scaled_norm
 from .errors import EvalError, FormatError
 
 METRICS = ("euclidean", "cosine")
@@ -80,7 +80,7 @@ class ClusteringSolution:
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    x, norms = scaled_norm(x)
     norms[norms == 0] = 1.0
     return x / norms
 
@@ -167,6 +167,9 @@ def _sq_dists_to_assigned(x: np.ndarray, centers: np.ndarray, assignment: np.nda
 
 
 _OVERFLOW = "squared distances between the vectors overflow float64"
+# kmeans and agglomerative detect that overflow and raise EvalError(_OVERFLOW);
+# numpy's RuntimeWarnings about it would only print ahead of that one line
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -203,6 +206,7 @@ def _repair_empty(assignment: np.ndarray, d2_assigned: np.ndarray, k: int) -> No
             sizes[cluster] += 1
 
 
+@_QUIET_OVERFLOW
 def kmeans(
     vectors: np.ndarray,
     k: int,
@@ -257,6 +261,7 @@ def kmeans(
 AGGLOMERATIVE_MAX_BYTES = 1 << 30
 
 
+@_QUIET_OVERFLOW
 def agglomerative(
     vectors: np.ndarray,
     k: int,

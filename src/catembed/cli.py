@@ -282,14 +282,12 @@ def cmd_neighbors(cfg: RunConfig, args: argparse.Namespace) -> int:
     node = relatedness.map_word_to_node(args.label, index)
     if node is None:
         raise CatembedError(f"label {args.label!r} not found in the embedding")
-    query = index.vector(node)
+    query, qnorm = embeddings.scaled_norm(index.vector(node))
     labels = ["e:" + lab for lab in index.ent_labels] + ["c:" + lab for lab in index.cat_labels]
-    matrix = np.vstack([index.ent_vecs, index.cat_vecs])
-    norms = np.linalg.norm(matrix, axis=1)
-    qnorm = float(np.linalg.norm(query))
+    matrix, norms = embeddings.scaled_norm(np.vstack([index.ent_vecs, index.cat_vecs]))
     if qnorm == 0.0:
         raise CatembedError(f"label {args.label!r} has a zero vector")
-    sims = (matrix @ query) / (np.maximum(norms, 1e-300) * qnorm)
+    sims = (matrix @ query) / (np.maximum(norms[:, 0], 1e-300) * qnorm)
     self_row = node.index if node.kind is NodeKind.ENTITY else len(index.ent_labels) + node.index
     sims[self_row] = -np.inf
     top = np.argsort(-sims, kind="stable")[: min(args.top_n, len(labels) - 1)]
@@ -361,7 +359,6 @@ _FLAG_HELP = {
     "chunk": "pairs per scheduling chunk (lr updates, progress)",
     "noise_alpha": "noise distribution exponent over entity counts",
     "seed": "RNG seed",
-    "workers": "training threads; reproducible only with 1, and slower than 1 on the numpy backend",
     "mode": "direct categories only (ce) or weighted ancestors (hce)",
     "shuffle": "shuffle document order each epoch",
     "subsample": "frequent-entity subsampling threshold; 0 disables",
@@ -399,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(
         p, "corpus", "hierarchy", "output", "root", "drop_patterns", "min_count",
         "dim", "epochs", "lr0", "lr_min", "negatives", "chunk", "noise_alpha",
-        "seed", "workers", "mode", "shuffle", "subsample", "verbosity",
+        "seed", "mode", "shuffle", "subsample", "verbosity",
     )
     p.set_defaults(func=cmd_train)
 

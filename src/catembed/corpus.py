@@ -15,7 +15,7 @@ Blank lines are skipped. An invalid UTF-8 byte or a wrong field count raises
 Loading is single-threaded. A :class:`CategoryGraph` is immutable once
 :func:`prune_to_dag` returns it; :func:`load_corpus` only reads it. The
 resulting :class:`Vocabulary`, :class:`CategoryGraph` and :class:`Corpus` are
-safe to share across training workers read-only.
+only read by training.
 """
 
 from __future__ import annotations

@@ -122,6 +122,28 @@ def check_labels(ent_labels: list[str], cat_labels: list[str]) -> None:
                 raise CorpusError(f"label {prefix + label!r} holds whitespace, which an embedding export cannot store")
 
 
+def scaled_norm(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | np.float64]:
+    """``(y, norm)`` such that ``y / norm`` is ``x`` scaled to unit length.
+
+    ``x`` is one vector (``norm`` is a scalar) or a matrix of rows (``norm``
+    has shape (n, 1)). ``np.linalg.norm`` overflows to inf on a row whose
+    norm is above about 1.3e154 and underflows to 0 on a nonzero row near
+    1e-170; such a row is first divided by its largest absolute entry, which
+    puts its norm between 1 and sqrt(d). Every other row is returned as is
+    with its plain norm, bit for bit, and a zero row keeps norm 0.
+    """
+    axis, keep = (None, False) if x.ndim == 1 else (1, True)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(x, axis=axis, keepdims=keep)
+    # scalar tests for the common case: relatedness takes two norms per pair
+    if (0.0 < norm < np.inf) if x.ndim == 1 else (0.0 < norm.min() and norm.max() < np.inf):
+        return x, norm
+    peak = np.abs(x).max(axis=axis, keepdims=keep)
+    rescale = (np.isinf(norm) | (norm == 0.0)) & (peak > 0.0)
+    x = np.where(rescale, x / np.where(rescale, peak, 1.0), x)
+    return x, np.where(rescale, np.linalg.norm(x, axis=axis, keepdims=keep), norm)
+
+
 def save_text(table: EmbeddingTable, vocab: Vocabulary, path: str | Path) -> None:
     _view(table, vocab).save_text(path)
 

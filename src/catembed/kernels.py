@@ -12,9 +12,7 @@ more than 8 pairs lost nearest-neighbour purity on a deep category DAG,
 because every summed step lands on category rows that many entities share.
 Two implementations share the exact same math:
 
-* ``train_chunk_numba`` -- explicit loops compiled with ``@njit(nogil=True)``;
-  releasing the GIL is what lets multi-worker lock-free training actually run
-  in parallel threads.
+* ``train_chunk_numba`` -- explicit loops compiled with ``@njit``.
 * ``train_chunk_numpy`` -- one matmul per group, used when numba is
   unavailable or when ``CATEMBED_NO_NUMBA=1`` is set.
 
@@ -197,7 +195,7 @@ if not _env_disables_numba():
     try:
         from numba import njit
 
-        train_chunk_numba = njit(nogil=True, cache=True)(_train_chunk_loops)
+        train_chunk_numba = njit(cache=True)(_train_chunk_loops)
     except ImportError:
         train_chunk_numba = None
 

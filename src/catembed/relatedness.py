@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import NodeId, NodeKind, records
+from .embeddings import scaled_norm
 from .errors import EvalError, FormatError
 
 
@@ -67,11 +68,11 @@ def map_word_to_node(word: str, resolver) -> NodeId | None:
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    a, na = scaled_norm(a)
+    b, nb = scaled_norm(b)
     if na == 0.0 or nb == 0.0:
         raise EvalError("cosine similarity undefined for a zero vector")
-    return float(a @ b) / (na * nb)
+    return float(a @ b) / float(na * nb)
 
 
 def relatedness_score(index, a: NodeId, b: NodeId) -> float:

@@ -2,22 +2,14 @@
 
 Negative-sampling SGD: ``train`` drives the chunk kernels in
 :mod:`catembed.kernels` over the pair stream, one step per group of at most
-``kernels.GROUP_MAX`` consecutive pairs that share a target.
-
-Concurrency: with ``workers > 1`` each epoch's pair arrays are split into
-contiguous shards and processed by threads that read and write the shared
-embedding arrays without synchronization (lost updates are tolerated, as
-usual for asynchronous SGD). The tables are never reallocated during
-training, so concurrent row access stays in bounds. Runs are bit-reproducible
-only with ``workers=1``.
+``kernels.GROUP_MAX`` consecutive pairs that share a target. Training runs in
+one thread, bit-reproducible from its seed.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,7 +37,7 @@ class TrainConfig:
     chunk: int = 500
     noise_alpha: float = 0.75
     seed: int = 1
-    workers: int = 1
+    workers: int = 1  # only 1 is valid; kept so configs that set it still load
     mode: str = "hce"
     shuffle: bool = True
     subsample: float = 0.0  # 0 disables frequent-entity subsampling
@@ -66,12 +58,12 @@ class TrainConfig:
             raise ConfigError(f"chunk must be >= 1, got {self.chunk}")
         if not (0.0 < self.lr_min <= self.lr0):
             raise ConfigError(f"need 0 < lr_min <= lr0, got lr_min={self.lr_min}, lr0={self.lr0}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.workers != 1:
+            raise ConfigError(f"workers must be 1 (training runs in one thread), got {self.workers}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.subsample < 0:
-            raise ConfigError(f"subsample must be >= 0, got {self.subsample}")
+        if not (0.0 <= self.subsample < math.inf):
+            raise ConfigError(f"subsample must be finite and >= 0, got {self.subsample}")
 
 
 @dataclass
@@ -81,25 +73,6 @@ class ChunkStats:
     total_pairs: int
     lr: float
     loss_per_pair: float
-    worker: int = 0
-
-
-class _Progress:
-    """Shared pair counter for the linear learning-rate schedule.
-
-    The lock guards scheduling metadata only; table rows are updated without
-    synchronization by design.
-    """
-
-    def __init__(self, total: int):
-        self.total = max(1, total)
-        self.done = 0
-        self._lock = threading.Lock()
-
-    def advance(self, n: int) -> int:
-        with self._lock:
-            self.done += n
-            return self.done
 
 
 def _subsample_mask(
@@ -134,40 +107,17 @@ def train(
 
     shuffle_rng = np.random.default_rng([config.seed, 101])
     subsample_rng = np.random.default_rng([config.seed, 301])
-    worker_rngs = [np.random.default_rng([config.seed, 201, w]) for w in range(config.workers)]
+    # [seed, 201, 0] was the first of one stream per training thread; keeping
+    # it keeps every seed's export byte-identical to earlier releases
+    negatives_rng = np.random.default_rng([config.seed, 201, 0])
 
     n_docs = len(corpus)
     pairs_per_epoch = corpus.n_pairs
     if pairs_per_epoch == 0:
         raise TrainError("corpus yields no training pairs")
-    progress = _Progress(config.epochs * pairs_per_epoch)
+    total = config.epochs * pairs_per_epoch
     lr_span = config.lr0 - config.lr_min
-
-    def lr_at(done: int) -> float:
-        frac = min(1.0, done / progress.total)
-        return max(config.lr_min, config.lr0 - lr_span * frac)
-
-    def run_shard(epoch: int, worker: int, targets: np.ndarray, contexts: np.ndarray) -> None:
-        rng = worker_rngs[worker]
-        for start in range(0, len(targets), config.chunk):
-            stop = min(start + config.chunk, len(targets))
-            lr = lr_at(progress.done)
-            negs = draw_negatives_batch(noise, config.negatives, contexts[start:stop], rng)
-            loss = kernels.train_chunk(
-                table.ent_in, table.cat_in, table.ent_out,
-                targets[start:stop], contexts[start:stop], negs,
-                cat_offsets, cat_ids, cat_ws, lr,
-            )
-            if not math.isfinite(loss):
-                raise TrainError(
-                    f"non-finite loss at epoch {epoch}, pairs {progress.done}: {loss!r}"
-                )
-            done = progress.advance(stop - start)
-            if on_chunk is not None:
-                on_chunk(ChunkStats(
-                    epoch=epoch, pairs_done=done, total_pairs=progress.total,
-                    lr=lr, loss_per_pair=loss / (stop - start), worker=worker,
-                ))
+    done = 0
 
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n_docs) if config.shuffle else np.arange(n_docs)
@@ -175,22 +125,27 @@ def train(
         if config.subsample > 0:
             mask = _subsample_mask(targets, contexts, counts, config.subsample, subsample_rng)
             targets, contexts = targets[mask], contexts[mask]
-        if len(targets) == 0:
-            continue
-        if config.workers == 1:
-            run_shard(epoch, 0, targets, contexts)
-        else:
-            bounds = np.linspace(0, len(targets), config.workers + 1, dtype=np.int64)
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                futures = [
-                    pool.submit(run_shard, epoch, w, targets[bounds[w]:bounds[w + 1]], contexts[bounds[w]:bounds[w + 1]])
-                    for w in range(config.workers)
-                    if bounds[w + 1] > bounds[w]
-                ]
-                for fut in futures:
-                    fut.result()
-        log.debug("epoch %d/%d done (%d pairs)", epoch, config.epochs, progress.done)
+        for start in range(0, len(targets), config.chunk):
+            stop = min(start + config.chunk, len(targets))
+            lr = max(config.lr_min, config.lr0 - lr_span * min(1.0, done / total))
+            negs = draw_negatives_batch(noise, config.negatives, contexts[start:stop], negatives_rng)
+            loss = kernels.train_chunk(
+                table.ent_in, table.cat_in, table.ent_out,
+                targets[start:stop], contexts[start:stop], negs,
+                cat_offsets, cat_ids, cat_ws, lr,
+            )
+            if not math.isfinite(loss):
+                raise TrainError(f"non-finite loss at epoch {epoch}, pairs {done}: {loss!r}")
+            done += stop - start
+            if on_chunk is not None:
+                on_chunk(ChunkStats(
+                    epoch=epoch, pairs_done=done, total_pairs=total,
+                    lr=lr, loss_per_pair=loss / (stop - start),
+                ))
+        log.debug("epoch %d/%d done (%d pairs)", epoch, config.epochs, done)
 
+    if done == 0:
+        raise TrainError(f"subsample={config.subsample} drops every training pair in every epoch")
     table.assert_finite()
     return table
 

@@ -150,7 +150,7 @@ def test_criterion_05_end_to_end_synthetic(tmp_path):
     raw = load_hierarchy(world.hierarchy_path, vocab)
     graph, _ = prune_to_dag(raw, vocab, world.root_label)
     corpus = load_corpus(world.corpus_path, vocab, graph)
-    cfg = TrainConfig(dim=50, epochs=5, negatives=10, chunk=500, seed=42, workers=1, mode="hce")
+    cfg = TrainConfig(dim=50, epochs=5, negatives=10, chunk=500, seed=42, mode="hce")
     table = train(corpus, graph, cfg)
     index = index_from_table(table, vocab)
     gold = load_gold(world.gold_path)
@@ -273,7 +273,7 @@ def test_criterion_09_determinism_and_fixture(tmp_path):
             "--hierarchy", str(world_dir / "hierarchy.tsv"), "--root", "root",
             "--output", str(out), "--dim", "16", "--epochs", "2",
             "--negatives", "5", "--chunk", "100", "--seed", "9",
-            "--workers", "1", "--verbosity", "0",
+            "--verbosity", "0",
         ])
         assert rc == 0
         outs.append((out / "embeddings.txt").read_bytes())

@@ -150,13 +150,16 @@ class TestKmeans:
         b = kmeans(pts, 3, seed=11)
         assert np.array_equal(a.assignment, b.assignment)
 
-    def test_cosine_metric_ignores_scale(self):
+    # at 1e160 and 1e-170 the plain row norms overflow to inf or underflow to 0
+    @pytest.mark.parametrize("factor", [1.0, 1e160, 1e-170])
+    def test_cosine_metric_ignores_scale(self, factor):
         rng = np.random.default_rng(4)
         base = rng.normal(size=(12, 3))
         scales = rng.uniform(0.5, 5.0, size=(12, 1))
         a = kmeans(base, 3, metric="cosine", seed=2)
-        b = kmeans(base * scales, 3, metric="cosine", seed=2)
+        b = kmeans(base * scales * factor, 3, metric="cosine", seed=2)
         assert np.array_equal(a.assignment, b.assignment)
+        assert b.objective == pytest.approx(a.objective, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_overflowing_distances_rejected(self, k):
@@ -223,6 +226,16 @@ class TestAgglomerative:
         pts = np.random.default_rng(7).normal(size=(40, 3)) * 1e160
         with pytest.raises(EvalError, match="^squared distances between the vectors overflow float64$"):
             agglomerative(pts, 2, linkage=linkage)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_cosine_ignores_extreme_norms(self, scale):
+        # the plain row norms overflow to inf or underflow to 0
+        rng = np.random.default_rng(8)
+        x = np.vstack([rng.normal(size=(20, 3)) + [6, 0, 0], rng.normal(size=(20, 3)) + [0, 6, 0]])
+        a = agglomerative(x, 2, metric="cosine", linkage="average")
+        b = agglomerative(x * scale, 2, metric="cosine", linkage="average")
+        assert np.bincount(a.assignment).tolist() == [20, 20]
+        assert np.array_equal(a.assignment, b.assignment)
 
     def test_ward_cosine_rejected(self):
         with pytest.raises(EvalError):

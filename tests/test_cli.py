@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,9 +8,10 @@ import pytest
 from catembed import cli
 from catembed.cli import build_parser, effective_config, main
 from catembed.corpus import build_vocabulary, load_hierarchy, prune_to_dag
-from catembed.embeddings import load_binary, load_text
+from catembed.embeddings import EmbeddingIndex, load_binary, load_text
 
 from test_hierarchy import brute_path_lengths
+from test_kernels import child_env
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +34,7 @@ def train_args(world_dir, out_dir, *extra):
         "--root", "root",
         "--output", str(out_dir),
         "--dim", "12", "--epochs", "2", "--negatives", "4",
-        "--chunk", "100", "--seed", "7", "--workers", "1",
+        "--chunk", "100", "--seed", "7",
         "--verbosity", "0",
         *extra,
     ]
@@ -105,6 +108,15 @@ class TestTrain:
         with pytest.raises(SystemExit) as exc:
             main(train_args(world_dir, tmp_path / "x", "--mode", "bogus"))
         assert exc.value.code != 0
+
+    def test_workers_flag_removed(self, world_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        assert "--workers" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(train_args(world_dir, tmp_path / "x", "--workers", "2"))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_extreme_noise_alpha_fails_fast(self, world_dir, tmp_path, capsys):
         assert main(train_args(world_dir, tmp_path / "x", "--noise-alpha", "600")) == 1
@@ -180,6 +192,21 @@ class TestEvalCategorize:
         ])
         # synthetic labels do not overlap the fixture: every entity unresolved
         assert rc == 1
+
+    def test_overflowing_distances_are_a_one_line_error(self, tmp_path):
+        # entries near 1e200: the cosine runs normalize, the euclidean ones overflow
+        rng = np.random.default_rng(0)
+        emb, gold = tmp_path / "big.txt", tmp_path / "gold.tsv"
+        rows = [f"e:x{i} " + " ".join(f"{v:.6g}" for v in rng.normal(size=3) * 1e200) for i in range(6)]
+        emb.write_text("6 3\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        gold.write_text("".join(f"x{i}\t{'ab'[i % 2]}\n" for i in range(6)), encoding="utf-8")
+        out = subprocess.run(
+            [sys.executable, "-m", "catembed.cli", "eval-categorize", "--embeddings", str(emb),
+             "--gold", str(gold), "--output", str(tmp_path / "o"), "--verbosity", "0"],
+            env=child_env(), capture_output=True, text=True,
+        )
+        assert out.returncode == 1
+        assert out.stderr == "error: squared distances between the vectors overflow float64\n"
 
     def test_missing_embeddings_nonzero(self, tmp_path, capsys):
         rc = main(["eval-categorize", "--embeddings", str(tmp_path / "absent.txt"),
@@ -282,6 +309,21 @@ class TestNeighbors:
         top = capsys.readouterr().out.strip().splitlines()[0]
         assert top.startswith("c:" + index.cat_labels[0])
         assert float(top.split("\t")[1]) == pytest.approx(1.0, abs=5e-4)
+
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_scaled_vectors_rank_alike(self, trained_dir, tmp_path, capsys, scale):
+        # the plain norm of these rows overflows to inf or underflows to 0
+        index = load_text(trained_dir / "embeddings.txt")
+        outputs = []
+        for factor in (1.0, scale):
+            path = tmp_path / f"x{factor}.txt"
+            EmbeddingIndex(index.ent_labels, index.cat_labels, index.ent_vecs * factor, index.cat_vecs * factor).save_text(path)
+            rc = main(["neighbors", "--embeddings", str(path),
+                       "--label", index.ent_labels[0], "--top-n", "5", "--verbosity", "0"])
+            assert rc == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
 
 
 class TestInspectWeights:
@@ -399,6 +441,23 @@ class TestConfigFile:
         cfg.write_text("checkpoint_every=2\n", encoding="utf-8")
         assert main(["train", "--config", str(cfg), "--verbosity", "0"]) == 1
         assert "unknown option 'checkpoint_every'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workers_in_config_file(self, world_dir, tmp_path, capsys, workers):
+        # config.echo files written by earlier releases hold workers=1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"corpus={world_dir / 'corpus.tsv'}\n"
+            f"hierarchy={world_dir / 'hierarchy.tsv'}\n"
+            f"root=root\ndim=6\nepochs=1\nnegatives=2\nchunk=50\nverbosity=0\nworkers={workers}\n",
+            encoding="utf-8",
+        )
+        rc = main(["train", "--config", str(cfg), "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if workers == 1:
+            assert rc == 0 and err == ""
+        else:
+            assert rc == 1 and err == "error: workers must be 1 (training runs in one thread), got 2\n"
 
     @pytest.mark.parametrize("command", ["build-vocab", "train", "inspect-weights"])
     def test_config_file_read_once_per_run(self, world_dir, tmp_path, monkeypatch, command):

@@ -12,6 +12,7 @@ from catembed.embeddings import (
     load_text,
     save_binary,
     save_text,
+    scaled_norm,
 )
 from catembed.errors import CorpusError, FormatError
 
@@ -281,3 +282,31 @@ class TestTableInvariants:
     def test_sizes_must_be_positive(self):
         with pytest.raises(CorpusError):
             init_embeddings(0, 1, 4, seed=0)
+
+
+class TestScaledNorm:
+    def test_ordinary_rows_bitwise_plain(self):
+        x = np.random.default_rng(0).normal(size=(50, 7)) * np.logspace(-100, 100, 50)[:, None]
+        y, norm = scaled_norm(x)
+        assert y is x and np.array_equal(norm, np.linalg.norm(x, axis=1, keepdims=True))
+        v, norm = scaled_norm(x[3])
+        assert np.array_equal(v, x[3])
+        assert norm == np.linalg.norm(x[3])
+
+    def test_extreme_rows_reach_unit_length(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(6, 7))
+        x[1] *= 1e160  # plain norm inf
+        x[2] *= 1e-200  # plain norm 0
+        x[3] *= 1e-170  # plain norm 0
+        x[4] = 0.0
+        x[5, 0] = 1e300
+        y, norm = scaled_norm(x)
+        unit = y / np.where(norm == 0, 1.0, norm)
+        assert np.allclose(np.linalg.norm(unit, axis=1), [1, 1, 1, 1, 0, 1], rtol=1e-15)
+        ref = x[:4] / np.abs(x[:4]).max(axis=1, keepdims=True)
+        assert np.allclose(unit[:4], ref / np.linalg.norm(ref, axis=1, keepdims=True), rtol=1e-14)
+        assert np.array_equal(y[0], x[0]) and norm[0, 0] == np.linalg.norm(x[0])
+        for row in range(6):  # one vector at a time agrees with the matrix
+            v, n = scaled_norm(x[row])
+            assert np.allclose(v / (n or 1.0), unit[row], rtol=1e-14)

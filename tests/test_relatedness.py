@@ -67,10 +67,13 @@ class TestScores:
         assert got == pytest.approx(1 / math.sqrt(2), abs=1e-12)
         assert got == pytest.approx(0.70711, abs=1e-5)
 
-    def test_scale_invariance(self):
+    # at 1e160 and 1e-170 the plain norms overflow to inf or underflow to 0
+    @pytest.mark.parametrize("scale", [3.7, 1e160, 1e-170])
+    def test_scale_invariance(self, scale):
         rng = np.random.default_rng(0)
         v, w = rng.normal(size=4), rng.normal(size=4)
-        assert cosine(3.7 * v, w) == pytest.approx(cosine(v, w), abs=1e-12)
+        assert cosine(scale * v, w) == pytest.approx(cosine(v, w), abs=1e-12)
+        assert cosine(scale * v, scale * w) == pytest.approx(cosine(v, w), abs=1e-12)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(EvalError):

@@ -6,7 +6,7 @@ import pytest
 
 from catembed.corpus import NodeId, NodeKind, build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
 from catembed.embeddings import EmbeddingTable, init_embeddings
-from catembed.errors import ConfigError
+from catembed.errors import ConfigError, TrainError
 from catembed.hierarchy import AncestorWeights
 from catembed.kernels import CLAMP
 from catembed.trainer import TrainConfig, train
@@ -86,6 +86,9 @@ class TestTrainConfig:
             {"lr_min": 0.0},
             {"mode": "bogus"},
             {"workers": 0},
+            {"workers": 2},
+            {"subsample": -1.0},
+            {"subsample": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -348,9 +351,9 @@ class TestTrain:
         table.assert_finite()
         assert 0 < seen[-1] < corpus.n_pairs  # aggressive threshold discards some pairs
 
-    def test_deterministic_with_one_worker(self):
+    def test_deterministic_from_seed(self):
         _, graph, corpus = tiny_world()
-        cfg = TrainConfig(dim=8, epochs=2, negatives=3, chunk=37, seed=5, workers=1)
+        cfg = TrainConfig(dim=8, epochs=2, negatives=3, chunk=37, seed=5)
         t1 = train(corpus, graph, cfg)
         t2 = train(corpus, graph, cfg)
         assert np.array_equal(t1.ent_in, t2.ent_in)
@@ -363,11 +366,11 @@ class TestTrain:
         table = train(corpus, graph, cfg)
         table.assert_finite()
 
-    def test_multi_worker_finishes_finite(self):
-        _, graph, corpus = tiny_world(n_docs=120)
-        cfg = TrainConfig(dim=8, epochs=2, negatives=3, chunk=32, seed=7, workers=3)
-        table = train(corpus, graph, cfg)
-        table.assert_finite()
+    def test_subsample_dropping_every_pair_rejected(self):
+        _, graph, corpus = tiny_world()
+        cfg = TrainConfig(dim=8, epochs=2, negatives=3, chunk=64, seed=3, subsample=1e-300)
+        with pytest.raises(TrainError, match=r"^subsample=1e-300 drops every training pair in every epoch$"):
+            train(corpus, graph, cfg)
 
     def test_ce_vs_hce_flat_hierarchy(self):
         # flat one-level hierarchy; some docs carry a second label so the two
