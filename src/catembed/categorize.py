@@ -167,7 +167,7 @@ def _sq_dists_to_assigned(x: np.ndarray, centers: np.ndarray, assignment: np.nda
 
 
 _OVERFLOW = "squared distances between the vectors overflow float64"
-# kmeans and agglomerative detect that overflow and raise EvalError(_OVERFLOW);
+# kmeans, agglomerative and nn_classify detect that overflow and raise EvalError(_OVERFLOW);
 # numpy's RuntimeWarnings about it would only print ahead of that one line
 _QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 
@@ -380,11 +380,15 @@ def _contingency(assignment: np.ndarray, classes: np.ndarray) -> tuple[np.ndarra
     return rows, counts.reshape(-1, n_classes)
 
 
+@_QUIET_OVERFLOW
 def nn_classify(entity_vecs: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Per entity row, the index of the candidate category vector nearest in euclidean distance."""
     if len(candidates) < 1:
         raise EvalError("nn_classify needs at least one candidate")
-    return _pairwise_sq_dists(entity_vecs, candidates).argmin(axis=1)  # first minimum: lowest index on ties
+    d2 = _pairwise_sq_dists(entity_vecs, candidates)
+    if not np.isfinite(d2.min(axis=1)).all():
+        raise EvalError(_OVERFLOW)
+    return d2.argmin(axis=1)  # first minimum: lowest index on ties
 
 
 def _sweep_combos() -> list[tuple[str, str, str | None]]:

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: build-vocab, train, eval-categorize, eval-relatedness,
-neighbors, inspect-weights, gen-synthetic, export. Options can come from a
+neighbors, inspect-weights, gen-synthetic. Options can come from a
 ``key=value`` config file (``--config``); explicit flags override file
 values, and every command that writes an output directory echoes its
 effective configuration there as ``config.echo`` so a run can be reproduced
@@ -98,7 +98,7 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def effective_config(args: argparse.Namespace) -> RunConfig:
-    """Config file values overridden by explicit flags.
+    """Config file values overridden by explicit flags, validated before any command writes a file.
 
     Built in one step, so ``TrainConfig`` derives an unset ``lr_min`` from the final ``lr0``.
     """
@@ -107,6 +107,7 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
     # flags use SUPPRESS, so present means explicitly given
     values.update((key, value) for key, value in vars(args).items() if key in names)
     cfg = RunConfig(**values)
+    cfg.validate()
     for pattern in cfg.drop_patterns:
         if "," in pattern:
             raise ConfigError(f"drop pattern {pattern!r} contains ',', which {ECHO_NAME} uses to separate patterns")
@@ -329,16 +330,6 @@ def cmd_gen_synthetic(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_export(_cfg: None, args: argparse.Namespace) -> int:
-    index = embeddings.load_embeddings(args.input)
-    if args.to == "binary":
-        index.save_binary(args.output)
-    else:
-        index.save_text(args.output)
-    log.info("wrote %s (%d rows, %s format)", args.output, index.n_rows, args.to)
-    return 0
-
-
 # The help text of each flag; its type comes from its RunConfig or SyntheticSpec field.
 _FLAG_HELP = {
     "corpus": "corpus file (target<TAB>cats<TAB>contexts)",
@@ -428,12 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help=_FLAG_HELP.get(f.name))
     p.set_defaults(func=cmd_gen_synthetic)
 
-    p = sub.add_parser("export", help="convert an embedding file between text and binary")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--to", choices=("text", "binary"), required=True)
-    p.set_defaults(func=cmd_export)
-
     return parser
 
 
@@ -445,9 +430,8 @@ def _setup_logging(verbosity: int) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # the one RunConfig of this run; export takes no --config and gets None
-        cfg = effective_config(args) if "config" in args else None
-        _setup_logging(cfg.verbosity if cfg else 1)
+        cfg = effective_config(args)  # the one RunConfig of this run
+        _setup_logging(cfg.verbosity)
         return args.func(cfg, args)
     except (CatembedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -150,8 +150,9 @@ class TestKmeans:
         b = kmeans(pts, 3, seed=11)
         assert np.array_equal(a.assignment, b.assignment)
 
-    # at 1e160 and 1e-170 the plain row norms overflow to inf or underflow to 0
-    @pytest.mark.parametrize("factor", [1.0, 1e160, 1e-170])
+    # at 1e160 and 1e-170 the plain row norms overflow to inf or underflow to 0;
+    # at 1e-162 they are nonzero but their squares have lost digits
+    @pytest.mark.parametrize("factor", [1.0, 1e160, 1e-170, 1e-162])
     def test_cosine_metric_ignores_scale(self, factor):
         rng = np.random.default_rng(4)
         base = rng.normal(size=(12, 3))
@@ -269,9 +270,17 @@ class TestAgglomerative:
 
 
 def reference_rows(x, metric):
-    """Rows as the clustering sees them: float64, unit length under cosine."""
+    """Rows as the clustering sees them: float64, unit length under cosine.
+
+    Under cosine a nonzero row whose plain norm is inf or below 2**-500 is
+    first divided by its largest absolute entry.
+    """
     x = np.asarray(x, dtype=np.float64)
     if metric == "cosine":
+        peak = np.abs(x).max(axis=1, keepdims=True)
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        extreme = ((norms == np.inf) | (norms < 2.0**-500)) & (peak > 0)
+        x = np.where(extreme, x / np.where(extreme, peak, 1.0), x)
         norms = np.linalg.norm(x, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         x = x / norms

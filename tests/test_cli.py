@@ -8,7 +8,7 @@ import pytest
 from catembed import cli
 from catembed.cli import build_parser, effective_config, main
 from catembed.corpus import build_vocabulary, load_hierarchy, prune_to_dag
-from catembed.embeddings import EmbeddingIndex, load_binary, load_text
+from catembed.embeddings import EmbeddingIndex, load_embeddings
 
 from test_hierarchy import brute_path_lengths
 from test_kernels import child_env
@@ -147,7 +147,7 @@ class TestTrain:
         ("Jane\xa0Doe", "c1", "'e:Jane\\xa0Doe'"),
     ])
     def test_whitespace_label_refused_before_training(self, tmp_path, capsys, target, cats, named):
-        # the export formats end a row's label at whitespace, so no reader could load this run's output
+        # the export ends a row's label at whitespace, so no reader could load this run's output
         corpus = tmp_path / "corpus.tsv"
         corpus.write_text(f"{target}\t{cats}\tbeta gamma\nbeta\tc1\tgamma\ngamma\tc1\tbeta\n", encoding="utf-8")
         hier = tmp_path / "hierarchy.tsv"
@@ -193,16 +193,18 @@ class TestEvalCategorize:
         # synthetic labels do not overlap the fixture: every entity unresolved
         assert rc == 1
 
-    def test_overflowing_distances_are_a_one_line_error(self, tmp_path):
-        # entries near 1e200: the cosine runs normalize, the euclidean ones overflow
+    @pytest.mark.parametrize("method", ["both", "nn"])
+    def test_overflowing_distances_are_a_one_line_error(self, tmp_path, method):
+        # entries near 1e200: the cosine runs normalize, the euclidean ones and NN overflow
         rng = np.random.default_rng(0)
         emb, gold = tmp_path / "big.txt", tmp_path / "gold.tsv"
-        rows = [f"e:x{i} " + " ".join(f"{v:.6g}" for v in rng.normal(size=3) * 1e200) for i in range(6)]
-        emb.write_text("6 3\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        labels = [f"e:x{i}" for i in range(6)] + ["c:a", "c:b"]
+        rows = [label + " " + " ".join(f"{v:.6g}" for v in rng.normal(size=3) * 1e200) for label in labels]
+        emb.write_text("8 3\n" + "\n".join(rows) + "\n", encoding="utf-8")
         gold.write_text("".join(f"x{i}\t{'ab'[i % 2]}\n" for i in range(6)), encoding="utf-8")
         out = subprocess.run(
             [sys.executable, "-m", "catembed.cli", "eval-categorize", "--embeddings", str(emb),
-             "--gold", str(gold), "--output", str(tmp_path / "o"), "--verbosity", "0"],
+             "--gold", str(gold), "--output", str(tmp_path / "o"), "--method", method, "--verbosity", "0"],
             env=child_env(), capture_output=True, text=True,
         )
         assert out.returncode == 1
@@ -299,7 +301,7 @@ class TestNeighbors:
         assert rc == 1
 
     def test_identical_vector_ranks_first(self, trained_dir, tmp_path, capsys):
-        index = load_text(trained_dir / "embeddings.txt")
+        index = load_embeddings(trained_dir / "embeddings.txt")
         index.cat_vecs[0] = index.ent_vecs[0]  # category clone of entity 0
         path = tmp_path / "twin.txt"
         index.save_text(path)
@@ -314,7 +316,7 @@ class TestNeighbors:
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     def test_scaled_vectors_rank_alike(self, trained_dir, tmp_path, capsys, scale):
         # the plain norm of these rows overflows to inf or underflows to 0
-        index = load_text(trained_dir / "embeddings.txt")
+        index = load_embeddings(trained_dir / "embeddings.txt")
         outputs = []
         for factor in (1.0, scale):
             path = tmp_path / f"x{factor}.txt"
@@ -388,19 +390,14 @@ class TestInspectWeights:
         assert rc == 1
 
 
-class TestExport:
-    def test_text_binary_round_trip(self, trained_dir, tmp_path):
-        src = trained_dir / "embeddings.txt"
-        bin_path = tmp_path / "emb.bin"
-        txt_path = tmp_path / "emb.txt"
-        assert main(["export", "--input", str(src), "--output", str(bin_path), "--to", "binary"]) == 0
-        assert main(["export", "--input", str(bin_path), "--output", str(txt_path), "--to", "text"]) == 0
-        a = load_text(src)
-        b = load_binary(bin_path)
-        c = load_text(txt_path)
-        assert a.ent_labels == b.ent_labels == c.ent_labels
-        assert np.allclose(a.ent_vecs, b.ent_vecs, rtol=1e-5, atol=1e-12)
-        assert np.allclose(b.ent_vecs, c.ent_vecs, rtol=1e-5, atol=1e-12)
+def test_export_command_removed(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "export" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--input", "a.txt", "--output", "b.bin", "--to", "binary"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'export'" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -459,6 +456,16 @@ class TestConfigFile:
         else:
             assert rc == 1 and err == "error: workers must be 1 (training runs in one thread), got 2\n"
 
+    @pytest.mark.parametrize("line", ["workers=2", "dim=0"])
+    def test_bad_training_value_refused_before_any_output(self, world_dir, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"corpus={world_dir / 'corpus.tsv'}\nhierarchy={world_dir / 'hierarchy.tsv'}\n{line}\n",
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--output", str(out), "--verbosity", "0"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["build-vocab", "train", "inspect-weights"])
     def test_config_file_read_once_per_run(self, world_dir, tmp_path, monkeypatch, command):
         cfg = tmp_path / "run.cfg"
@@ -484,10 +491,8 @@ class TestConfigFile:
         cfg = cli.RunConfig(verbosity=0)
         monkeypatch.setattr(cli, "effective_config", lambda args: built.append(args) or cfg)
         monkeypatch.setattr(cli, "cmd_neighbors", lambda cfg, args: got.append(cfg) or 0)
-        monkeypatch.setattr(cli, "cmd_export", lambda cfg, args: got.append(cfg) or 0)
         assert main(["neighbors", "--label", "x"]) == 0
-        assert main(["export", "--input", "a", "--output", "b", "--to", "text"]) == 0
-        assert len(built) == 1 and got[0] is cfg and got[1] is None  # export takes no --config
+        assert len(built) == 1 and got == [cfg]
 
     def test_lr_min_follows_lr0_from_flags_and_file(self, tmp_path):
         from_flags = effective_config(build_parser().parse_args(["train", "--lr0", "0.05"]))
@@ -505,51 +510,51 @@ class TestConfigFile:
 
 GOOD_EMBEDDING = b"2 2\ne:a 1 0\ne:b 0 1\n"
 BAD_UTF8_CASES = {
-    # name: (files as {name: bytes}, argv built from the tmp dir, the file that holds the bad byte)
+    # name: (files as {name: bytes}, argv built from the tmp dir, the file and line that hold the bad byte)
     "corpus": (
         {"corpus.tsv": b"a\tc1\tb\nb\tc1\ta\n\xff\tc1\tb\n"},
         lambda d: ["build-vocab", "--corpus", str(d / "corpus.tsv"), "--output", str(d / "o")],
-        "corpus.tsv",
+        "corpus.tsv:3",
     ),
     "hierarchy": (
         {"corpus.tsv": b"a\tc1\tb\n", "hierarchy.tsv": b"root\tc1\nroot\tc2\nc1\tc\xff\n"},
         lambda d: ["train", "--corpus", str(d / "corpus.tsv"), "--hierarchy", str(d / "hierarchy.tsv"),
                    "--output", str(d / "o")],
-        "hierarchy.tsv",
+        "hierarchy.tsv:3",
     ),
     "gold": (
         {"emb.txt": GOOD_EMBEDDING, "gold.tsv": b"a\tc1\nb\tc2\n\xff\tc1\n"},
         lambda d: ["eval-categorize", "--embeddings", str(d / "emb.txt"), "--gold", str(d / "gold.tsv"),
                    "--output", str(d / "o")],
-        "gold.tsv",
+        "gold.tsv:3",
     ),
     "relatedness": (
         {"emb.txt": GOOD_EMBEDDING, "pairs.tsv": b"a\tb\t5.0\nb\tc\t3.0\na\t\xff\t1.0\n"},
         lambda d: ["eval-relatedness", "--embeddings", str(d / "emb.txt"), "--dataset", str(d / "pairs.tsv"),
                    "--output", str(d / "o")],
-        "pairs.tsv",
+        "pairs.tsv:3",
     ),
     "config": (
         {"run.cfg": b"# comment\ndim=3\nroot=r\xff\n"},
         lambda d: ["build-vocab", "--config", str(d / "run.cfg")],
-        "run.cfg",
+        "run.cfg:3",
     ),
-    # line 2 is longer than the 4 KB format probe, so the file is sniffed as text
     "text-embedding": (
         {"emb.txt": b"2 1\ne:" + b"a" * 5000 + b" 1\ne:\xff 2\n"},
         lambda d: ["neighbors", "--embeddings", str(d / "emb.txt"), "--label", "a"],
-        "emb.txt",
+        "emb.txt:3",
     ),
-    # short enough for the 4 KB probe to see the bad byte; row 1 has no binary layout, so it is read as text
     "short-text-embedding": (
         {"small.txt": b"2 1\ne:a 1\ne:\xff 2\n"},
         lambda d: ["neighbors", "--embeddings", str(d / "small.txt"), "--label", "a"],
-        "small.txt",
+        "small.txt:3",
     ),
-    "binary-label": (
-        {"emb.bin": b"2 1\ne:a " + np.float64(1.0).tobytes() + b"\ne:\xff " + np.float64(2.0).tobytes() + b"\n"},
+    # the binary layout of earlier releases: label, space, little-endian float64s, newline;
+    # the float64 1.0 ends in the bytes 0xf0 0x3f, and 0x3f is no UTF-8 continuation byte
+    "binary-layout": (
+        {"emb.bin": b"2 1\ne:a " + np.float64(1.0).tobytes() + b"\ne:b " + np.float64(2.0).tobytes() + b"\n"},
         lambda d: ["neighbors", "--embeddings", str(d / "emb.bin"), "--label", "a"],
-        "emb.bin",
+        "emb.bin:2",
     ),
 }
 
@@ -561,5 +566,5 @@ def test_invalid_utf8_is_a_one_line_error_with_its_line(tmp_path, capsys, case):
         (tmp_path / name).write_bytes(data)
     assert main(argv(tmp_path) + ["--verbosity", "0"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {tmp_path / bad}:3: ")
-    assert "UTF-8" in err and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {tmp_path / bad}: invalid UTF-8 at byte ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 
 from catembed.corpus import NodeId, NodeKind, build_vocabulary
-from catembed.embeddings import (
-    EmbeddingIndex,
-    init_embeddings,
-    load_binary,
-    load_embeddings,
-    load_text,
-    save_binary,
-    save_text,
-    scaled_norm,
-)
+from catembed.embeddings import EmbeddingIndex, init_embeddings, load_embeddings, save_text, scaled_norm
 from catembed.errors import CorpusError, FormatError
 
 
@@ -43,7 +34,7 @@ class TestTextFormat:
         n_rows, dim = (int(x) for x in lines[0].split())
         assert n_rows == vocab.n_entities + vocab.n_categories
         assert dim == 5
-        index = load_text(path)
+        index = load_embeddings(path)
         assert index.ent_labels == vocab.entity_labels()
         assert index.cat_labels == vocab.category_labels()
         # 6 significant digits survive the round trip at matching precision
@@ -61,19 +52,19 @@ class TestTextFormat:
         path = tmp_path / "emb.txt"
         path.write_text("not a header\n")
         with pytest.raises(FormatError):
-            load_text(path)
+            load_embeddings(path)
 
     def test_missing_prefix_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("1 2\nalpha 0.5 0.5\n")
         with pytest.raises(FormatError):
-            load_text(path)
+            load_embeddings(path)
 
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("2 2\ne:alpha 0.5 0.5\n")
         with pytest.raises(FormatError):
-            load_text(path)
+            load_embeddings(path)
 
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
@@ -81,14 +72,14 @@ class TestTextFormat:
         path = tmp_path / "emb.txt"
         path.write_text(f"3 2\ne:alpha 0.5 0.5\n\nc:beta 0.5 {token}\ne:gamma nan 1\n")
         with pytest.raises(FormatError, match="non-finite") as info:
-            load_text(path)
+            load_embeddings(path)
         assert info.value.lineno == 4  # first bad line, counting the header and the blank line
 
     def test_non_numeric_value_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("2 3\ne:a 1 2 3\nc:b 1 x 3\n")
         with pytest.raises(FormatError, match="non-numeric") as info:
-            load_text(path)
+            load_embeddings(path)
         assert info.value.source == str(path)
         assert info.value.lineno == 3
 
@@ -97,117 +88,29 @@ class TestTextFormat:
         path = tmp_path / "emb.txt"
         path.write_text(f"{header}\n")
         with pytest.raises(FormatError, match="dim >= 1") as info:
-            load_text(path)
+            load_embeddings(path)
         assert info.value.lineno == 1
 
-
-class TestBinaryFormat:
-    def test_round_trip_exact(self, small_setup, tmp_path):
-        vocab, table = small_setup
-        path = tmp_path / "emb.bin"
-        save_binary(table, vocab, path)
-        index = load_binary(path)
-        assert index.ent_labels == vocab.entity_labels()
-        assert np.array_equal(index.ent_vecs, table.ent_in)  # raw float64: exact
-        assert np.array_equal(index.cat_vecs, table.cat_in)
-
-    def test_same_header_line_as_text(self, small_setup, tmp_path):
-        vocab, table = small_setup
-        tpath, bpath = tmp_path / "emb.txt", tmp_path / "emb.bin"
-        save_text(table, vocab, tpath)
-        save_binary(table, vocab, bpath)
-        assert bpath.read_bytes().split(b"\n", 1)[0] == tpath.read_bytes().split(b"\n", 1)[0]
-
-    def test_truncated_rejected(self, small_setup, tmp_path):
-        vocab, table = small_setup
-        path = tmp_path / "emb.bin"
-        save_binary(table, vocab, path)
-        path.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(FormatError):
-            load_binary(path)
-
-    def test_trailing_row_rejected(self, small_setup, tmp_path):
-        vocab, table = small_setup
-        path = tmp_path / "emb.bin"
-        save_binary(table, vocab, path)
-        header, body = path.read_bytes().split(b"\n", 1)
-        n_rows, dim = (int(x) for x in header.split())
-        extra = b"e:extra " + np.ones(dim, dtype="<f8").tobytes() + b"\n"
-        path.write_bytes(header + b"\n" + body + extra)
-        with pytest.raises(FormatError, match=f"header promised {n_rows} rows"):
-            load_binary(path)
-
-    def test_trailing_byte_rejected(self, small_setup, tmp_path):
-        vocab, table = small_setup
-        path = tmp_path / "emb.bin"
-        save_binary(table, vocab, path)
-        path.write_bytes(path.read_bytes() + b"\n")
-        with pytest.raises(FormatError, match="1 more bytes"):
-            load_binary(path)
-
     def test_negative_row_count_rejected(self, tmp_path):
-        path = tmp_path / "emb.bin"
-        path.write_bytes(b"-1 3\n")
-        with pytest.raises(FormatError, match="rows >= 0"):
-            load_binary(path)
-
-    def test_dim_below_one_rejected(self, tmp_path):
-        path = tmp_path / "emb.bin"
-        path.write_bytes(b"1 0\ne:a \n")
-        with pytest.raises(FormatError, match="dim >= 1"):
-            load_binary(path)
-
-    def test_non_finite_value_rejected(self, small_setup, tmp_path):
-        vocab, table = small_setup
-        table.cat_in[0, 1] = np.inf
-        table.ent_in[1, 3] = np.nan
-        path = tmp_path / "emb.bin"
-        save_binary(table, vocab, path)
-        with pytest.raises(FormatError, match="non-finite value in row 2$"):
-            load_binary(path)
-
-
-class TestSniffing:
-    def test_detects_both(self, small_setup, tmp_path):
-        vocab, table = small_setup
-        tpath, bpath = tmp_path / "a.txt", tmp_path / "a.bin"
-        save_text(table, vocab, tpath)
-        save_binary(table, vocab, bpath)
-        assert np.allclose(load_embeddings(tpath).ent_vecs, table.ent_in, rtol=1e-5)
-        assert np.array_equal(load_embeddings(bpath).ent_vecs, table.ent_in)
+        path = tmp_path / "emb.txt"
+        path.write_text("-1 3\n")
+        with pytest.raises(FormatError, match="rows >= 0") as info:
+            load_embeddings(path)
+        assert info.value.lineno == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError):
             load_embeddings(tmp_path / "nope.txt")
 
-    @pytest.mark.parametrize("pad", range(8))
-    def test_text_with_multibyte_labels(self, tmp_path, pad):
-        # the 4096-byte sniffing probe ends inside an "é" for every other pad length
-        labels = ["x" * pad] + ["é" * 50 + str(i) for i in range(200)]
+    def test_multibyte_labels(self, tmp_path):
+        labels = ["é" * 50 + str(i) for i in range(200)]
         path = tmp_path / "accents.txt"
         EmbeddingIndex(labels, ["c"], np.ones((len(labels), 3)), np.ones((1, 3))).save_text(path)
-        loaded = load_embeddings(path)
-        assert loaded.ent_labels == labels
-
-    @pytest.mark.parametrize("label_bytes,dim", [(4, 600), (3000, 200), (5000, 3)])
-    def test_binary_row_past_the_probe(self, tmp_path, label_bytes, dim):
-        # row 1 ends beyond the 4096-byte probe, after a long payload or a long label;
-        # a 5000-byte label fills the whole probe with ASCII
-        labels = ["x" * label_bytes, "y"]
-        vecs = np.arange(2.0 * dim).reshape(2, dim)
-        path = tmp_path / "long.bin"
-        EmbeddingIndex(labels, ["c"], vecs, np.zeros((1, dim))).save_binary(path)
         assert load_embeddings(path).ent_labels == labels
-        assert np.array_equal(load_embeddings(path).ent_vecs, vecs)
 
-    @pytest.mark.parametrize("row_one", [
-        [0.5, 1.5, 2.5],
-        # written as "0 1.23457e-05 1.2345e-05": exactly 8 * dim bytes, the binary row layout
-        [0.0, 1.23457e-05, 1.2345e-05],
-    ])
-    def test_text_label_past_the_probe(self, tmp_path, row_one):
+    def test_long_label(self, tmp_path):
         labels = ["x" * 5000, "y"]
-        vecs = np.array([row_one, [3.5, 4.5, 5.5]])
+        vecs = np.array([[0.5, 1.5, 2.5], [3.5, 4.5, 5.5]])
         path = tmp_path / "long.txt"
         EmbeddingIndex(labels, ["c"], vecs, np.zeros((1, 3))).save_text(path)
         loaded = load_embeddings(path)
@@ -233,18 +136,17 @@ class TestSaveText:
 
 
 class TestExportableLabels:
-    @pytest.mark.parametrize("save", ["save_text", "save_binary"])
     @pytest.mark.parametrize("ents,cats,named", [
         (["a", "b c"], ["k"], "'e:b c'"),
         (["a"], ["Living people"], "'c:Living people'"),
         (["a\xa0b"], ["k"], "'e:a\\xa0b'"),
         (["a"], ["k\tl"], "'c:k\\tl'"),
     ])
-    def test_whitespace_label_refused_before_writing(self, tmp_path, save, ents, cats, named):
+    def test_whitespace_label_refused_before_writing(self, tmp_path, ents, cats, named):
         index = EmbeddingIndex(ents, cats, np.ones((len(ents), 2)), np.ones((len(cats), 2)))
         path = tmp_path / "emb"
         with pytest.raises(CorpusError, match="^label " + re.escape(named) + " holds whitespace"):
-            getattr(index, save)(path)
+            index.save_text(path)
         assert not path.exists()
 
 
@@ -261,15 +163,6 @@ class TestEmbeddingIndex:
         index = index_from_table(table, vocab)
         assert index.match_entity("ALPHA") == vocab.entity_id("alpha")
         assert index.match_category("Cat A") == vocab.category_id("cat_a")
-
-    def test_index_save_round_trip(self, small_setup, tmp_path):
-        vocab, table = small_setup
-        index = index_from_table(table, vocab)
-        path = tmp_path / "again.bin"
-        index.save_binary(path)
-        again = load_binary(path)
-        assert np.array_equal(again.ent_vecs, index.ent_vecs)
-        assert again.cat_labels == index.cat_labels
 
 
 class TestTableInvariants:

@@ -67,8 +67,9 @@ class TestScores:
         assert got == pytest.approx(1 / math.sqrt(2), abs=1e-12)
         assert got == pytest.approx(0.70711, abs=1e-5)
 
-    # at 1e160 and 1e-170 the plain norms overflow to inf or underflow to 0
-    @pytest.mark.parametrize("scale", [3.7, 1e160, 1e-170])
+    # at 1e160 and 1e-170 the plain norms overflow to inf or underflow to 0;
+    # at 1e-161 they are nonzero but their squares have lost digits
+    @pytest.mark.parametrize("scale", [3.7, 1e160, 1e-170, 1e-161])
     def test_scale_invariance(self, scale):
         rng = np.random.default_rng(0)
         v, w = rng.normal(size=4), rng.normal(size=4)
