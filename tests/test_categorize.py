@@ -485,6 +485,11 @@ class TestNNClassify:
         with pytest.raises(EvalError):
             nn_classify(np.zeros((1, 2)), np.zeros((0, 2)))
 
+    def test_overflowing_distance_refused(self):
+        cands = np.array([[1e200, 0.0], [-1e200, 0.0]])
+        with pytest.raises(EvalError, match="overflow float64"):
+            nn_classify(np.array([[0.0, 1e200]]), cands)
+
 
 def separable_index(per_class=6, n_classes=3, dim=8, spread=0.05, seed=0):
     """Synthetic embedding where classes are far apart and categories sit on

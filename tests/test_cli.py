@@ -400,6 +400,14 @@ def test_export_command_removed(capsys):
     assert "invalid choice: 'export'" in capsys.readouterr().err
 
 
+def test_trained_export_rewrites_byte_for_byte(trained_dir, tmp_path):
+    # every value train writes is already at 6 digits, so load then save is the identity
+    src = trained_dir / "embeddings.txt"
+    again = tmp_path / "again.txt"
+    load_embeddings(src).save_text(again)
+    assert again.read_bytes() == src.read_bytes()
+
+
 class TestConfigFile:
     def test_flags_override_file(self, world_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -456,7 +464,10 @@ class TestConfigFile:
         else:
             assert rc == 1 and err == "error: workers must be 1 (training runs in one thread), got 2\n"
 
-    @pytest.mark.parametrize("line", ["workers=2", "dim=0"])
+    @pytest.mark.parametrize("line", [
+        "workers=2", "dim=0", "epochs=0", "negatives=0", "chunk=0",
+        "lr0=0.01\nlr_min=0.02", "mode=bogus", "subsample=-1", "subsample=inf",
+    ])
     def test_bad_training_value_refused_before_any_output(self, world_dir, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"corpus={world_dir / 'corpus.tsv'}\nhierarchy={world_dir / 'hierarchy.tsv'}\n{line}\n",

@@ -98,6 +98,96 @@ class TestTextFormat:
             load_embeddings(path)
         assert info.value.lineno == 1
 
+    @pytest.mark.parametrize("header", ["3", "1 2 3", "1.5 2", ""])
+    def test_header_shape_rejected(self, tmp_path, header):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"{header}\ne:a 1\n")
+        with pytest.raises(FormatError, match="bad header") as info:
+            load_embeddings(path)
+        assert info.value.lineno == 1
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("")
+        with pytest.raises(FormatError, match="empty embedding file") as info:
+            load_embeddings(path)
+        assert info.value.lineno == 1
+
+    @pytest.mark.parametrize("row,got", [("c:b 1 2", 3), ("c:b 1 2 3 4", 5)])
+    def test_column_count_mismatch_rejected(self, tmp_path, row, got):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"2 3\ne:a 1 2 3\n{row}\n")
+        with pytest.raises(FormatError, match=f"expected 4 columns, got {got}$") as info:
+            load_embeddings(path)
+        assert info.value.lineno == 3
+
+    def test_truncated_file_rejected(self, small_setup, tmp_path):
+        vocab, table = small_setup
+        path = tmp_path / "emb.txt"
+        save_text(table, vocab, path)
+        text = path.read_text()
+        path.write_text(text[:text.rindex(" ")])  # the last row loses its last value
+        with pytest.raises(FormatError, match="expected 6 columns, got 5") as info:
+            load_embeddings(path)
+        assert info.value.lineno == vocab.n_entities + vocab.n_categories + 1
+
+    def test_trailing_row_rejected(self, small_setup, tmp_path):
+        vocab, table = small_setup
+        path = tmp_path / "emb.txt"
+        save_text(table, vocab, path)
+        n_rows = vocab.n_entities + vocab.n_categories
+        with path.open("a") as fh:
+            fh.write("e:extra 1 1 1 1 1\n")
+        with pytest.raises(FormatError, match=f"header promised {n_rows} rows, found {n_rows + 1}"):
+            load_embeddings(path)
+
+    def test_saved_non_finite_value_rejected(self, small_setup, tmp_path):
+        vocab, table = small_setup
+        table.cat_in[0, 1] = np.inf
+        table.ent_in[1, 3] = np.nan
+        path = tmp_path / "emb.txt"
+        save_text(table, vocab, path)
+        with pytest.raises(FormatError, match="non-finite value") as info:
+            load_embeddings(path)
+        assert info.value.lineno == 3  # entity row 2, after the header
+
+    def test_blank_lines_and_extra_whitespace_ignored(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2\n\n  e:a\t0.5   1.5  \n\n\nc:b 2.5 3.5\n\n")
+        index = load_embeddings(path)
+        assert index.ent_labels == ["a"] and index.cat_labels == ["b"]
+        assert np.array_equal(index.ent_vecs, [[0.5, 1.5]])
+        assert np.array_equal(index.cat_vecs, [[2.5, 3.5]])
+
+    def test_interleaved_kinds_keep_file_order(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("4 1\nc:x 1\ne:a 2\nc:y 3\ne:b 4\n")
+        index = load_embeddings(path)
+        assert index.ent_labels == ["a", "b"] and index.cat_labels == ["x", "y"]
+        assert index.ent_vecs.ravel().tolist() == [2.0, 4.0]
+        assert index.cat_vecs.ravel().tolist() == [1.0, 3.0]
+
+    def test_zero_rows(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("0 3\n")
+        index = load_embeddings(path)
+        assert index.n_rows == 0 and index.dim == 3
+        assert index.ent_vecs.shape == (0, 3) and index.cat_vecs.shape == (0, 3)
+
+    def test_six_digit_values_round_trip_exactly(self, tmp_path):
+        vecs = np.array([[0.5, -1.25e-07, 123456.0], [1e-300, -2.5e300, 0.0]])
+        path = tmp_path / "emb.txt"
+        EmbeddingIndex(["a", "b"], ["c"], vecs, np.ones((1, 3))).save_text(path)
+        assert np.array_equal(load_embeddings(path).ent_vecs, vecs)
+
+    def test_old_binary_layout_refused_at_its_first_bad_line(self, tmp_path):
+        # label, space, little-endian float64s, newline; 1.0 ends in 0xf0 0x3f, no valid UTF-8
+        path = tmp_path / "emb.bin"
+        path.write_bytes(b"2 1\ne:a " + np.float64(1.0).tobytes() + b"\ne:b " + np.float64(2.0).tobytes() + b"\n")
+        with pytest.raises(FormatError, match="invalid UTF-8 at byte ") as info:
+            load_embeddings(path)
+        assert info.value.lineno == 2
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError):
             load_embeddings(tmp_path / "nope.txt")
@@ -158,6 +248,16 @@ class TestEmbeddingIndex:
         assert np.array_equal(index.vector(node), table.cat_in[1])
         assert node_label(index, node) == vocab.category_label(1)
 
+    def test_index_save_round_trip(self, small_setup, tmp_path):
+        vocab, table = small_setup
+        index = index_from_table(table, vocab)
+        path = tmp_path / "again.txt"
+        index.save_text(path)
+        again = load_embeddings(path)
+        assert again.ent_labels == index.ent_labels and again.cat_labels == index.cat_labels
+        assert np.allclose(again.ent_vecs, index.ent_vecs, rtol=1e-5, atol=1e-12)
+        assert np.allclose(again.cat_vecs, index.cat_vecs, rtol=1e-5, atol=1e-12)
+
     def test_match_is_normalized(self, small_setup):
         vocab, table = small_setup
         index = index_from_table(table, vocab)
@@ -203,3 +303,14 @@ class TestScaledNorm:
         for row in range(6):  # one vector at a time agrees with the matrix
             v, n = scaled_norm(x[row])
             assert np.allclose(v / (n or 1.0), unit[row], rtol=1e-14)
+
+    def test_rescaling_starts_below_the_tiny_norm(self):
+        # a row at norm 2**-500 keeps its plain norm bit for bit; one just below is rescaled
+        x = np.zeros((2, 4))
+        x[0, 0] = 2.0**-500
+        x[1, :] = 2.0**-502 * 0.99  # norm 0.99 * 2**-501
+        y, norm = scaled_norm(x)
+        assert np.array_equal(y[0], x[0]) and norm[0, 0] == 2.0**-500
+        assert np.array_equal(y[1], np.ones(4)) and norm[1, 0] == 2.0
+        v, n = scaled_norm(x[1])
+        assert np.array_equal(v, np.ones(4)) and n == 2.0
