@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import records
+from .corpus import normalize_label, records
 from .embeddings import EmbeddingIndex, scaled_norm
 from .errors import EvalError, FormatError
 
@@ -61,9 +61,10 @@ def load_gold(path: str | Path) -> GoldLabeling:
         entity, category = (f.strip() for f in fields)
         if not entity or not category:
             raise FormatError("empty label", name, lineno)
-        if entity in seen:
+        key = normalize_label(entity)  # the folding entity lookups use
+        if key in seen:
             raise FormatError(f"duplicate entity {entity!r}", name, lineno)
-        seen.add(entity)
+        seen.add(key)
         entities.append(entity)
         categories.append(category)
         classes.setdefault(category)

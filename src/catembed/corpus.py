@@ -12,8 +12,8 @@ Every text input is read here: :func:`read_lines` decodes UTF-8 once and
 Blank lines are skipped. An invalid UTF-8 byte or a wrong field count raises
 :class:`FormatError` with the source name and line number.
 
-Loading is single-threaded. A :class:`CategoryGraph` is immutable once
-:func:`prune_to_dag` returns it; :func:`load_corpus` only reads it. The
+Loading is single-threaded. A :class:`CategoryGraph` is acyclic and
+immutable from construction on; :func:`load_corpus` only reads it. The
 resulting :class:`Vocabulary`, :class:`CategoryGraph` and :class:`Corpus` are
 only read by training.
 """
@@ -265,50 +265,43 @@ class PruneReport:
 
 @dataclass
 class CategoryGraph:
-    """Rooted category DAG, immutable after :func:`prune_to_dag` builds it.
+    """Rooted category DAG; construction checks that it is acyclic.
 
-    The labeling of entities with direct categories is corpus data and lives
-    on :class:`Corpus`.
+    ``children`` has a key for every node. ``__post_init__`` derives
+    ``parents`` and ``rank``, a topological position per node (each parent
+    ranks before its children), and raises :class:`HierarchyError` on a
+    cycle, so every walk over a ``CategoryGraph`` may assume a DAG. The
+    labeling of entities with direct categories is corpus data and lives on
+    :class:`Corpus`.
     """
 
     root: int
     children: dict[int, tuple[int, ...]]
-    parents: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    parents: dict[int, tuple[int, ...]] = field(init=False)
+    rank: dict[int, int] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.parents:
-            rev: dict[int, list[int]] = {n: [] for n in self.children}
-            for parent, kids in self.children.items():
-                for child in kids:
-                    rev[child].append(parent)
-            self.parents = {n: tuple(sorted(ps)) for n, ps in rev.items()}
-
-    def __contains__(self, category: int) -> bool:
-        return category in self.children
-
-    @property
-    def nodes(self) -> list[int]:
-        return sorted(self.children)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(c) for c in self.children.values())
-
-    def topological_order(self) -> list[int]:
-        """Kahn's algorithm; raises if a cycle survived pruning."""
-        indeg = {n: len(self.parents[n]) for n in self.children}
+        rev: dict[int, list[int]] = {n: [] for n in self.children}
+        for parent, kids in self.children.items():
+            for child in kids:
+                rev[child].append(parent)
+        self.parents = {n: tuple(sorted(ps)) for n, ps in rev.items()}
+        # Kahn's algorithm: a node is ranked once all of its parents are.
+        indeg = {n: len(ps) for n, ps in rev.items()}
         ready = sorted(n for n, d in indeg.items() if d == 0)
-        order: list[int] = []
+        self.rank = {}
         while ready:
             node = ready.pop()
-            order.append(node)
+            self.rank[node] = len(self.rank)
             for child in self.children[node]:
                 indeg[child] -= 1
                 if indeg[child] == 0:
                     ready.append(child)
-        if len(order) != len(self.children):
+        if len(self.rank) != len(self.children):
             raise HierarchyError("category graph contains a cycle")
-        return order
+
+    def __contains__(self, category: int) -> bool:
+        return category in self.children
 
 
 def prune_to_dag(
@@ -319,11 +312,12 @@ def prune_to_dag(
 ) -> tuple[CategoryGraph, PruneReport]:
     """Prune a raw category digraph down to a DAG rooted at ``root_label``.
 
-    Three passes: (1) drop categories whose label contains any of
-    ``drop_patterns``; (2) drop nodes unreachable from the root; (3) run a DFS
-    from the root with children in ascending index order and delete every back
-    edge (an edge to a node still on the DFS stack). The result is acyclic
-    and applying the same pruning again is a no-op.
+    Two passes: (1) drop categories whose label contains any of
+    ``drop_patterns``; (2) run one DFS from the root with children in
+    ascending index order, drop the nodes it never reaches and delete every
+    back edge (an edge to a node still on the DFS stack). The result is
+    acyclic, which :class:`CategoryGraph` checks again as it is built, and
+    applying the same pruning again is a no-op.
     """
     patterns = [p for p in drop_patterns if p]
     report = PruneReport(nodes_in=len(graph.nodes), edges_in=graph.n_edges)
@@ -347,54 +341,39 @@ def prune_to_dag(
     report.pattern_nodes = len(dropped)
     report.pattern_edges = report.edges_in - kept_edges
 
-    # Reachability from root over the surviving edges.
-    reachable: set[int] = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node in reachable:
-            continue
-        reachable.add(node)
-        stack.extend(kept_children[node])
-    unreachable = set(kept_children) - reachable
-    report.unreachable_nodes = len(unreachable)
-    report.unreachable_edges = sum(len(kept_children[n]) for n in unreachable)
-
-    adjacency = {n: kept_children[n] for n in reachable}
-
-    # Iterative DFS from root; children in ascending index order. An edge into
-    # a node currently on the stack closes a cycle and is deleted.
-    WHITE, ON_STACK, DONE = 0, 1, 2
-    state = {n: WHITE for n in adjacency}
+    # Iterative DFS from root, children in ascending index order. It reaches
+    # exactly the nodes reachable from the root; an edge into a node still on
+    # the DFS stack closes a cycle and is deleted.
+    ON_STACK, DONE = 1, 2
+    state = {root: ON_STACK}
     back_edges: set[tuple[int, int]] = set()
     dfs: list[tuple[int, int]] = [(root, 0)]
-    state[root] = ON_STACK
     while dfs:
         node, child_pos = dfs[-1]
-        kids = adjacency[node]
+        kids = kept_children[node]
         if child_pos == len(kids):
             state[node] = DONE
             dfs.pop()
             continue
         dfs[-1] = (node, child_pos + 1)
         child = kids[child_pos]
-        if state[child] == ON_STACK:
-            back_edges.add((node, child))
-        elif state[child] == WHITE:
+        if child not in state:
             state[child] = ON_STACK
             dfs.append((child, 0))
+        elif state[child] == ON_STACK:
+            back_edges.add((node, child))
+    unreachable = kept_children.keys() - state
+    report.unreachable_nodes = len(unreachable)
+    report.unreachable_edges = sum(len(kept_children[n]) for n in unreachable)
     report.back_edges = len(back_edges)
 
     children = {
-        n: tuple(c for c in kids if (n, c) not in back_edges)
-        for n, kids in adjacency.items()
+        n: tuple(c for c in kept_children[n] if (n, c) not in back_edges)
+        for n in state
     }
     report.nodes_out = len(children)
     report.edges_out = sum(len(c) for c in children.values())
-
-    result = CategoryGraph(root=root, children=children)
-    result.topological_order()  # defensive: guaranteed acyclic by construction
-    return result, report
+    return CategoryGraph(root=root, children=children), report
 
 
 @dataclass

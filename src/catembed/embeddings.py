@@ -27,18 +27,6 @@ class EmbeddingTable:
     cat_in: np.ndarray
     ent_out: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.ent_in.shape[1]
-
-    @property
-    def n_entities(self) -> int:
-        return self.ent_in.shape[0]
-
-    @property
-    def n_categories(self) -> int:
-        return self.cat_in.shape[0]
-
     def assert_finite(self) -> None:
         for name in ("ent_in", "cat_in", "ent_out"):
             if not np.isfinite(getattr(self, name)).all():

@@ -18,7 +18,8 @@ Two implementations share the exact same math:
 
 ``train_chunk`` points at the selected backend. Sigmoid pre-activations are
 clamped to [-CLAMP, CLAMP] before exponentiation, which bounds every log term
-and keeps the tables finite under any learning rate.
+and every gradient coefficient; it does not bound the rows, so a large enough
+learning rate still overflows them.
 
 Gradient convention: the loss for pair (t, c) with weighted categories
 {(c_i, w_i)} and negatives {n} is

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import NodeId, NodeKind, records
+from .corpus import NodeId, NodeKind, normalize_label, records
 from .embeddings import scaled_norm
 from .errors import EvalError, FormatError
 
@@ -42,7 +42,7 @@ def load_relatedness(path: str | Path) -> list[RelatednessPair]:
             raise FormatError("empty word", name, lineno)
         if not (0.0 <= score <= 10.0):
             raise FormatError(f"score {score} outside [0, 10]", name, lineno)
-        key = frozenset((w1.lower(), w2.lower()))
+        key = frozenset((normalize_label(w1), normalize_label(w2)))  # the folding word lookups use
         if key in seen:
             raise FormatError(f"duplicate pair ({w1!r}, {w2!r})", name, lineno)
         seen.add(key)

@@ -56,8 +56,12 @@ class TrainConfig:
             raise ConfigError(f"negatives must be >= 1, got {self.negatives}")
         if self.chunk < 1:
             raise ConfigError(f"chunk must be >= 1, got {self.chunk}")
-        if not (0.0 < self.lr_min <= self.lr0):
-            raise ConfigError(f"need 0 < lr_min <= lr0, got lr_min={self.lr_min}, lr0={self.lr0}")
+        if not (0.0 < self.lr_min <= self.lr0 < math.inf):
+            raise ConfigError(f"need 0 < lr_min <= lr0 < inf, got lr_min={self.lr_min}, lr0={self.lr0}")
+        if not math.isfinite(self.noise_alpha):
+            raise ConfigError(f"noise_alpha must be finite, got {self.noise_alpha}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.workers != 1:
             raise ConfigError(f"workers must be 1 (training runs in one thread), got {self.workers}")
         if self.mode not in MODES:
@@ -75,9 +79,7 @@ class ChunkStats:
     loss_per_pair: float
 
 
-def _subsample_mask(
-    targets: np.ndarray, contexts: np.ndarray, counts: np.ndarray, threshold: float, rng
-) -> np.ndarray:
+def _subsample_mask(contexts: np.ndarray, counts: np.ndarray, threshold: float, rng) -> np.ndarray:
     freq = counts / counts.sum()
     keep_prob = np.minimum(1.0, np.sqrt(threshold / freq[contexts]))
     return rng.random(len(contexts)) < keep_prob
@@ -123,7 +125,7 @@ def train(
         order = shuffle_rng.permutation(n_docs) if config.shuffle else np.arange(n_docs)
         targets, contexts = pairs_arrays(corpus, order)
         if config.subsample > 0:
-            mask = _subsample_mask(targets, contexts, counts, config.subsample, subsample_rng)
+            mask = _subsample_mask(contexts, counts, config.subsample, subsample_rng)
             targets, contexts = targets[mask], contexts[mask]
         for start in range(0, len(targets), config.chunk):
             stop = min(start + config.chunk, len(targets))

@@ -588,6 +588,13 @@ class TestGoldLoader:
         with pytest.raises(FormatError):
             load_gold(path)
 
+    def test_duplicate_entity_found_as_lookups_fold_labels(self, tmp_path):
+        # both lines would score the same embedding row
+        path = tmp_path / "gold.tsv"
+        path.write_text("p0_l0_e01\tp0_l0\nP0_L0_E01\tp1_l0\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r":2: duplicate entity 'P0_L0_E01'$"):
+            load_gold(path)
+
     def test_bundled_dota_fixture_shape(self):
         from catembed.cli import dota_gold_path
 

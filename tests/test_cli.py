@@ -215,6 +215,14 @@ class TestEvalCategorize:
                    "--output", str(tmp_path / "o"), "--verbosity", "0"])
         assert rc == 1
 
+    def test_negative_seed_is_a_one_line_error(self, trained_dir, world_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["eval-categorize", "--embeddings", str(trained_dir / "embeddings.txt"),
+                   "--gold", str(world_dir / "gold.tsv"), "--output", str(out), "--seed", "-1", "--verbosity", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestEvalRelatedness:
     def test_end_to_end(self, world_dir, trained_dir, tmp_path):
@@ -467,6 +475,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("line", [
         "workers=2", "dim=0", "epochs=0", "negatives=0", "chunk=0",
         "lr0=0.01\nlr_min=0.02", "mode=bogus", "subsample=-1", "subsample=inf",
+        "seed=-1", "lr0=inf", "noise_alpha=nan",
     ])
     def test_bad_training_value_refused_before_any_output(self, world_dir, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"

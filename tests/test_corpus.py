@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from catembed.corpus import (
+    PruneReport,
     build_vocabulary,
     load_corpus,
     load_hierarchy,
@@ -221,6 +222,24 @@ class TestPruneToDag:
         assert report.unreachable_nodes == 2
         assert vocab.category_id("island") not in graph
 
+    def test_every_report_field(self):
+        vocab = build_vocabulary(["t\ta\tx"])
+        raw = load_hierarchy([
+            "root\ta", "a\tb", "b\ta",  # b -> a closes a cycle: a back edge
+            "root\tadmin", "admin\ta", "admin\tstray",  # admin is dropped; stray only hangs below it
+            "island\tisland2", "island2\tisland",  # an unreachable cycle
+        ], vocab)
+        graph, report = prune_to_dag(raw, vocab, "root", drop_patterns=["admin"])
+        assert report == PruneReport(
+            nodes_in=7, edges_in=8,
+            pattern_nodes=1, pattern_edges=3,
+            unreachable_nodes=3, unreachable_edges=2,
+            back_edges=1,
+            nodes_out=3, edges_out=2,
+        )
+        root, a, b = (vocab.category_id(label) for label in ("root", "a", "b"))
+        assert graph.children == {root: (a,), a: (b,), b: ()}
+
     @pytest.mark.parametrize("seed", range(30))
     def test_random_digraphs_become_dags_idempotently(self, seed):
         rng = np.random.default_rng(seed)
@@ -238,6 +257,9 @@ class TestPruneToDag:
         raw = load_hierarchy(lines, vocab)
         graph, _ = prune_to_dag(raw, vocab, "c0")
         assert toposort_ok(graph.children)
+        assert sorted(graph.rank) == sorted(graph.children)
+        assert sorted(graph.rank.values()) == list(range(len(graph.children)))
+        assert all(graph.rank[p] < graph.rank[c] for p, kids in graph.children.items() for c in kids)
         # idempotence: pruning the pruned edge set changes nothing
         relines = [
             f"{vocab.category_label(p)}\t{vocab.category_label(c)}"

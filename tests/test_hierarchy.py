@@ -213,16 +213,21 @@ class TestWeightCsr:
 
 
 def test_cycle_in_ancestor_closure_errors():
-    g = make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 2)])
     with pytest.raises(HierarchyError, match="cycle"):
-        steps_down(g, {3})
+        make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 2)])
+
+
+def test_cycle_outside_every_closure_refused_at_construction():
+    # 2 <-> 3 is no ancestor of the direct category 1, so no closure walk would meet it
+    with pytest.raises(HierarchyError, match="cycle"):
+        make_graph(4, [(0, 1), (0, 2), (2, 3), (3, 2)])
 
 
 def reference_category_weights(graph, direct):
     """Whole-graph path statistics and weights as computed before ``steps_down``: test-only oracle."""
     direct = frozenset(direct)
     n, s = {}, {}
-    for node in reversed(graph.topological_order()):
+    for node in sorted(graph.children, key=graph.rank.__getitem__, reverse=True):
         count = 1 if node in direct else 0
         total = 0
         for child in graph.children[node]:

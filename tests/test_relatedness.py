@@ -168,6 +168,13 @@ class TestLoadRelatedness:
         with pytest.raises(FormatError):
             load_relatedness(path)
 
+    def test_duplicate_pair_found_as_lookups_fold_words(self, tmp_path):
+        # both lines map to the same two nodes
+        path = tmp_path / "pairs.tsv"
+        path.write_text("hot dog\tbun\t8\nbun\tHot_Dog\t7\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r":2: duplicate pair \('bun', 'Hot_Dog'\)$"):
+            load_relatedness(path)
+
     def test_field_count_message_names_fields(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("cat\tdog\t8\nsun\tmoon\t6\t1\n", encoding="utf-8")

@@ -89,6 +89,10 @@ class TestTrainConfig:
             {"workers": 2},
             {"subsample": -1.0},
             {"subsample": float("nan")},
+            {"seed": -1},
+            {"lr0": float("inf")},
+            {"noise_alpha": float("nan")},
+            {"noise_alpha": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
