@@ -51,12 +51,10 @@ class GoldLabeling:
 
 def load_gold(path: str | Path) -> GoldLabeling:
     path = Path(path)
-    if not path.exists():
-        raise EvalError(f"gold file not found: {path}")
     entities: list[str] = []
     categories: list[str] = []
     seen: set[str] = set()
-    classes: dict[str, None] = {}
+    classes: dict[str, str] = {}  # folded class label -> its first spelling, which names the class
     for name, lineno, fields in records(path, ("entity", "category")):
         entity, category = (f.strip() for f in fields)
         if not entity or not category:
@@ -66,11 +64,10 @@ def load_gold(path: str | Path) -> GoldLabeling:
             raise FormatError(f"duplicate entity {entity!r}", name, lineno)
         seen.add(key)
         entities.append(entity)
-        categories.append(category)
-        classes.setdefault(category)
+        categories.append(classes.setdefault(normalize_label(category), category))
     if not entities:
         raise EvalError(f"gold file {path} is empty")
-    return GoldLabeling(entities, categories, list(classes))
+    return GoldLabeling(entities, categories, list(classes.values()))
 
 
 @dataclass

@@ -75,8 +75,6 @@ def _coerce(raw: str, typ) -> object:
 
 def load_config_file(path: str | Path) -> dict:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     types = _field_types(RunConfig)
     values: dict = {}
     _, lines = read_lines(path)
@@ -176,9 +174,6 @@ def cmd_build_vocab(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     vocab, graph, corpus = _build_pipeline(cfg)
     embeddings.check_labels(vocab.entity_labels(), vocab.category_labels())
-    out_dir = Path(cfg.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    echo_config(cfg, out_dir)
 
     total_chunks = max(1, math.ceil(cfg.epochs * corpus.n_pairs / cfg.chunk))
     log_every = max(1, total_chunks // 20)
@@ -196,6 +191,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     log.info("training mode=%s dim=%d epochs=%d backend=%s", cfg.mode, cfg.dim, cfg.epochs, kernels.BACKEND)
     table = trainer.train(corpus, graph, cfg, on_chunk=on_chunk)
+    out_dir = Path(cfg.output)  # created only once training succeeds
+    echo_config(cfg, out_dir)
     out_path = out_dir / "embeddings.txt"
     embeddings.save_text(table, vocab, out_path)
     log.info("wrote %s (%d rows, dim %d)", out_path, vocab.n_entities + vocab.n_categories, cfg.dim)

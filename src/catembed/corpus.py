@@ -12,10 +12,13 @@ Every text input is read here: :func:`read_lines` decodes UTF-8 once and
 Blank lines are skipped. An invalid UTF-8 byte or a wrong field count raises
 :class:`FormatError` with the source name and line number.
 
-Loading is single-threaded. A :class:`CategoryGraph` is acyclic and
-immutable from construction on; :func:`load_corpus` only reads it. The
-resulting :class:`Vocabulary`, :class:`CategoryGraph` and :class:`Corpus` are
-only read by training.
+:func:`load_hierarchy` returns the raw hierarchy as a plain child map, which
+may contain cycles; :func:`prune_to_dag` cuts it down to a
+:class:`CategoryGraph`, whose construction checks that it is rooted, closed
+and acyclic. Every later layer relies on that one check. Loading is
+single-threaded; :func:`load_corpus` only reads the graph, and the resulting
+:class:`Vocabulary`, :class:`CategoryGraph` and :class:`Corpus` are only read
+by training.
 """
 
 from __future__ import annotations
@@ -208,37 +211,23 @@ def build_vocabulary(source: str | Path | Iterable[str], min_count: int = 1) -> 
     return vocab
 
 
-@dataclass
-class DirectedGraph:
-    """Raw category digraph as loaded from disk; may contain cycles."""
+def load_hierarchy(source: str | Path | Iterable[str], vocab: Vocabulary) -> dict[int, set[int]]:
+    """Read ``parent<TAB>child`` edges into a child map; unseen labels become new categories.
 
-    nodes: set[int] = field(default_factory=set)
-    children: dict[int, set[int]] = field(default_factory=dict)
-
-    def add_edge(self, parent: int, child: int) -> None:
-        self.nodes.add(parent)
-        self.nodes.add(child)
-        self.children.setdefault(parent, set()).add(child)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(c) for c in self.children.values())
-
-
-def load_hierarchy(source: str | Path | Iterable[str], vocab: Vocabulary) -> DirectedGraph:
-    """Read ``parent<TAB>child`` edges; unseen labels become new categories.
-
-    Duplicate edges collapse to one; a self-loop is a format error.
+    The map has a key for every node, leaves included, and may contain
+    cycles. Duplicate edges collapse to one; a self-loop is a format error.
     """
-    graph = DirectedGraph()
+    children: dict[int, set[int]] = {}
     for name, lineno, fields in records(source, ("parent", "child")):
         parent, child = (f.strip() for f in fields)
         if not parent or not child:
             raise FormatError("empty category label in edge", name, lineno)
         if parent == child:
             raise FormatError(f"self-loop edge on {parent!r}", name, lineno)
-        graph.add_edge(vocab.add_category(parent), vocab.add_category(child))
-    return graph
+        parent_id, child_id = vocab.add_category(parent), vocab.add_category(child)
+        children.setdefault(parent_id, set()).add(child_id)
+        children.setdefault(child_id, set())
+    return children
 
 
 @dataclass
@@ -265,14 +254,14 @@ class PruneReport:
 
 @dataclass
 class CategoryGraph:
-    """Rooted category DAG; construction checks that it is acyclic.
+    """Rooted category DAG; construction checks the whole graph contract.
 
-    ``children`` has a key for every node. ``__post_init__`` derives
+    ``__post_init__`` raises :class:`HierarchyError` unless ``root`` and
+    every child are keys of ``children`` and the graph is acyclic, so every
+    walk over a ``CategoryGraph`` may assume a closed DAG. It derives
     ``parents`` and ``rank``, a topological position per node (each parent
-    ranks before its children), and raises :class:`HierarchyError` on a
-    cycle, so every walk over a ``CategoryGraph`` may assume a DAG. The
-    labeling of entities with direct categories is corpus data and lives on
-    :class:`Corpus`.
+    ranks before its children). The labeling of entities with direct
+    categories is corpus data and lives on :class:`Corpus`.
     """
 
     root: int
@@ -281,9 +270,13 @@ class CategoryGraph:
     rank: dict[int, int] = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.root not in self.children:
+            raise HierarchyError(f"root category {self.root} is not a node of the graph")
         rev: dict[int, list[int]] = {n: [] for n in self.children}
         for parent, kids in self.children.items():
             for child in kids:
+                if child not in rev:
+                    raise HierarchyError(f"category {child}, a child of {parent}, is not a node of the graph")
                 rev[child].append(parent)
         self.parents = {n: tuple(sorted(ps)) for n, ps in rev.items()}
         # Kahn's algorithm: a node is ranked once all of its parents are.
@@ -305,12 +298,12 @@ class CategoryGraph:
 
 
 def prune_to_dag(
-    graph: DirectedGraph,
+    raw: dict[int, set[int]],
     vocab: Vocabulary,
     root_label: str,
     drop_patterns: Iterable[str] = (),
 ) -> tuple[CategoryGraph, PruneReport]:
-    """Prune a raw category digraph down to a DAG rooted at ``root_label``.
+    """Prune the raw child map of :func:`load_hierarchy` down to a DAG rooted at ``root_label``.
 
     Two passes: (1) drop categories whose label contains any of
     ``drop_patterns``; (2) run one DFS from the root with children in
@@ -320,26 +313,18 @@ def prune_to_dag(
     applying the same pruning again is a no-op.
     """
     patterns = [p for p in drop_patterns if p]
-    report = PruneReport(nodes_in=len(graph.nodes), edges_in=graph.n_edges)
+    report = PruneReport(nodes_in=len(raw), edges_in=sum(map(len, raw.values())))
 
     root = vocab.category_id(root_label)
-    if root is None or root not in graph.nodes:
+    if root is None or root not in raw:
         raise HierarchyError(f"root category {root_label!r} not present in the hierarchy")
     if any(p in root_label for p in patterns):
         raise HierarchyError(f"root category {root_label!r} matches a drop pattern")
 
-    dropped = {
-        n for n in graph.nodes
-        if any(p in vocab.category_label(n) for p in patterns)
-    }
-    kept_children: dict[int, list[int]] = {}
-    kept_edges = 0
-    for node in graph.nodes - dropped:
-        kids = [c for c in graph.children.get(node, ()) if c not in dropped]
-        kept_children[node] = sorted(kids)
-        kept_edges += len(kids)
+    dropped = {n for n in raw if any(p in vocab.category_label(n) for p in patterns)}
+    kept_children = {n: sorted(kids - dropped) for n, kids in raw.items() if n not in dropped}
     report.pattern_nodes = len(dropped)
-    report.pattern_edges = report.edges_in - kept_edges
+    report.pattern_edges = report.edges_in - sum(map(len, kept_children.values()))
 
     # Iterative DFS from root, children in ascending index order. It reaches
     # exactly the nodes reachable from the root; an edge into a node still on

@@ -144,15 +144,13 @@ def _header(line: str, source: str) -> tuple[int, int]:
 
 def load_embeddings(path: str | Path) -> EmbeddingIndex:
     """Load a text export; a malformed row fails with its ``<path>:<line>``."""
-    path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"embedding file not found: {path}")
     source, lines = read_lines(path)
     if not lines:
         raise FormatError("empty embedding file", source, 1)
     n_rows, dim = _header(lines[0], source)
     # (label, vector, line number) per row of each kind, in file order
     parsed: dict[NodeKind, list[tuple[str, np.ndarray, int]]] = {NodeKind.ENTITY: [], NodeKind.CATEGORY: []}
+    seen: set[str] = set()  # prefixed labels; folded clashes stay two rows
     for lineno, line in enumerate(lines[1:], 2):
         parts = line.split()
         if not parts:
@@ -160,6 +158,9 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
         if len(parts) != dim + 1:
             raise FormatError(f"expected {dim + 1} columns, got {len(parts)}", source, lineno)
         kind, label = _split_prefixed(parts[0], source, lineno)
+        if parts[0] in seen:
+            raise FormatError(f"duplicate row label {parts[0]!r}", source, lineno)
+        seen.add(parts[0])
         try:
             vec = np.array([float(x) for x in parts[1:]])
         except ValueError as exc:

@@ -24,14 +24,7 @@ class CorpusError(CatembedError):
 
 
 class HierarchyError(CatembedError):
-    """Category-graph contract violation (missing root, unknown category, ...).
-
-    ``entity`` is the vocabulary index of the entity whose weights failed, when known.
-    """
-
-    def __init__(self, message: str, entity: int | None = None):
-        self.entity = entity
-        super().__init__(message)
+    """Category-graph contract violation (missing root, dangling child, cycle, unweightable entity, ...)."""
 
 
 class SamplerError(CatembedError):

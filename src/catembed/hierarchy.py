@@ -10,7 +10,7 @@ only, each with weight exactly 1.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,30 +106,32 @@ def ce_weights(direct: Iterable[int]) -> AncestorWeights:
 def weight_csr(
     graph: CategoryGraph,
     entity_categories: Mapping[int, tuple[int, ...]],
-    n_entities: int,
+    entity_labels: Sequence[str],
     mode: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flatten per-entity weights into CSR arrays for the training kernel.
 
     Computed once at training start from the direct categories of each entity
-    (``Corpus.entity_categories``). Entities without a labeling (context-only
-    entities) get an empty slice.
+    (``Corpus.entity_categories``), for one entity per label in
+    ``entity_labels``. Entities without a labeling (context-only entities)
+    get an empty slice. A weight failure raises :class:`HierarchyError`
+    naming the entity by its label.
 
     Returns ``(offsets, cat_ids, cat_ws)`` where entity e's categories live in
     ``cat_ids[offsets[e]:offsets[e+1]]``.
     """
     if mode not in ("ce", "hce"):
         raise HierarchyError(f"unknown mode {mode!r}")
-    offsets = np.zeros(n_entities + 1, dtype=np.int64)
+    offsets = np.zeros(len(entity_labels) + 1, dtype=np.int64)
     ids: list[int] = []
     ws: list[float] = []
-    for ent in range(n_entities):
+    for ent, label in enumerate(entity_labels):
         direct = entity_categories.get(ent)
         if direct:
             try:
                 aw = category_weights(steps_down(graph, direct)) if mode == "hce" else ce_weights(direct)
             except HierarchyError as exc:
-                raise HierarchyError(str(exc), entity=ent) from exc
+                raise HierarchyError(f"entity {label!r}: {exc}") from exc
             ids.extend(aw.categories)
             ws.extend(aw.weights)
         offsets[ent + 1] = len(ids)

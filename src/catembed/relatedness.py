@@ -28,8 +28,6 @@ class RelatednessPair:
 
 def load_relatedness(path: str | Path) -> list[RelatednessPair]:
     path = Path(path)
-    if not path.exists():
-        raise EvalError(f"relatedness dataset not found: {path}")
     pairs: list[RelatednessPair] = []
     seen: set[frozenset[str]] = set()
     for name, lineno, (w1, w2, raw_score) in records(path, ("word1", "word2", "score")):

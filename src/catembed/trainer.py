@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .corpus import CategoryGraph, Corpus
 from .embeddings import EmbeddingTable, init_embeddings
-from .errors import ConfigError, HierarchyError, TrainError
+from .errors import ConfigError, TrainError
 from .hierarchy import weight_csr
 from .sampler import build_noise_table, draw_negatives_batch, pairs_arrays
 
@@ -99,10 +99,7 @@ def train(
     """
     config.validate()
     vocab = corpus.vocab
-    try:
-        cat_offsets, cat_ids, cat_ws = weight_csr(graph, corpus.entity_categories, vocab.n_entities, config.mode)
-    except HierarchyError as exc:  # past config.validate(), every weight_csr error carries its entity
-        raise HierarchyError(f"entity {vocab.entity_label(exc.entity)!r}: {exc}") from exc
+    cat_offsets, cat_ids, cat_ws = weight_csr(graph, corpus.entity_categories, vocab.entity_labels(), config.mode)
     table = init_embeddings(vocab.n_entities, max(1, vocab.n_categories), config.dim, config.seed)
     noise = build_noise_table(vocab, config.noise_alpha)
     counts = vocab.entity_counts().astype(np.float64)

@@ -576,6 +576,20 @@ class TestGoldLoader:
         assert gold.class_labels == ["animals", "vehicles"]
         assert gold.n_classes == 2
 
+    def test_class_labels_fold_as_category_lookups_do(self, tmp_path):
+        # NN resolves each class with match_category, which folds case; so must the classes
+        path = tmp_path / "gold.tsv"
+        path.write_text("dog\tanimals\ncat\tAnimals\ncar\tvehicles\nbus\tvehicles\n", encoding="utf-8")
+        gold = load_gold(path)
+        assert gold.class_labels == ["animals", "vehicles"]
+        assert gold.categories == ["animals", "animals", "vehicles", "vehicles"]
+        index = EmbeddingIndex(["dog", "cat", "car", "bus"], ["animals", "vehicles"],
+                               np.array([[0.0], [0.1], [10.0], [10.1]]), np.array([[0.0], [10.0]]))
+        report = run_categorization(index, gold, method="nn")
+        assert report["n_classes"] == 2
+        assert report["nn"]["accuracy"] == 1.0
+        assert report["nn"]["misclassified"] == {}
+
     def test_field_count_message_names_fields(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_text("cat\tanimals\n\ndog\n", encoding="utf-8")

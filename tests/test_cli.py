@@ -139,8 +139,9 @@ class TestTrain:
                    "--verbosity", "0"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: entity 'alpha': ")
+        assert err.startswith("error: entity 'alpha': ") and err.count("\n") == 1
         assert "root only" in err
+        assert not (tmp_path / "o").exists()  # a failed run leaves no output directory
 
     @pytest.mark.parametrize("target,cats,named", [
         ("alpha", "Living people", "'c:Living people'"),

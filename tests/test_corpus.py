@@ -1,6 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
+from catembed.categorize import load_gold
+from catembed.cli import load_config_file
 from catembed.corpus import (
     PruneReport,
     build_vocabulary,
@@ -10,8 +14,9 @@ from catembed.corpus import (
     read_lines,
     records,
 )
-from catembed.embeddings import EmbeddingIndex
+from catembed.embeddings import EmbeddingIndex, load_embeddings
 from catembed.errors import CorpusError, FormatError, HierarchyError
+from catembed.relatedness import load_relatedness
 
 
 def toposort_ok(children: dict[int, tuple[int, ...]]) -> bool:
@@ -108,6 +113,12 @@ class TestReadLines:
         with pytest.raises(CorpusError, match="input file not found"):
             read_lines(tmp_path / "absent.tsv")
 
+    @pytest.mark.parametrize("loader", [load_gold, load_relatedness, load_embeddings, load_config_file])
+    def test_loaders_share_the_one_missing_file_check(self, tmp_path, loader):
+        path = tmp_path / "absent.tsv"
+        with pytest.raises(CorpusError, match=f"^input file not found: {re.escape(str(path))}$"):
+            loader(path)
+
     def test_stream_passes_through(self):
         assert read_lines(["a", "b"]) == ("<stream>", ["a", "b"])
 
@@ -156,14 +167,14 @@ class TestReadLines:
 class TestLoadHierarchy:
     def test_simple_edges(self):
         vocab = build_vocabulary(["t\ta\tx"])
-        graph = load_hierarchy(["root\ta", "a\tb"], vocab)
-        assert len(graph.nodes) == 3
-        assert graph.n_edges == 2
+        children = load_hierarchy(["root\ta", "a\tb"], vocab)
+        assert len(children) == 3  # the leaf b has a key too
+        assert sum(map(len, children.values())) == 2
 
     def test_duplicate_edges_collapse(self):
         vocab = build_vocabulary(["t\ta\tx"])
-        graph = load_hierarchy(["a\tb", "a\tb"], vocab)
-        assert graph.n_edges == 1
+        children = load_hierarchy(["a\tb", "a\tb"], vocab)
+        assert sum(map(len, children.values())) == 1
 
     def test_self_loop_rejected(self):
         vocab = build_vocabulary(["t\ta\tx"])

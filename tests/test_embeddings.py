@@ -66,6 +66,17 @@ class TestTextFormat:
         with pytest.raises(FormatError):
             load_embeddings(path)
 
+    def test_repeated_row_label_rejected(self, tmp_path):
+        # the second e:a row could never be reached by a label lookup
+        path = tmp_path / "dup.txt"
+        path.write_text("3 2\ne:a 1 0\ne:a 0.9 0.1\ne:b 0 1\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:3: duplicate row label 'e:a'$"):
+            load_embeddings(path)
+        # labels that only fold together, or share a label across kinds, stay distinct rows
+        path.write_text("3 1\ne:Big_Cat 1\ne:big_cat 2\nc:Big_Cat 3\n")
+        index = load_embeddings(path)
+        assert index.ent_labels == ["Big_Cat", "big_cat"]
+        assert index.cat_labels == ["Big_Cat"]
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
     def test_non_finite_value_rejected(self, tmp_path, token):

@@ -192,7 +192,7 @@ class TestWeightCsr:
     def test_csr_layout(self):
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
         labeling = {0: (3,), 2: (2, 3)}
-        offsets, ids, ws = weight_csr(g, labeling, n_entities=3, mode="hce")
+        offsets, ids, ws = weight_csr(g, labeling, ["e0", "e1", "e2"], mode="hce")
         assert offsets.tolist()[0] == 0
         assert offsets[1] - offsets[0] == 3  # entity 0: c1 + two ancestors
         assert offsets[2] - offsets[1] == 0  # entity 1 unlabeled
@@ -200,16 +200,24 @@ class TestWeightCsr:
 
     def test_ce_mode_unnormalized(self):
         g = make_graph(3, [(0, 1), (0, 2)])
-        offsets, ids, ws = weight_csr(g, {0: (1, 2)}, n_entities=1, mode="ce")
+        offsets, ids, ws = weight_csr(g, {0: (1, 2)}, ["e0"], mode="ce")
         assert ws.tolist() == [1.0, 1.0]
         assert sorted(ids.tolist()) == [1, 2]
 
     def test_failing_entity_is_named(self):
         g = make_graph(3, [(0, 1), (1, 2)])
         labeling = {0: (2,), 1: (0,)}  # entity 1 is labeled with the root only: no weighted category
-        with pytest.raises(HierarchyError) as exc:
-            weight_csr(g, labeling, n_entities=2, mode="hce")
-        assert exc.value.entity == 1
+        with pytest.raises(HierarchyError, match="^entity 'e1': no weighted categories"):
+            weight_csr(g, labeling, ["e0", "e1"], mode="hce")
+
+
+@pytest.mark.parametrize("root, children, message", [
+    (5, {0: (), 1: ()}, "^root category 5 is not a node of the graph$"),
+    (0, {0: (1,)}, "^category 1, a child of 0, is not a node of the graph$"),
+])
+def test_rootless_or_open_graph_refused_at_construction(root, children, message):
+    with pytest.raises(HierarchyError, match=message):
+        CategoryGraph(root=root, children=children)
 
 
 def test_cycle_in_ancestor_closure_errors():
@@ -285,7 +293,7 @@ class TestMatchesWholeGraphReference:
     @staticmethod
     def assert_csr_equal(g, labeling, n_entities):
         for mode in ("ce", "hce"):
-            got = weight_csr(g, labeling, n_entities, mode)
+            got = weight_csr(g, labeling, [f"e{i}" for i in range(n_entities)], mode)
             want = reference_weight_csr(g, labeling, n_entities, mode)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype

@@ -403,8 +403,8 @@ class TestTrain:
 
         from catembed.hierarchy import weight_csr
 
-        off_ce, ids_ce, ws_ce = weight_csr(graph, corpus.entity_categories, vocab.n_entities, "ce")
-        off_h, ids_h, ws_h = weight_csr(graph, corpus.entity_categories, vocab.n_entities, "hce")
+        off_ce, ids_ce, ws_ce = weight_csr(graph, corpus.entity_categories, vocab.entity_labels(), "ce")
+        off_h, ids_h, ws_h = weight_csr(graph, corpus.entity_categories, vocab.entity_labels(), "hce")
         assert np.array_equal(off_ce, off_h)
         assert np.array_equal(ids_ce, ids_h)
         for e in range(vocab.n_entities):
