@@ -343,7 +343,7 @@ _FLAG_HELP = {
     "epochs": "passes over the pair stream",
     "lr0": "initial learning rate",
     "lr_min": "learning-rate floor (default 1e-4 * lr0)",
-    "negatives": "negative samples per pair",
+    "negatives": "negative samples per group of same-target pairs, shared by its pairs",
     "chunk": "pairs per scheduling chunk (lr updates, progress)",
     "noise_alpha": "noise distribution exponent over entity counts",
     "seed": "RNG seed",

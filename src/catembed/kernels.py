@@ -3,14 +3,16 @@
 This is the hot loop. The chunk is cut into groups: a group is a run of
 consecutive pairs that share a target, cut into pieces of at most
 ``GROUP_MAX`` pairs. The pair stream yields each document's pairs
-contiguously, so a group is one document or a piece of one. Per group the
-kernel scores every pair's context and k negative output rows against the
-target row and its weighted category rows, all as they were before the
-group, sums the deltas over the group, and applies one SGD step to every
-touched row. With one pair per group this is plain per-pair SGD; groups of
-more than 8 pairs lost nearest-neighbour purity on a deep category DAG,
-because every summed step lands on category rows that many entities share.
-Two implementations share the exact same math:
+contiguously, so a group is one document or a piece of one. Every group has
+one row of k negatives, shared by all of its pairs (the HogBatch scheme of
+Ji et al. 2016). Per group the kernel scores the G contexts and the k shared
+negatives against the target row and its weighted category rows, all as they
+were before the group, sums the deltas over the group, and applies one SGD
+step to every touched row: G + k output rows where per-pair negatives took
+G(1 + k). With one pair per group this is plain per-pair SGD; groups of more
+than 8 pairs lost nearest-neighbour purity on a deep category DAG, because
+every summed step lands on category rows that many entities share. Two
+implementations share the exact same math:
 
 * ``train_chunk_numba`` -- explicit loops compiled with ``@njit``.
 * ``train_chunk_numpy`` -- one matmul per group, used when numba is
@@ -27,8 +29,18 @@ Gradient convention: the loss for pair (t, c) with weighted categories
     loss = log(1+exp(-u_c.v_t)) + sum_i w_i log(1+exp(-u_c.v_ci))
          + sum_n [log(1+exp(u_n.v_t)) + sum_i w_i log(1+exp(u_n.v_ci))]
 
-i.e. the negated log-sigmoid objective, so lower is better. All deltas for a
-group are computed against the pre-group rows, summed, then applied at once.
+i.e. the negated log-sigmoid objective, so lower is better. A group is G
+pairs (t, c_1..c_G) that all take the group's negatives {n}. The negative
+term depends only on t, its categories and {n}, which every pair of the
+group shares, so it is the same for all G pairs: the kernel scores each
+shared negative once and multiplies its loss and its coefficient
+w_i sigmoid(u_n.v_ci) by G. That is the exact sum of the G per-pair
+gradients when every pair draws the same negatives, not an approximation.
+Both kernels write every term of a group as m w log(1+exp(z)) with z
+clamped: z = -u.v and m = 1 for a context, z = u.v and m = G for a shared
+negative. The term's gradient coefficient is then -m w sigmoid(z) for a
+context and m w sigmoid(z) for a negative. All deltas for a group are
+computed against the pre-group rows, summed, then applied at once.
 """
 
 from __future__ import annotations
@@ -40,11 +52,12 @@ import numpy as np
 
 CLAMP = 30.0
 GROUP_MAX = 8  # most pairs per SGD step
+_ONE = np.ones(1)
 
 _ENV_FLAG = "CATEMBED_NO_NUMBA"
 
 
-def _group_bounds(targets: np.ndarray) -> np.ndarray:
+def group_bounds(targets: np.ndarray) -> np.ndarray:
     """Start of every group, then ``len(targets)``.
 
     A group is a run of consecutive equal targets, cut into pieces of at most
@@ -56,6 +69,16 @@ def _group_bounds(targets: np.ndarray) -> np.ndarray:
     new_run[1:] = targets[1:] != targets[:-1]
     run_start = np.maximum.accumulate(np.where(new_run, idx, 0))
     return np.append(np.flatnonzero((idx - run_start) % GROUP_MAX == 0), n)
+
+
+def group_contexts(targets: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+    """The contexts of every group, one row per group, padded with -1 to ``GROUP_MAX`` columns."""
+    bounds = group_bounds(targets)
+    sizes = np.diff(bounds)
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    out = np.full((len(sizes), GROUP_MAX), -1, dtype=np.int64)
+    out[group, np.arange(len(targets)) - bounds[group]] = contexts
+    return out
 
 
 def train_chunk_numpy(
@@ -70,50 +93,54 @@ def train_chunk_numpy(
     cat_ws: np.ndarray,
     lr: float,
 ) -> float:
-    """Pure-numpy chunk kernel; sequential per-group updates."""
+    """Pure-numpy chunk kernel; sequential per-group updates.
+
+    ``negatives`` holds one row of k negatives per group, in chunk order.
+    """
     d = ent_in.shape[1]
-    k1 = 1 + negatives.shape[1]
-    # row 0 of each pair's block is the positive context, the rest are negatives
-    out_ids = np.concatenate((contexts[:, None], negatives), axis=1)
+    k = negatives.shape[1]
+    bounds = group_bounds(targets)
+    if negatives.shape[0] != len(bounds) - 1:
+        raise ValueError(f"negatives needs one row per group: {len(bounds) - 1} groups, {negatives.shape[0]} rows")
     # np.subtract.at over a flat view takes numpy's 1-d fast path; over rows it is ~4x slower
     if not ent_out.flags.c_contiguous:
         raise ValueError("ent_out must be C-contiguous")
     out_flat = ent_out.reshape(-1)
     cols = np.arange(d)
-    bounds = _group_bounds(targets).tolist()
+    # Per group size G, over its G context rows and then its k negative rows:
+    # the sign that turns each score into the z of its loss term log(1+exp(z)),
+    # each row's multiplicity (1 per context, G per shared negative), and
+    # their product with the step size.
+    sign = [np.concatenate((-np.ones(g), np.ones(k)))[:, None] for g in range(GROUP_MAX + 1)]
+    mult = [np.concatenate((np.ones(g), np.full(k, float(g)))) for g in range(GROUP_MAX + 1)]
+    step = [(lr * m)[:, None] * s for m, s in zip(mult, sign)]
     total = 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
+    for a, b, negs in zip(bounds[:-1].tolist(), bounds[1:].tolist(), negatives):
         t = targets[a]
         lo, hi = cat_offsets[t], cat_offsets[t + 1]
         cids = cat_ids[lo:hi]
-        m = hi - lo
-        ids = out_ids[a:b].ravel()
+        n_pos = b - a
+        # the group's contexts come first, then its shared negatives
+        ids = np.concatenate((contexts[a:b], negs))
 
-        preds = np.empty((1 + m, d))
-        preds[0] = ent_in[t]
-        preds[1:] = cat_in[cids]
-        w = np.empty(1 + m)
-        w[0] = 1.0
-        w[1:] = cat_ws[lo:hi]
+        preds = np.concatenate((ent_in[t : t + 1], cat_in[cids]))
+        w = np.concatenate((_ONE, cat_ws[lo:hi]))
         outs = ent_out[ids]
 
-        scores = np.clip(outs @ preds.T, -CLAMP, CLAMP)
-        exp_s = np.exp(scores)
-        pos = exp_s[::k1]
-        neg = exp_s.reshape(b - a, k1, 1 + m)[:, 1:]
-        total += float((w * np.log1p(1.0 / pos)).sum() + (w * np.log1p(neg)).sum())
+        z = outs @ preds.T
+        z *= sign[n_pos]
+        np.clip(z, -CLAMP, CLAMP, out=z)
+        exp_z = np.exp(z)
+        total += float(mult[n_pos] @ np.log1p(exp_z) @ w)
 
-        coef = np.empty_like(scores)
-        coef[::k1] = -w / (1.0 + pos)  # -w * sigmoid(-s)
-        coef.reshape(b - a, k1, 1 + m)[:, 1:] = w * (neg / (1.0 + neg))  # w * sigmoid(s)
-
-        d_preds = coef.T @ outs
-        d_outs = coef @ preds
-
-        ent_in[t] -= lr * d_preds[0]
-        if m:
-            cat_in[cids] -= lr * d_preds[1:]
-        np.subtract.at(out_flat, (ids[:, None] * d + cols).ravel(), (lr * d_outs).ravel())
+        # coefficient sign * mult * w * sigmoid(z), with the step size folded in
+        coef = exp_z / (1.0 + exp_z)
+        coef *= step[n_pos]
+        coef *= w
+        ent_in[t] -= coef[:, 0] @ outs
+        if hi > lo:
+            cat_in[cids] -= coef[:, 1:].T @ outs
+        np.subtract.at(out_flat, (ids[:, None] * d + cols).ravel(), (coef @ preds).ravel())
     return total
 
 
@@ -122,24 +149,32 @@ def _train_chunk_loops(
 ):
     n_pairs = targets.shape[0]
     d = ent_in.shape[1]
-    k1 = 1 + negatives.shape[1]
+    k = negatives.shape[1]
+    starts = np.empty(n_pairs + 1, dtype=np.int64)
+    n_groups = 0
+    for i in range(n_pairs):
+        if i == 0 or targets[i] != targets[i - 1] or i - starts[n_groups - 1] == GROUP_MAX:
+            starts[n_groups] = i
+            n_groups += 1
+    starts[n_groups] = n_pairs
+    if negatives.shape[0] != n_groups:
+        raise ValueError("negatives needs one row per group")
     max_m = 0
     for e in range(cat_offsets.shape[0] - 1):
         width = cat_offsets[e + 1] - cat_offsets[e]
         if width > max_m:
             max_m = width
     pred_delta = np.zeros((1 + max_m, d))
-    out_delta = np.zeros((GROUP_MAX * k1, d))
+    out_delta = np.zeros((GROUP_MAX + k, d))
     total = 0.0
-    a = 0
-    while a < n_pairs:
+    for g in range(n_groups):
+        a = starts[g]
+        n_pos = starts[g + 1] - a
         t = targets[a]
-        b = a + 1
-        while b < n_pairs and b - a < GROUP_MAX and targets[b] == t:
-            b += 1
         lo = cat_offsets[t]
         m = cat_offsets[t + 1] - lo
-        # score the whole group against the rows as they were before it
+        # score the group's contexts, then its shared negatives, against the
+        # rows as they were before the group
         for p in range(1 + m):
             if p == 0:
                 v = ent_in[t]
@@ -147,43 +182,42 @@ def _train_chunk_loops(
             else:
                 v = cat_in[cat_ids[lo + p - 1]]
                 wp = cat_ws[lo + p - 1]
-            for r in range((b - a) * k1):
-                i = a + r // k1
-                o = r % k1
-                u = ent_out[contexts[i]] if o == 0 else ent_out[negatives[i, o - 1]]
-                s = 0.0
-                for j in range(d):
-                    s += u[j] * v[j]
-                if s > CLAMP:
-                    s = CLAMP
-                elif s < -CLAMP:
-                    s = -CLAMP
-                es = math.exp(s)
-                if o == 0:
-                    total += wp * math.log1p(1.0 / es)
-                    g = -wp / (1.0 + es)
+            for r in range(n_pos + k):
+                if r < n_pos:
+                    u = ent_out[contexts[a + r]]
+                    sign = -1.0
+                    mult = 1.0
                 else:
-                    total += wp * math.log1p(es)
-                    g = wp * (es / (1.0 + es))
+                    u = ent_out[negatives[g, r - n_pos]]
+                    sign = 1.0
+                    mult = float(n_pos)
+                z = 0.0
                 for j in range(d):
-                    pred_delta[p, j] += g * u[j]
-                    out_delta[r, j] += g * v[j]
+                    z += u[j] * v[j]
+                z *= sign
+                if z > CLAMP:
+                    z = CLAMP
+                elif z < -CLAMP:
+                    z = -CLAMP
+                ez = math.exp(z)
+                total += mult * math.log1p(ez) * wp
+                c = ez / (1.0 + ez) * (lr * mult * sign) * wp
+                for j in range(d):
+                    pred_delta[p, j] += c * u[j]
+                    out_delta[r, j] += c * v[j]
         for j in range(d):
-            ent_in[t, j] -= lr * pred_delta[0, j]
+            ent_in[t, j] -= pred_delta[0, j]
             pred_delta[0, j] = 0.0
         for p in range(1, 1 + m):
             cid = cat_ids[lo + p - 1]
             for j in range(d):
-                cat_in[cid, j] -= lr * pred_delta[p, j]
+                cat_in[cid, j] -= pred_delta[p, j]
                 pred_delta[p, j] = 0.0
-        for r in range((b - a) * k1):
-            i = a + r // k1
-            o = r % k1
-            row = contexts[i] if o == 0 else negatives[i, o - 1]
+        for r in range(n_pos + k):
+            row = contexts[a + r] if r < n_pos else negatives[g, r - n_pos]
             for j in range(d):
-                ent_out[row, j] -= lr * out_delta[r, j]
+                ent_out[row, j] -= out_delta[r, j]
                 out_delta[r, j] = 0.0
-        a = b
     return total
 
 

@@ -72,18 +72,33 @@ def draw_negatives_batch(
     excludes: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw k negatives per row i.i.d. from the noise distribution.
+    """Draw k negatives per row of ``excludes`` i.i.d. from the noise distribution.
 
-    Draws equal to the row's entry in ``excludes`` are redrawn, so a positive
-    context never appears among its own negatives.
+    ``excludes`` is 2-D, one row per group of pairs holding every context of
+    that group, padded with -1. A draw equal to any entry of its row is
+    redrawn, so no context of a group appears among the group's negatives. A
+    row whose entities hold all but 1e-6 of the noise mass is refused, as
+    its redraws would go on forever.
     """
     if k < 1:
         raise SamplerError(f"negative sample size must be >= 1, got {k}")
-    if table.n_entities < 2:
-        raise SamplerError("cannot exclude the only entity in the vocabulary")
+    excludes = np.asarray(excludes)
+    if excludes.ndim != 2:
+        raise SamplerError(f"excludes must be 2-D, one row per group, got shape {excludes.shape}")
+    # noise mass of each row's distinct entities, the -1 padding left out
+    ex = np.sort(excludes, axis=1)
+    counted = ex >= 0
+    counted[:, 1:] &= ex[:, 1:] != ex[:, :-1]
+    ids = np.maximum(ex, 0)
+    probs = table.cumulative[ids] - np.where(ids > 0, table.cumulative[ids - 1], 0.0)
+    mass = (probs * counted).sum(axis=1)
+    full = np.flatnonzero(mass >= 1.0 - 1e-6)
+    if full.size:
+        row = full[0]
+        raise SamplerError(f"the contexts of group {row} hold {mass[row]:.7g} of the noise mass; no negative is left to draw")
     out = table.sample((len(excludes), k), rng)
-    mask = out == excludes[:, None]
+    mask = (out[:, :, None] == excludes[:, None, :]).any(axis=2)
     while mask.any():
         out[mask] = table.sample(int(mask.sum()), rng)
-        mask = out == excludes[:, None]
+        mask = (out[:, :, None] == excludes[:, None, :]).any(axis=2)
     return out

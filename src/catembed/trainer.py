@@ -2,8 +2,9 @@
 
 Negative-sampling SGD: ``train`` drives the chunk kernels in
 :mod:`catembed.kernels` over the pair stream, one step per group of at most
-``kernels.GROUP_MAX`` consecutive pairs that share a target. Training runs in
-one thread, bit-reproducible from its seed.
+``kernels.GROUP_MAX`` consecutive pairs that share a target, with one set of
+k negatives drawn per group. Training runs in one thread, bit-reproducible
+from its seed.
 """
 
 from __future__ import annotations
@@ -106,9 +107,7 @@ def train(
 
     shuffle_rng = np.random.default_rng([config.seed, 101])
     subsample_rng = np.random.default_rng([config.seed, 301])
-    # [seed, 201, 0] was the first of one stream per training thread; keeping
-    # it keeps every seed's export byte-identical to earlier releases
-    negatives_rng = np.random.default_rng([config.seed, 201, 0])
+    negatives_rng = np.random.default_rng([config.seed, 201])
 
     n_docs = len(corpus)
     pairs_per_epoch = corpus.n_pairs
@@ -127,12 +126,17 @@ def train(
         for start in range(0, len(targets), config.chunk):
             stop = min(start + config.chunk, len(targets))
             lr = max(config.lr_min, config.lr0 - lr_span * min(1.0, done / total))
-            negs = draw_negatives_batch(noise, config.negatives, contexts[start:stop], negatives_rng)
-            loss = kernels.train_chunk(
-                table.ent_in, table.cat_in, table.ent_out,
-                targets[start:stop], contexts[start:stop], negs,
-                cat_offsets, cat_ids, cat_ws, lr,
+            chunk_targets, chunk_contexts = targets[start:stop], contexts[start:stop]
+            negs = draw_negatives_batch(
+                noise, config.negatives, kernels.group_contexts(chunk_targets, chunk_contexts), negatives_rng
             )
+            # a diverging run overflows inside the kernel; the loss check below reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = kernels.train_chunk(
+                    table.ent_in, table.cat_in, table.ent_out,
+                    chunk_targets, chunk_contexts, negs,
+                    cat_offsets, cat_ids, cat_ws, lr,
+                )
             if not math.isfinite(loss):
                 raise TrainError(f"non-finite loss at epoch {epoch}, pairs {done}: {loss!r}")
             done += stop - start

@@ -122,6 +122,20 @@ class TestTrain:
         assert main(train_args(world_dir, tmp_path / "x", "--noise-alpha", "600")) == 1
         assert capsys.readouterr().err.startswith("error: noise_alpha=600.0")
 
+    def test_diverging_run_is_a_one_line_error(self, tmp_path):
+        # the quickstart world: at lr0 1e308 the first step overflows the rows
+        world = tmp_path / "world"
+        assert main(["gen-synthetic", "--output", str(world), "--seed", "42", "--verbosity", "0"]) == 0
+        out = subprocess.run(
+            [sys.executable, "-m", "catembed.cli", "train", "--corpus", str(world / "corpus.tsv"),
+             "--hierarchy", str(world / "hierarchy.tsv"), "--root", "root", "--seed", "42",
+             "--lr0", "1e308", "--lr-min", "1e-3", "--output", str(tmp_path / "run"), "--verbosity", "0"],
+            env=child_env(), capture_output=True, text=True,
+        )
+        assert out.returncode == 1
+        assert out.stderr == "error: non-finite loss at epoch 1, pairs 0: nan\n"
+        assert not (tmp_path / "run").exists()
+
     def test_drop_pattern_with_comma_rejected(self, world_dir, tmp_path, capsys):
         # config.echo joins patterns with ',', so a re-run would read 'q,z' back as 'q' and 'z'
         assert main(train_args(world_dir, tmp_path / "x", "--drop-pattern", "q,z")) == 1

@@ -11,7 +11,7 @@ from oracles import apply_gradient, group_loss_and_grad, pair_loss_and_grad
 
 
 def make_instance(seed, n_pairs=12, n_ent=9, n_cat=5, dim=7, k=4, runs=None):
-    """Random tables, CSR weights and one chunk of pairs.
+    """Random tables, CSR weights and one chunk of pairs, with one row of k negatives per group.
 
     ``runs`` (run lengths) replaces ``n_pairs``: the chunk is then runs of equal
     targets, each run's target different from the one before it.
@@ -39,7 +39,7 @@ def make_instance(seed, n_pairs=12, n_ent=9, n_cat=5, dim=7, k=4, runs=None):
         targets = np.repeat(heads, runs)
         n_pairs = len(targets)
     contexts = rng.integers(0, n_ent, size=n_pairs)
-    negatives = rng.integers(0, n_ent, size=(n_pairs, k))
+    negatives = rng.integers(0, n_ent, size=(len(kernels.group_bounds(targets)) - 1, k))
     return (
         ent_in, cat_in, ent_out,
         targets.astype(np.int64), contexts.astype(np.int64), negatives.astype(np.int64),
@@ -57,6 +57,7 @@ class TestNumpyKernel:
         ent_in, cat_in, ent_out = (a.copy() for a in arrays[:3])
         targets, contexts, negatives, offsets, ids, ws = arrays[3:]
         lr = 0.05
+        assert len(negatives) == len(targets)  # every group is one pair
         loss = kernels.train_chunk_numpy(
             ent_in, cat_in, ent_out, targets, contexts, negatives, offsets, ids, ws, lr
         )
@@ -89,6 +90,17 @@ class TestNumpyKernel:
         apply_gradient(ref, grad, 0.1)
         assert np.allclose(ent_out, ref.ent_out, atol=1e-12)
 
+    @pytest.mark.parametrize("rows", [7, 9])
+    def test_refuses_negatives_not_one_row_per_group(self, rows):
+        arrays = make_instance(6, runs=(1, 7, 8, 9, 20))
+        assert len(arrays[5]) == 8
+        negatives = np.resize(arrays[5], (rows, arrays[5].shape[1]))
+        tables = clone(arrays[:3])
+        with pytest.raises(ValueError, match="one row per group"):
+            kernels.train_chunk_numpy(*tables, *arrays[3:5], negatives, *arrays[6:], 0.05)
+        for got, want in zip(tables, arrays[:3]):
+            assert np.array_equal(got, want)
+
     def test_refuses_non_contiguous_output_table(self):
         arrays = make_instance(8)
         ent_out = np.asfortranarray(arrays[2])
@@ -109,17 +121,24 @@ class TestNumpyKernel:
 loop_kernel = kernels._train_chunk_loops if kernels.train_chunk_numba is None else kernels.train_chunk_numba
 
 
+def assert_loops_match_numpy(arrays, lr):
+    np_arrays = clone(arrays[:3])
+    nb_arrays = clone(arrays[:3])
+    rest = arrays[3:]
+    loss_np = kernels.train_chunk_numpy(*np_arrays, *rest, lr)
+    loss_nb = loop_kernel(*nb_arrays, *rest, lr)
+    assert loss_nb == pytest.approx(loss_np, rel=1e-12, abs=1e-12)
+    for a, b in zip(np_arrays, nb_arrays):
+        assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
 class TestLoopKernel:
     def test_matches_numpy_backend(self):
-        arrays = make_instance(3, n_pairs=40)
-        np_arrays = clone(arrays[:3])
-        nb_arrays = clone(arrays[:3])
-        rest = arrays[3:]
-        loss_np = kernels.train_chunk_numpy(*np_arrays, *rest, 0.07)
-        loss_nb = loop_kernel(*nb_arrays, *rest, 0.07)
-        assert loss_nb == pytest.approx(loss_np, rel=1e-12, abs=1e-12)
-        for a, b in zip(np_arrays, nb_arrays):
-            assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+        assert_loops_match_numpy(make_instance(3, n_pairs=40), 0.07)
+
+    @pytest.mark.parametrize("runs", [(1, 7, 8, 9, 20), (3, 3, 16, 2)])
+    def test_matches_numpy_backend_on_runs(self, runs):
+        assert_loops_match_numpy(make_instance(3, runs=runs), 0.07)
 
     def test_deterministic_across_calls(self):
         arrays = make_instance(4)
@@ -145,20 +164,31 @@ class TestLoopKernel:
         for a, b in zip(nb, npv):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
 
+    def test_refuses_negatives_not_one_row_per_group(self):
+        arrays = make_instance(6, runs=(1, 7, 8, 9, 20))
+        tables = clone(arrays[:3])
+        with pytest.raises(ValueError, match="one row per group"):
+            loop_kernel(*tables, *arrays[3:5], arrays[5][:-1], *arrays[6:], 0.05)
+        for got, want in zip(tables, arrays[:3]):
+            assert np.array_equal(got, want)
+
 
 BACKENDS = {"numpy": kernels.train_chunk_numpy, "loops": loop_kernel}
 
 
 def group_reference(arrays, groups, lr):
-    """The table after one ``group_loss_and_grad`` step per ``(start, stop)`` group, in order, and the loss."""
+    """The table after one ``group_loss_and_grad`` step per ``(start, stop)`` group, in order, and the loss.
+
+    Group g gives every one of its pairs the g-th row of negatives.
+    """
     targets, contexts, negatives, offsets, ids, ws = arrays[3:]
     ref = EmbeddingTable(ent_in=arrays[0].copy(), cat_in=arrays[1].copy(), ent_out=arrays[2].copy())
     loss = 0.0
-    for a, b in groups:
+    for g, (a, b) in enumerate(groups):
         t = int(targets[a])
         lo, hi = offsets[t], offsets[t + 1]
         weights = AncestorWeights(categories=tuple(ids[lo:hi]), weights=ws[lo:hi])
-        grad = group_loss_and_grad(ref, t, contexts[a:b], weights, negatives[a:b])
+        grad = group_loss_and_grad(ref, t, contexts[a:b], weights, np.tile(negatives[g], (b - a, 1)))
         apply_gradient(ref, grad, lr)
         loss += grad.loss
     return ref, loss
@@ -176,6 +206,50 @@ class TestGroupedUpdate:
         assert loss == pytest.approx(ref_loss, abs=1e-10)
         for got, want in zip(tables, (ref.ent_in, ref.cat_in, ref.ent_out)):
             assert np.allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_duplicate_shared_negatives_accumulate(self, backend):
+        arrays = make_instance(9, runs=(5, 3))
+        negatives = np.array([[2, 2, 2, 4], [6, 1, 6, 6]], dtype=np.int64)
+        arrays = (*arrays[:5], negatives, *arrays[6:])
+        tables = clone(arrays[:3])
+        loss = BACKENDS[backend](*tables, *arrays[3:], 0.05)
+        ref, ref_loss = group_reference(arrays, [(0, 5), (5, 8)], 0.05)
+        assert loss == pytest.approx(ref_loss, abs=1e-10)
+        for got, want in zip(tables, (ref.ent_in, ref.cat_in, ref.ent_out)):
+            assert np.allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("size", [1, 7, 8])
+    def test_step_is_finite_difference_gradient(self, backend, size):
+        # one group of `size` pairs sharing one row of negatives: the kernel's
+        # step at lr 1 is minus the gradient of the summed per-pair loss, whose
+        # negative term counts every shared negative once per pair
+        arrays = make_instance(10 + size, runs=(size,), k=3)
+        targets, contexts, negatives, offsets, ids, ws = arrays[3:]
+        t = int(targets[0])
+        weights = AncestorWeights(categories=tuple(ids[offsets[t]:offsets[t + 1]]), weights=ws[offsets[t]:offsets[t + 1]])
+        tiled = np.tile(negatives[0], (size, 1))
+        tables = clone(arrays[:3])
+        loss = BACKENDS[backend](*tables, *arrays[3:], 1.0)
+        ref = EmbeddingTable(*clone(arrays[:3]))
+
+        def summed_loss():
+            return sum(pair_loss_and_grad(ref, (t, c), weights, negs).loss for c, negs in zip(contexts, tiled))
+
+        assert loss == pytest.approx(summed_loss(), rel=1e-12)
+        eps = 1e-6
+        for name, before, after in zip(("ent_in", "cat_in", "ent_out"), arrays[:3], tables):
+            arr = getattr(ref, name)
+            fd = np.zeros_like(arr)
+            for idx in np.ndindex(arr.shape):
+                orig = arr[idx]
+                arr[idx] = orig + eps
+                up = summed_loss()
+                arr[idx] = orig - eps
+                fd[idx] = (up - summed_loss()) / (2 * eps)
+                arr[idx] = orig
+            assert np.allclose(before - after, fd, rtol=1e-6, atol=1e-8), name
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_run_of_20_is_three_steps(self, backend):

@@ -3,7 +3,7 @@ import pytest
 
 from catembed.corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
 from catembed.errors import SamplerError
-from catembed.sampler import build_noise_table, draw_negatives_batch, pairs_arrays
+from catembed.sampler import NoiseTable, build_noise_table, draw_negatives_batch, pairs_arrays
 
 
 def small_corpus(lines):
@@ -166,12 +166,17 @@ class TestNoiseTable:
         assert abs(table.cumulative[-1] - 1.0) <= 1e-12
 
 
+def padded(rows, width=8):
+    """2-D excludes: one row of entity ids per group, padded with -1."""
+    return np.array([list(r) + [-1] * (width - len(r)) for r in rows], dtype=np.int64)
+
+
 class TestDrawNegatives:
     def test_exclusion_forces_other_entity(self):
         vocab = build_vocabulary(["a\tc1\tb", "b\tc1\ta"])
         table = build_noise_table(vocab, alpha=1.0)
         e0 = vocab.entity_id("a")
-        draws = draw_negatives_batch(table, 50, np.array([e0]), np.random.default_rng(3))[0]
+        draws = draw_negatives_batch(table, 50, padded([[e0]]), np.random.default_rng(3))[0]
         assert np.all(draws != e0)
         assert len(draws) == 50
 
@@ -180,29 +185,61 @@ class TestDrawNegatives:
         table = build_noise_table(vocab, alpha=0.75)
         rng1 = np.random.default_rng(42)
         rng2 = np.random.default_rng(42)
-        first = draw_negatives_batch(table, 20, np.array([0]), rng1)
-        second = draw_negatives_batch(table, 20, np.array([0]), rng2)
+        first = draw_negatives_batch(table, 20, padded([[0], [1], []]), rng1)
+        second = draw_negatives_batch(table, 20, padded([[0], [1], []]), rng2)
         assert np.array_equal(first, second)
+        assert not np.array_equal(first, draw_negatives_batch(table, 20, padded([[0], [1], []]), rng1))
 
     def test_single_entity_with_exclusion_errors(self):
         vocab = build_vocabulary(["a\tc1\ta"])
         table = build_noise_table(vocab)
         with pytest.raises(SamplerError):
-            draw_negatives_batch(table, 5, np.array([0]), np.random.default_rng(0))
+            draw_negatives_batch(table, 5, padded([[0]]), np.random.default_rng(0))
 
     def test_k_must_be_positive(self):
         vocab = build_vocabulary(["a\tc1\tb", "b\tc1\ta"])
         table = build_noise_table(vocab)
         with pytest.raises(SamplerError):
-            draw_negatives_batch(table, 0, np.array([0]), np.random.default_rng(0))
+            draw_negatives_batch(table, 0, padded([[0]]), np.random.default_rng(0))
+
+    def test_one_dimensional_excludes_refused(self):
+        vocab = build_vocabulary(["a\tc1\tb", "b\tc1\ta"])
+        table = build_noise_table(vocab)
+        with pytest.raises(SamplerError, match="2-D"):
+            draw_negatives_batch(table, 3, np.array([0, 1]), np.random.default_rng(0))
 
     def test_batch_respects_exclusions(self):
         vocab = build_vocabulary(["a\tc1\tb c", "b\tc1\ta c", "c\tc1\ta b"])
         table = build_noise_table(vocab, alpha=1.0)
-        excludes = np.array([0, 1, 2, 0, 1, 2] * 10)
+        excludes = padded([[0], [1], [2], [0, 0], [1, 0], [2, 1]] * 10)
         out = draw_negatives_batch(table, 7, excludes, np.random.default_rng(5))
         assert out.shape == (60, 7)
-        assert np.all(out != excludes[:, None])
+        assert not (out[:, :, None] == excludes[:, None, :]).any()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_no_negative_is_a_context_of_its_group(self, seed):
+        rng = np.random.default_rng(seed)
+        table = NoiseTable(np.cumsum(np.full(12, 1 / 12)))
+        rows = [rng.integers(0, 12, size=int(rng.integers(0, 9))) for _ in range(40)]
+        excludes = padded(rows)
+        out = draw_negatives_batch(table, 10, excludes, rng)
+        assert out.shape == (40, 10)  # exactly n_groups x k values
+        for row, negs in zip(rows, out):
+            assert not set(negs.tolist()) & set(row.tolist())
+            assert negs.min() >= 0 and negs.max() < 12
+
+    @pytest.mark.parametrize("rows", [[[0, 1]], [[1, 0, 1, 0]], [[1], [1, 0]]])
+    def test_group_holding_all_noise_mass_is_refused(self, rows):
+        table = NoiseTable(np.array([0.5, 1.0]))  # entities 0 and 1, half the mass each
+        with pytest.raises(SamplerError, match=r"^the contexts of group \d+ hold 1 of the noise mass"):
+            draw_negatives_batch(table, 3, padded(rows), np.random.default_rng(0))
+
+    def test_group_holding_all_but_a_millionth_is_refused(self):
+        table = NoiseTable(np.array([0.5 - 2e-7, 1.0 - 2e-7, 1.0]))  # entity 2 holds 2e-7
+        with pytest.raises(SamplerError, match="group 1 hold"):
+            draw_negatives_batch(table, 3, padded([[0], [0, 1]]), np.random.default_rng(0))
+        out = draw_negatives_batch(table, 3, padded([[0], [1]]), np.random.default_rng(0))
+        assert out.shape == (2, 3)
 
     def test_empirical_frequencies_track_distribution(self):
         # counts (3, 1), alpha 1 -> (0.75, 0.25); small-n sanity (the million-draw

@@ -8,7 +8,9 @@ from catembed.corpus import NodeId, NodeKind, build_vocabulary, load_corpus, loa
 from catembed.embeddings import EmbeddingTable, init_embeddings
 from catembed.errors import ConfigError, TrainError
 from catembed.hierarchy import AncestorWeights
-from catembed.kernels import CLAMP
+from catembed import trainer
+from catembed.kernels import CLAMP, group_bounds
+from catembed.sampler import pairs_arrays
 from catembed.trainer import TrainConfig, train
 
 from oracles import apply_gradient, group_loss_and_grad, pair_loss_and_grad, softmax_prob
@@ -363,6 +365,26 @@ class TestTrain:
         assert np.array_equal(t1.ent_in, t2.ent_in)
         assert np.array_equal(t1.cat_in, t2.cat_in)
         assert np.array_equal(t1.ent_out, t2.ent_out)
+
+    def test_negatives_drawn_once_per_group(self, monkeypatch):
+        _, graph, corpus = tiny_world()
+        calls = []
+        inner = trainer.draw_negatives_batch
+
+        def record(table, k, excludes, rng):
+            negs = inner(table, k, excludes, rng)
+            calls.append((excludes, negs))
+            return negs
+
+        monkeypatch.setattr(trainer, "draw_negatives_batch", record)
+        cfg = TrainConfig(dim=8, epochs=1, negatives=3, chunk=10**6, seed=3, shuffle=False)
+        train(corpus, graph, cfg)
+        targets, contexts = pairs_arrays(corpus)
+        bounds = group_bounds(targets)
+        [(excludes, negs)] = calls
+        assert negs.shape == (len(bounds) - 1, 3)
+        for row, a, b in zip(excludes, bounds[:-1], bounds[1:]):
+            assert row.tolist() == contexts[a:b].tolist() + [-1] * (8 - (b - a))
 
     def test_no_nan_under_adversarial_lr(self):
         _, graph, corpus = tiny_world()
