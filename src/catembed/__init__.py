@@ -8,8 +8,6 @@ nearest-neighbor classification) and semantic relatedness (Spearman's rho).
 from .corpus import (
     CategoryGraph,
     Corpus,
-    NodeId,
-    NodeKind,
     Vocabulary,
     build_vocabulary,
     load_corpus,
@@ -31,8 +29,6 @@ __all__ = [
     "Corpus",
     "EmbeddingIndex",
     "EmbeddingTable",
-    "NodeId",
-    "NodeKind",
     "NoiseTable",
     "TrainConfig",
     "Vocabulary",

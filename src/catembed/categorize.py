@@ -405,7 +405,6 @@ def run_categorization(
     index: EmbeddingIndex,
     gold: GoldLabeling,
     method: str = "both",
-    restarts: int = 10,
     seed: int = 0,
 ) -> dict:
     """Score an embedding against a gold labeling.
@@ -449,7 +448,7 @@ def run_categorization(
         combos = []
         for algo, metric, link in _sweep_combos():
             if algo == "kmeans":
-                sol = kmeans(vectors, sub.n_classes, metric=metric, restarts=restarts, seed=seed)
+                sol = kmeans(vectors, sub.n_classes, metric=metric, seed=seed)
             else:
                 sol = agglomerative(vectors, sub.n_classes, metric=metric, linkage=link)
             combos.append({

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import categorize, embeddings, hierarchy, kernels, relatedness, synthetic, trainer
-from .corpus import NodeKind, build_vocabulary, load_corpus, load_hierarchy, prune_to_dag, read_lines
+from .corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag, read_lines
 from .errors import CatembedError, ConfigError
 from .synthetic import SyntheticSpec
 
@@ -277,20 +277,19 @@ def cmd_neighbors(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.top_n < 1:
         raise ConfigError(f"--top-n must be >= 1, got {args.top_n}")
     index = embeddings.load_embeddings(cfg.embeddings)
-    node = relatedness.map_word_to_node(args.label, index)
-    if node is None:
+    row = index.row(args.label)
+    if row is None:
         raise CatembedError(f"label {args.label!r} not found in the embedding")
-    query, qnorm = embeddings.scaled_norm(index.vector(node))
+    query, qnorm = embeddings.scaled_norm(index.vecs[row])
     labels = ["e:" + lab for lab in index.ent_labels] + ["c:" + lab for lab in index.cat_labels]
-    matrix, norms = embeddings.scaled_norm(np.vstack([index.ent_vecs, index.cat_vecs]))
+    matrix, norms = embeddings.scaled_norm(index.vecs)
     if qnorm == 0.0:
         raise CatembedError(f"label {args.label!r} has a zero vector")
     sims = (matrix @ query) / (np.maximum(norms[:, 0], 1e-300) * qnorm)
-    self_row = node.index if node.kind is NodeKind.ENTITY else len(index.ent_labels) + node.index
-    sims[self_row] = -np.inf
+    sims[row] = -np.inf
     top = np.argsort(-sims, kind="stable")[: min(args.top_n, len(labels) - 1)]
-    for row in top:
-        print(f"{labels[row]}\t{sims[row]:.4f}")
+    for i in top:
+        print(f"{labels[i]}\t{sims[i]:.4f}")
     return 0
 
 

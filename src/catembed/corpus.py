@@ -23,27 +23,13 @@ by training.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CorpusError, FormatError, HierarchyError
-
-
-class NodeKind(enum.Enum):
-    ENTITY = "e"
-    CATEGORY = "c"
-
-
-class NodeId(NamedTuple):
-    """Reference to one embedding row: a dense index within its kind."""
-
-    kind: NodeKind
-    index: int
 
 
 def normalize_label(text: str) -> str:
@@ -115,7 +101,6 @@ class Vocabulary:
         self._cat_index: dict[str, int] = {}
         self._cat_labels: list[str] = []
         self._folded_ent = FoldedLabels(self._ent_labels)
-        self._folded_cat = FoldedLabels(self._cat_labels)
 
     @property
     def n_entities(self) -> int:
@@ -167,9 +152,6 @@ class Vocabulary:
     def match_entity(self, word: str) -> int | None:
         """Case/space-insensitive entity lookup; lowest index wins on case clashes."""
         return self._folded_ent.get(word)
-
-    def match_category(self, word: str) -> int | None:
-        return self._folded_cat.get(word)
 
 
 def _iter_documents(source) -> Iterator[tuple[str, list[str], list[str]]]:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import FoldedLabels, NodeId, NodeKind, Vocabulary, read_lines
+from .corpus import FoldedLabels, Vocabulary, read_lines
 from .errors import CorpusError, FormatError
 
 
@@ -46,23 +46,29 @@ def init_embeddings(n_entities: int, n_categories: int, dim: int, seed: int) -> 
 
 
 class EmbeddingIndex:
-    """Loaded embedding file: label-addressable input vectors for evaluation."""
+    """Loaded embedding file: one matrix of input vectors for evaluation.
 
-    def __init__(self, ent_labels: list[str], cat_labels: list[str], ent_vecs: np.ndarray, cat_vecs: np.ndarray):
+    ``vecs`` has shape ``(n_ent + n_cat, d)``, entity rows first, each kind
+    in file order; ``ent_vecs`` and ``cat_vecs`` are views of its two parts.
+    :meth:`row` resolves a word to a row of ``vecs``.
+    """
+
+    def __init__(self, ent_labels: list[str], cat_labels: list[str], vecs: np.ndarray):
         self.ent_labels = ent_labels
         self.cat_labels = cat_labels
-        self.ent_vecs = ent_vecs
-        self.cat_vecs = cat_vecs
+        self.vecs = vecs
+        self.ent_vecs = vecs[:len(ent_labels)]
+        self.cat_vecs = vecs[len(ent_labels):]
         self._folded_ent = FoldedLabels(ent_labels)
         self._folded_cat = FoldedLabels(cat_labels)
 
     @property
     def dim(self) -> int:
-        return self.ent_vecs.shape[1] if self.ent_vecs.size else self.cat_vecs.shape[1]
+        return self.vecs.shape[1]
 
     @property
     def n_rows(self) -> int:
-        return len(self.ent_labels) + len(self.cat_labels)
+        return len(self.vecs)
 
     def match_entity(self, word: str) -> int | None:
         return self._folded_ent.get(word)
@@ -70,18 +76,17 @@ class EmbeddingIndex:
     def match_category(self, word: str) -> int | None:
         return self._folded_cat.get(word)
 
-    def vector(self, node: NodeId) -> np.ndarray:
-        return (self.ent_vecs if node.kind is NodeKind.ENTITY else self.cat_vecs)[node.index]
+    def row(self, word: str) -> int | None:
+        """Row of ``vecs`` for a word: its folded entity row, else its folded category row, else None."""
+        ent = self.match_entity(word)
+        if ent is not None:
+            return ent
+        cat = self.match_category(word)
+        return None if cat is None else len(self.ent_labels) + cat
 
     def save_text(self, path: str | Path) -> None:
         """Write the export: entities first, then categories."""
-        check_labels(self.ent_labels, self.cat_labels)
-        fmt = "%s%s " + " ".join(["%.6g"] * self.dim) + "\n"
-        with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write(f"{self.n_rows} {self.dim}\n")
-            for prefix, labels, vecs in (("e:", self.ent_labels, self.ent_vecs), ("c:", self.cat_labels, self.cat_vecs)):
-                for label, vec in zip(labels, vecs):
-                    fh.write(fmt % (prefix, label, *vec.tolist()))
+        _write_text(path, (self.ent_labels, self.ent_vecs), (self.cat_labels, self.cat_vecs))
 
 
 def check_labels(ent_labels: list[str], cat_labels: list[str]) -> None:
@@ -120,15 +125,19 @@ def scaled_norm(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | np.float64]:
 
 
 def save_text(table: EmbeddingTable, vocab: Vocabulary, path: str | Path) -> None:
-    EmbeddingIndex(vocab.entity_labels(), vocab.category_labels(), table.ent_in, table.cat_in).save_text(path)
+    _write_text(path, (vocab.entity_labels(), table.ent_in), (vocab.category_labels(), table.cat_in))
 
 
-def _split_prefixed(label: str, source: str, lineno: int) -> tuple[NodeKind, str]:
-    if label.startswith("e:"):
-        return NodeKind.ENTITY, label[2:]
-    if label.startswith("c:"):
-        return NodeKind.CATEGORY, label[2:]
-    raise FormatError(f"row label {label!r} lacks an e:/c: prefix", source, lineno)
+def _write_text(path: str | Path, ents: tuple[list[str], np.ndarray], cats: tuple[list[str], np.ndarray]) -> None:
+    """Write the export from the entities' and the categories' ``(labels, vectors)``, in that order."""
+    check_labels(ents[0], cats[0])
+    dim = ents[1].shape[1]
+    fmt = "%s%s " + " ".join(["%.6g"] * dim) + "\n"
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(f"{len(ents[0]) + len(cats[0])} {dim}\n")
+        for prefix, (labels, vecs) in (("e:", ents), ("c:", cats)):
+            for label, vec in zip(labels, vecs):
+                fh.write(fmt % (prefix, label, *vec.tolist()))
 
 
 def _header(line: str, source: str) -> tuple[int, int]:
@@ -143,13 +152,20 @@ def _header(line: str, source: str) -> tuple[int, int]:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingIndex:
-    """Load a text export; a malformed row fails with its ``<path>:<line>``."""
+    """Load a text export; a malformed row fails with its ``<path>:<line>``.
+
+    Rows of each kind keep their file order. The rows are stacked once, and
+    a file that interleaves the kinds is then reordered entity rows first;
+    every file :func:`save_text` writes is already in that order.
+    """
     source, lines = read_lines(path)
     if not lines:
         raise FormatError("empty embedding file", source, 1)
     n_rows, dim = _header(lines[0], source)
-    # (label, vector, line number) per row of each kind, in file order
-    parsed: dict[NodeKind, list[tuple[str, np.ndarray, int]]] = {NodeKind.ENTITY: [], NodeKind.CATEGORY: []}
+    labels: dict[str, list[str]] = {"e:": [], "c:": []}  # unprefixed, per kind
+    rows: list[np.ndarray] = []
+    linenos: list[int] = []
+    is_cat: list[bool] = []
     seen: set[str] = set()  # prefixed labels; folded clashes stay two rows
     for lineno, line in enumerate(lines[1:], 2):
         parts = line.split()
@@ -157,24 +173,25 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
             continue
         if len(parts) != dim + 1:
             raise FormatError(f"expected {dim + 1} columns, got {len(parts)}", source, lineno)
-        kind, label = _split_prefixed(parts[0], source, lineno)
+        prefix = parts[0][:2]
+        if prefix not in labels:
+            raise FormatError(f"row label {parts[0]!r} lacks an e:/c: prefix", source, lineno)
         if parts[0] in seen:
             raise FormatError(f"duplicate row label {parts[0]!r}", source, lineno)
         seen.add(parts[0])
         try:
-            vec = np.array([float(x) for x in parts[1:]])
+            rows.append(np.array([float(x) for x in parts[1:]]))
         except ValueError as exc:
             raise FormatError(f"non-numeric value ({exc})", source, lineno) from None
-        parsed[kind].append((label, vec, lineno))
-    found = sum(map(len, parsed.values()))
-    if found != n_rows:
-        raise FormatError(f"header promised {n_rows} rows, found {found}", source)
-    labels, vecs, bad = [], [], []
-    for part in parsed.values():
-        stacked = np.vstack([r[1] for r in part]) if part else np.empty((0, dim))
-        labels.append([r[0] for r in part])
-        vecs.append(stacked)
-        bad += [part[i][2] for i in np.flatnonzero(~np.isfinite(stacked).all(axis=1))]
-    if bad:
-        raise FormatError("non-finite value", source, min(bad))
-    return EmbeddingIndex(labels[0], labels[1], vecs[0], vecs[1])
+        labels[prefix].append(parts[0][2:])
+        linenos.append(lineno)
+        is_cat.append(prefix == "c:")
+    if len(rows) != n_rows:
+        raise FormatError(f"header promised {n_rows} rows, found {len(rows)}", source)
+    vecs = np.vstack(rows) if rows else np.empty((0, dim))
+    bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
+    if bad.size:
+        raise FormatError("non-finite value", source, linenos[bad[0]])
+    if is_cat != sorted(is_cat):
+        vecs = vecs[np.argsort(is_cat, kind="stable")]
+    return EmbeddingIndex(labels["e:"], labels["c:"], vecs)

@@ -1,7 +1,8 @@
 """Semantic relatedness: embedding similarity vs human scores, Spearman's rho.
 
-Words map to embedding rows by exact label match (case-insensitive, spaces
-and underscores interchangeable), entities first and categories as fallback.
+Words map to embedding rows with :meth:`EmbeddingIndex.row`: exact label
+match (case-insensitive, spaces and underscores interchangeable), entities
+first and categories as fallback. A pair's score is the cosine of its two rows.
 No fuzzy or lexical-variant matching: a word that only exists in another
 inflection stays unmapped and its pairs are dropped from scoring, mirroring
 how such pairs are filtered out of the benchmark datasets.
@@ -14,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import NodeId, NodeKind, normalize_label, records
-from .embeddings import scaled_norm
+from .corpus import normalize_label, records
+from .embeddings import EmbeddingIndex, scaled_norm
 from .errors import EvalError, FormatError
 
 
@@ -50,32 +51,12 @@ def load_relatedness(path: str | Path) -> list[RelatednessPair]:
     return pairs
 
 
-def map_word_to_node(word: str, resolver) -> NodeId | None:
-    """Resolve a word to an entity row, falling back to a category row.
-
-    ``resolver`` is anything with ``match_entity``/``match_category`` (a
-    Vocabulary or an EmbeddingIndex). Returns None when unmapped.
-    """
-    idx = resolver.match_entity(word)
-    if idx is not None:
-        return NodeId(NodeKind.ENTITY, idx)
-    idx = resolver.match_category(word)
-    if idx is not None:
-        return NodeId(NodeKind.CATEGORY, idx)
-    return None
-
-
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     a, na = scaled_norm(a)
     b, nb = scaled_norm(b)
     if na == 0.0 or nb == 0.0:
         raise EvalError("cosine similarity undefined for a zero vector")
     return float(a @ b) / float(na * nb)
-
-
-def relatedness_score(index, a: NodeId, b: NodeId) -> float:
-    """Cosine similarity of the two nodes' input vectors; symmetric."""
-    return cosine(index.vector(a), index.vector(b))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -114,33 +95,36 @@ def spearman(xs, ys) -> float:
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
 
 
-def run_relatedness(index, pairs: list[RelatednessPair]) -> dict:
+def run_relatedness(index: EmbeddingIndex, pairs: list[RelatednessPair]) -> dict:
     """Map each pair's words, score the survivors, and correlate with humans.
 
     Pairs with any unmapped word are dropped and counted; needs at least two
     surviving pairs.
     """
+    n_ent = len(index.ent_labels)
+
+    def mapping(row: int | None) -> str:
+        return "unmapped" if row is None else "entity" if row < n_ent else "category"
+
     outcomes: list[dict] = []
     model_scores: list[float] = []
     human_scores: list[float] = []
-    n_mapped = 0
     for pair in pairs:
-        node1 = map_word_to_node(pair.word1, index)
-        node2 = map_word_to_node(pair.word2, index)
+        row1, row2 = index.row(pair.word1), index.row(pair.word2)
         outcome = {
             "word1": pair.word1,
             "word2": pair.word2,
             "human": pair.score,
-            "mapping1": node1.kind.name.lower() if node1 else "unmapped",
-            "mapping2": node2.kind.name.lower() if node2 else "unmapped",
+            "mapping1": mapping(row1),
+            "mapping2": mapping(row2),
         }
-        if node1 is not None and node2 is not None:
-            score = relatedness_score(index, node1, node2)
+        if row1 is not None and row2 is not None:
+            score = cosine(index.vecs[row1], index.vecs[row2])
             outcome["model"] = score
             model_scores.append(score)
             human_scores.append(pair.score)
-            n_mapped += 1
         outcomes.append(outcome)
+    n_mapped = len(model_scores)
     if n_mapped < 2:
         raise EvalError(f"only {n_mapped} pairs mapped; need at least 2 to correlate")
     rho = spearman(model_scores, human_scores)

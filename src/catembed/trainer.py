@@ -95,8 +95,10 @@ def train(
     """Run negative-sampling SGD over the corpus and return the final table.
 
     The learning rate decays linearly from lr0 to lr_min over all scheduled
-    pairs, re-evaluated once per chunk; within a chunk the kernel takes one
-    step per group of same-target pairs.
+    pairs, re-evaluated once per chunk at the position of the chunk's first
+    pair in its epoch's full pair stream, so pairs dropped by subsampling
+    still advance it; within a chunk the kernel takes one step per group of
+    same-target pairs. ``ChunkStats.pairs_done`` counts the pairs trained.
     """
     config.validate()
     vocab = corpus.vocab
@@ -120,12 +122,14 @@ def train(
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n_docs) if config.shuffle else np.arange(n_docs)
         targets, contexts = pairs_arrays(corpus, order)
+        kept = None  # position of each kept pair in the epoch's full stream
         if config.subsample > 0:
-            mask = _subsample_mask(contexts, counts, config.subsample, subsample_rng)
-            targets, contexts = targets[mask], contexts[mask]
+            kept = np.flatnonzero(_subsample_mask(contexts, counts, config.subsample, subsample_rng))
+            targets, contexts = targets[kept], contexts[kept]
         for start in range(0, len(targets), config.chunk):
             stop = min(start + config.chunk, len(targets))
-            lr = max(config.lr_min, config.lr0 - lr_span * min(1.0, done / total))
+            position = (epoch - 1) * pairs_per_epoch + (start if kept is None else int(kept[start]))
+            lr = max(config.lr_min, config.lr0 - lr_span * min(1.0, position / total))
             chunk_targets, chunk_contexts = targets[start:stop], contexts[start:stop]
             negs = draw_negatives_batch(
                 noise, config.negatives, kernels.group_contexts(chunk_targets, chunk_contexts), negatives_rng

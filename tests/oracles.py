@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from catembed.corpus import NodeId, NodeKind
 from catembed.embeddings import EmbeddingTable
 from catembed.hierarchy import AncestorWeights
 from catembed.kernels import CLAMP
@@ -28,13 +27,13 @@ class PairGradient:
             self.deltas[key] = delta.copy()
 
 
-def softmax_prob(table: EmbeddingTable, predictor: NodeId, context: int) -> float:
+def softmax_prob(table: EmbeddingTable, predictor: np.ndarray, context: int) -> float:
     """Exact softmax p(context | predictor) over all entity output rows.
 
-    Iterates the whole vocabulary, with max-subtraction for stability.
+    ``predictor`` is an input row, of ``ent_in`` or ``cat_in``. Iterates the
+    whole vocabulary, with max-subtraction for stability.
     """
-    v = (table.ent_in if predictor.kind is NodeKind.ENTITY else table.cat_in)[predictor.index]
-    scores = table.ent_out @ v
+    scores = table.ent_out @ predictor
     scores -= scores.max()
     exp_s = np.exp(scores)
     return float(exp_s[context] / exp_s.sum())

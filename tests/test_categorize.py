@@ -506,7 +506,7 @@ def separable_index(per_class=6, n_classes=3, dim=8, spread=0.05, seed=0):
             ent_vecs.append(centers[cls] + rng.normal(scale=spread, size=dim))
             gold_entities.append(f"cls{cls}_e{i}")
             gold_categories.append(f"class{cls}")
-    index = EmbeddingIndex(ent_labels, cat_labels, np.vstack(ent_vecs), np.vstack(cat_vecs))
+    index = EmbeddingIndex(ent_labels, cat_labels, np.vstack(ent_vecs + cat_vecs))
     gold = GoldLabeling(gold_entities, gold_categories, cat_labels[:])
     return index, gold
 
@@ -561,7 +561,7 @@ class TestRunCategorization:
         cat_labels = ["g1", "g2"]
         ent_vecs = np.array([[0.0], [0.1], [0.2], [10.0]])
         cat_vecs = np.array([[0.0], [10.0]])
-        index = EmbeddingIndex(ent_labels, cat_labels, ent_vecs, cat_vecs)
+        index = EmbeddingIndex(ent_labels, cat_labels, np.vstack([ent_vecs, cat_vecs]))
         gold = GoldLabeling(["a", "b", "c", "d"], ["g1", "g2", "g1", "g2"], ["g1", "g2"])
         report = run_categorization(index, gold, method="nn")
         assert report["nn"]["misclassified"] == {"g1": [{"entity": "b", "gold": "g2"}]}
@@ -584,7 +584,7 @@ class TestGoldLoader:
         assert gold.class_labels == ["animals", "vehicles"]
         assert gold.categories == ["animals", "animals", "vehicles", "vehicles"]
         index = EmbeddingIndex(["dog", "cat", "car", "bus"], ["animals", "vehicles"],
-                               np.array([[0.0], [0.1], [10.0], [10.1]]), np.array([[0.0], [10.0]]))
+                               np.array([[0.0], [0.1], [10.0], [10.1], [0.0], [10.0]]))
         report = run_categorization(index, gold, method="nn")
         assert report["n_classes"] == 2
         assert report["nn"]["accuracy"] == 1.0

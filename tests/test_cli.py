@@ -309,6 +309,23 @@ class TestNeighbors:
         rows = capsys.readouterr().out.strip().splitlines()
         assert len(rows) == 15 + 7 - 1  # all rows except the query itself
 
+    def test_category_query_skips_its_own_row(self, trained_dir, capsys):
+        index = load_embeddings(trained_dir / "embeddings.txt")
+        rc = main(["neighbors", "--embeddings", str(trained_dir / "embeddings.txt"),
+                   "--label", "p1_l0", "--top-n", "1000", "--verbosity", "0"])
+        assert rc == 0
+        tags = [row.split("\t")[0] for row in capsys.readouterr().out.strip().splitlines()]
+        every = ["e:" + lab for lab in index.ent_labels] + ["c:" + lab for lab in index.cat_labels]
+        assert sorted(tags) == sorted(tag for tag in every if tag != "c:p1_l0")
+        assert len(tags) == 21
+
+    def test_label_on_both_kinds_resolves_to_the_entity(self, tmp_path, capsys):
+        path = tmp_path / "both.txt"
+        path.write_text("3 2\ne:music 1 0\nc:music 0 1\ne:x 1 0.1\n")
+        rc = main(["neighbors", "--embeddings", str(path), "--label", "Music", "--top-n", "1000", "--verbosity", "0"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == ["e:x\t0.9950", "c:music\t0.0000"]
+
     @pytest.mark.parametrize("top_n", ["0", "-1"])
     def test_top_n_below_one_rejected(self, trained_dir, capsys, top_n):
         rc = main(["neighbors", "--embeddings", str(trained_dir / "embeddings.txt"),
@@ -343,7 +360,7 @@ class TestNeighbors:
         outputs = []
         for factor in (1.0, scale):
             path = tmp_path / f"x{factor}.txt"
-            EmbeddingIndex(index.ent_labels, index.cat_labels, index.ent_vecs * factor, index.cat_vecs * factor).save_text(path)
+            EmbeddingIndex(index.ent_labels, index.cat_labels, index.vecs * factor).save_text(path)
             rc = main(["neighbors", "--embeddings", str(path),
                        "--label", index.ent_labels[0], "--top-n", "5", "--verbosity", "0"])
             assert rc == 0
@@ -411,6 +428,13 @@ class TestInspectWeights:
             "--root", "root", "--entity", "ghost", "--verbosity", "0",
         ])
         assert rc == 1
+
+
+def test_every_public_name_resolves():
+    import catembed
+
+    missing = [name for name in catembed.__all__ if not hasattr(catembed, name)]
+    assert missing == []
 
 
 def test_export_command_removed(capsys):

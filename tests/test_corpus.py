@@ -97,15 +97,15 @@ class TestFoldedMatch:
         vocab = build_vocabulary(["Big_Cat\tc\tbig_cat BIG CAT"])
         assert vocab.entity_labels() == ["Big_Cat", "big_cat", "BIG", "CAT"]
         assert vocab.match_entity("big cat") == 0
-        index = EmbeddingIndex(vocab.entity_labels(), [], np.zeros((4, 2)), np.zeros((0, 2)))
+        index = EmbeddingIndex(vocab.entity_labels(), [], np.zeros((4, 2)))
         assert index.match_entity("BIG cat") == 0
 
-    def test_categories_added_after_a_lookup_are_found(self):
-        vocab = build_vocabulary(["t\tCat_A\t"])
-        assert vocab.match_category("cat b") is None
-        load_hierarchy(["Cat_A\tCat_B"], vocab)
-        assert vocab.match_category("cat b") == vocab.category_id("Cat_B")
-        assert vocab.match_category("CAT A") == vocab.category_id("Cat_A")
+    def test_entities_added_after_a_lookup_are_found(self):
+        vocab = build_vocabulary(["t\tc\t"])
+        assert vocab.match_entity("big cat") is None
+        vocab.add_entity("Big_Cat", 1)
+        assert vocab.match_entity("big cat") == vocab.entity_id("Big_Cat")
+        assert vocab.match_entity("T") == vocab.entity_id("t")
 
 
 class TestReadLines:

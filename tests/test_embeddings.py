@@ -3,18 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from catembed.corpus import NodeId, NodeKind, build_vocabulary
+from catembed.corpus import build_vocabulary
 from catembed.embeddings import EmbeddingIndex, init_embeddings, load_embeddings, save_text, scaled_norm
 from catembed.errors import CorpusError, FormatError
 
 
 def index_from_table(table, vocab):
     """Evaluation view of a trained table, without the export's rounding."""
-    return EmbeddingIndex(vocab.entity_labels(), vocab.category_labels(), table.ent_in.copy(), table.cat_in.copy())
-
-
-def node_label(index, node):
-    return (index.ent_labels if node.kind is NodeKind.ENTITY else index.cat_labels)[node.index]
+    return EmbeddingIndex(vocab.entity_labels(), vocab.category_labels(), np.vstack([table.ent_in, table.cat_in]))
 
 
 @pytest.fixture
@@ -177,6 +173,8 @@ class TestTextFormat:
         assert index.ent_labels == ["a", "b"] and index.cat_labels == ["x", "y"]
         assert index.ent_vecs.ravel().tolist() == [2.0, 4.0]
         assert index.cat_vecs.ravel().tolist() == [1.0, 3.0]
+        assert index.vecs.ravel().tolist() == [2.0, 4.0, 1.0, 3.0]
+        assert index.row("y") == 3
 
     def test_zero_rows(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -188,7 +186,7 @@ class TestTextFormat:
     def test_six_digit_values_round_trip_exactly(self, tmp_path):
         vecs = np.array([[0.5, -1.25e-07, 123456.0], [1e-300, -2.5e300, 0.0]])
         path = tmp_path / "emb.txt"
-        EmbeddingIndex(["a", "b"], ["c"], vecs, np.ones((1, 3))).save_text(path)
+        EmbeddingIndex(["a", "b"], ["c"], np.vstack([vecs, np.ones((1, 3))])).save_text(path)
         assert np.array_equal(load_embeddings(path).ent_vecs, vecs)
 
     def test_old_binary_layout_refused_at_its_first_bad_line(self, tmp_path):
@@ -206,14 +204,14 @@ class TestTextFormat:
     def test_multibyte_labels(self, tmp_path):
         labels = ["é" * 50 + str(i) for i in range(200)]
         path = tmp_path / "accents.txt"
-        EmbeddingIndex(labels, ["c"], np.ones((len(labels), 3)), np.ones((1, 3))).save_text(path)
+        EmbeddingIndex(labels, ["c"], np.ones((len(labels) + 1, 3))).save_text(path)
         assert load_embeddings(path).ent_labels == labels
 
     def test_long_label(self, tmp_path):
         labels = ["x" * 5000, "y"]
         vecs = np.array([[0.5, 1.5, 2.5], [3.5, 4.5, 5.5]])
         path = tmp_path / "long.txt"
-        EmbeddingIndex(labels, ["c"], vecs, np.zeros((1, 3))).save_text(path)
+        EmbeddingIndex(labels, ["c"], np.vstack([vecs, np.zeros((1, 3))])).save_text(path)
         loaded = load_embeddings(path)
         assert loaded.ent_labels == labels
         assert np.array_equal(loaded.ent_vecs, vecs)
@@ -228,7 +226,7 @@ class TestSaveText:
         vecs[1, :3] = [np.inf, -np.inf, np.nan]
         labels = [f"e{i}%s%%" for i in range(len(vecs))]
         path = tmp_path / "emb.txt"
-        EmbeddingIndex(labels, ["c"], vecs, np.ones((1, 100))).save_text(path)
+        EmbeddingIndex(labels, ["c"], np.vstack([vecs, np.ones((1, 100))])).save_text(path)
         rows = [("e:" + label, vec) for label, vec in zip(labels, vecs)] + [("c:c", np.ones(100))]
         expect = f"{len(rows)} 100\n" + "".join(
             label + " " + " ".join(f"{x:.6g}" for x in vec) + "\n" for label, vec in rows
@@ -244,7 +242,7 @@ class TestExportableLabels:
         (["a"], ["k\tl"], "'c:k\\tl'"),
     ])
     def test_whitespace_label_refused_before_writing(self, tmp_path, ents, cats, named):
-        index = EmbeddingIndex(ents, cats, np.ones((len(ents), 2)), np.ones((len(cats), 2)))
+        index = EmbeddingIndex(ents, cats, np.ones((len(ents) + len(cats), 2)))
         path = tmp_path / "emb"
         with pytest.raises(CorpusError, match="^label " + re.escape(named) + " holds whitespace"):
             index.save_text(path)
@@ -252,12 +250,15 @@ class TestExportableLabels:
 
 
 class TestEmbeddingIndex:
-    def test_vector_lookup_by_node(self, small_setup):
+    def test_one_matrix_entity_rows_first(self, small_setup):
         vocab, table = small_setup
         index = index_from_table(table, vocab)
-        node = NodeId(NodeKind.CATEGORY, 1)
-        assert np.array_equal(index.vector(node), table.cat_in[1])
-        assert node_label(index, node) == vocab.category_label(1)
+        row = index.row(vocab.category_label(1))
+        assert row == vocab.n_entities + 1
+        assert np.array_equal(index.vecs[row], table.cat_in[1])
+        assert np.shares_memory(index.ent_vecs, index.vecs) and np.shares_memory(index.cat_vecs, index.vecs)
+        assert np.array_equal(index.ent_vecs, table.ent_in) and np.array_equal(index.cat_vecs, table.cat_in)
+        assert index.n_rows == len(index.vecs) == vocab.n_entities + vocab.n_categories
 
     def test_index_save_round_trip(self, small_setup, tmp_path):
         vocab, table = small_setup

@@ -3,14 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from catembed.corpus import NodeKind, build_vocabulary
 from catembed.embeddings import EmbeddingIndex
 from catembed.errors import EvalError, FormatError
 from catembed.relatedness import (
     cosine,
     load_relatedness,
-    map_word_to_node,
-    relatedness_score,
     run_relatedness,
     spearman,
 )
@@ -25,33 +22,30 @@ def closed_form(x, y):
     return 1 - 6 * float(d @ d) / (n * (n * n - 1))
 
 
+def index_of(ent_labels, cat_labels):
+    return EmbeddingIndex(ent_labels, cat_labels, np.ones((len(ent_labels) + len(cat_labels), 2)))
+
+
 class TestMapWord:
     def setup_method(self):
-        self.vocab = build_vocabulary(
-            ["Cat\tequipment\tdog swimming", "dog\tequipment\tCat", "swimming\tequipment\tdog"]
-        )
+        self.index = index_of(["Cat", "dog", "swimming"], ["equipment"])
 
     def test_entity_exact_match(self):
-        node = map_word_to_node("cat", self.vocab)
-        assert node is not None and node.kind is NodeKind.ENTITY
-        assert self.vocab.entity_label(node.index) == "Cat"
+        assert self.index.row("cat") == 0
 
     def test_category_fallback(self):
-        node = map_word_to_node("equipment", self.vocab)
-        assert node is not None and node.kind is NodeKind.CATEGORY
+        assert self.index.row("equipment") == 3  # the first row after the 3 entities
 
     def test_no_lexical_variants(self):
-        assert map_word_to_node("swim", self.vocab) is None
+        assert self.index.row("swim") is None
 
     def test_entity_preferred_over_category(self):
-        vocab = build_vocabulary(["music\tmusic\tx", "x\tmusic\tmusic"])
-        node = map_word_to_node("music", vocab)
-        assert node.kind is NodeKind.ENTITY
+        assert index_of(["x", "music"], ["music"]).row("music") == 1
 
     def test_space_underscore_normalization(self):
-        vocab = build_vocabulary(["hot_dog\tfood\tx", "x\tfood\thot_dog"])
-        node = map_word_to_node("Hot Dog", vocab)
-        assert node is not None and vocab.entity_label(node.index) == "hot_dog"
+        index = index_of(["x", "hot_dog"], ["food"])
+        assert index.row("Hot Dog") == 1
+        assert index.row("FOOD") == 2
 
 
 class TestScores:
@@ -80,14 +74,13 @@ class TestScores:
         with pytest.raises(EvalError):
             cosine(np.zeros(3), np.ones(3))
 
-    def test_relatedness_score_symmetric(self):
-        index = EmbeddingIndex(
-            ["a", "b"], ["c"], np.array([[1.0, 2.0], [2.0, -1.0]]), np.array([[0.5, 0.5]])
-        )
-        from catembed.corpus import NodeId
-
-        n1, n2 = NodeId(NodeKind.ENTITY, 0), NodeId(NodeKind.CATEGORY, 0)
-        assert relatedness_score(index, n1, n2) == pytest.approx(relatedness_score(index, n2, n1))
+    def test_pair_score_symmetric(self):
+        index = EmbeddingIndex(["a", "b"], ["c"], np.array([[1.0, 2.0], [2.0, -1.0], [0.5, 0.5]]))
+        pairs = pair_list([("a", "c", 1.0), ("c", "a", 2.0), ("b", "c", 3.0)])
+        report = run_relatedness(index, pairs)
+        assert [p["mapping1"] for p in report["pairs"]] == ["entity", "category", "entity"]
+        assert report["pairs"][0]["model"] == report["pairs"][1]["model"]
+        assert report["pairs"][0]["model"] == pytest.approx(3 / math.sqrt(10))
 
 
 class TestSpearman:
@@ -192,21 +185,21 @@ class TestRunRelatedness:
     def test_perfect_rank_agreement(self):
         # model cosines ordered exactly like the human scores
         ent = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
-        index = EmbeddingIndex(["a", "b", "c"], [], ent, np.empty((0, 2)))
+        index = EmbeddingIndex(["a", "b", "c"], [], ent)
         pairs = pair_list([("a", "b", 9.0), ("a", "c", 1.0), ("b", "c", 3.0)])
         report = run_relatedness(index, pairs)
         assert report["spearman"] == pytest.approx(1.0)
         assert report["n_mapped"] == 3
 
     def test_all_unmapped_errors(self):
-        index = EmbeddingIndex(["a"], [], np.array([[1.0]]), np.empty((0, 1)))
+        index = EmbeddingIndex(["a"], [], np.array([[1.0]]))
         pairs = pair_list([("x", "y", 5.0), ("z", "w", 2.0)])
         with pytest.raises(EvalError):
             run_relatedness(index, pairs)
 
     def test_unmapped_pairs_counted(self):
         ent = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
-        index = EmbeddingIndex(["a", "b", "c"], [], ent, np.empty((0, 2)))
+        index = EmbeddingIndex(["a", "b", "c"], [], ent)
         pairs = pair_list([("a", "b", 9.0), ("a", "zzz", 5.0), ("b", "c", 3.0), ("a", "c", 1.0)])
         report = run_relatedness(index, pairs)
         assert report["n_unmapped"] == 1
@@ -225,7 +218,7 @@ class TestRunRelatedness:
                 labels.append(f"w{cls}_{i}")
                 vecs.append(centers[cls] + rng.normal(scale=2.0, size=3))
         vecs = np.vstack(vecs)
-        index = EmbeddingIndex(labels, [], vecs, np.empty((0, 3)))
+        index = EmbeddingIndex(labels, [], vecs)
         rows = []
         within, cross = [], []
         for i in range(len(labels)):

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from catembed.corpus import NodeId, NodeKind, build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
+from catembed.corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
 from catembed.embeddings import EmbeddingTable, init_embeddings
 from catembed.errors import ConfigError, TrainError
 from catembed.hierarchy import AncestorWeights
@@ -135,9 +135,8 @@ class TestSoftmaxProb:
         rng = np.random.default_rng(0)
         table = random_table(rng, 6, 2, 4)
         table.ent_out[:] = table.ent_out[0]
-        node = NodeId(NodeKind.ENTITY, 2)
         for ctx in range(6):
-            assert softmax_prob(table, node, ctx) == pytest.approx(1 / 6)
+            assert softmax_prob(table, table.ent_in[2], ctx) == pytest.approx(1 / 6)
 
     def test_two_entity_logit_gap(self):
         # dot products (1, 0): p = e / (e + 1)
@@ -146,21 +145,20 @@ class TestSoftmaxProb:
             cat_in=np.zeros((1, 1)),
             ent_out=np.array([[1.0], [0.0]]),
         )
-        p = softmax_prob(table, NodeId(NodeKind.ENTITY, 0), 0)
+        p = softmax_prob(table, table.ent_in[0], 0)
         assert p == pytest.approx(math.e / (math.e + 1), abs=1e-9)
         assert p == pytest.approx(0.73106, abs=1e-5)
 
     def test_normalizes_to_one(self):
         rng = np.random.default_rng(3)
         table = random_table(rng, 9, 2, 5)
-        node = NodeId(NodeKind.CATEGORY, 1)
-        total = sum(softmax_prob(table, node, ctx) for ctx in range(9))
+        total = sum(softmax_prob(table, table.cat_in[1], ctx) for ctx in range(9))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_stable_under_large_scores(self):
         rng = np.random.default_rng(4)
         table = random_table(rng, 4, 1, 3, scale=40.0)
-        p = softmax_prob(table, NodeId(NodeKind.ENTITY, 0), 1)
+        p = softmax_prob(table, table.ent_in[0], 1)
         assert 0.0 <= p <= 1.0 and math.isfinite(p)
 
 
@@ -357,6 +355,16 @@ class TestTrain:
         table.assert_finite()
         assert 0 < seen[-1] < corpus.n_pairs  # aggressive threshold discards some pairs
 
+    def test_subsampled_lr_decays_over_the_full_stream(self):
+        # the schedule follows each chunk's position among all scheduled pairs, kept or not
+        _, graph, corpus = tiny_world()
+        stats = []
+        cfg = TrainConfig(dim=8, epochs=3, negatives=3, chunk=20, seed=3, subsample=1e-3)
+        train(corpus, graph, cfg, on_chunk=stats.append)
+        assert stats[-1].pairs_done < cfg.epochs * corpus.n_pairs / 2  # most pairs dropped
+        assert stats[-1].lr < (cfg.lr0 + cfg.lr_min) / 2
+        assert all(a.lr > b.lr for a, b in zip(stats, stats[1:]))
+
     def test_deterministic_from_seed(self):
         _, graph, corpus = tiny_world()
         cfg = TrainConfig(dim=8, epochs=2, negatives=3, chunk=37, seed=5)
@@ -458,7 +466,7 @@ class TestTrain:
             negs = np.array([e for e in range(5) if e != c])
             grad = pair_loss_and_grad(table, (t, c), EMPTY_WEIGHTS, negs)
             ns_dir = grad.deltas[("ent_in", t)]
-            probs = np.array([softmax_prob(table, NodeId(NodeKind.ENTITY, t), e) for e in range(5)])
+            probs = np.array([softmax_prob(table, table.ent_in[t], e) for e in range(5)])
             sm_dir = -table.ent_out[c] + probs @ table.ent_out
             cos = float(ns_dir @ sm_dir / (np.linalg.norm(ns_dir) * np.linalg.norm(sm_dir)))
             hits += int(cos > 0)
