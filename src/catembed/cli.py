@@ -185,8 +185,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         state["chunks"] += 1
         if state["chunks"] % log_every == 0:
             log.info(
-                "epoch %d | pairs %d/%d | lr %.5f | smoothed loss/pair %.4f",
-                stats.epoch, stats.pairs_done, stats.total_pairs, stats.lr, state["smoothed"],
+                "epoch %d | lr %.5f at pair %d/%d | trained %d pairs | smoothed loss/pair %.4f",
+                stats.epoch, stats.lr, stats.position, stats.total_pairs, stats.pairs_done, state["smoothed"],
             )
 
     log.info("training mode=%s dim=%d epochs=%d backend=%s", cfg.mode, cfg.dim, cfg.epochs, kernels.BACKEND)

@@ -21,11 +21,23 @@ from .errors import CorpusError, FormatError
 
 @dataclass
 class EmbeddingTable:
-    """Training-side vectors: inputs for entities and categories, outputs for entities."""
+    """Training-side vectors: every input row in ``inp``, and the entities' output rows.
 
-    ent_in: np.ndarray
-    cat_in: np.ndarray
+    ``inp`` holds entity rows first, so category c is row ``n_entities + c``;
+    ``ent_in`` and ``cat_in`` are views of its two parts.
+    """
+
+    inp: np.ndarray
+    n_entities: int
     ent_out: np.ndarray
+
+    @property
+    def ent_in(self) -> np.ndarray:
+        return self.inp[:self.n_entities]
+
+    @property
+    def cat_in(self) -> np.ndarray:
+        return self.inp[self.n_entities:]
 
     def assert_finite(self) -> None:
         for name in ("ent_in", "cat_in", "ent_out"):
@@ -38,11 +50,8 @@ def init_embeddings(n_entities: int, n_categories: int, dim: int, seed: int) -> 
     if n_entities < 1 or n_categories < 1 or dim < 1:
         raise CorpusError("embedding table sizes must be >= 1")
     rng = np.random.default_rng(seed)
-    scale = 1.0 / dim
-    ent_in = (rng.random((n_entities, dim)) - 0.5) * scale
-    cat_in = (rng.random((n_categories, dim)) - 0.5) * scale
-    ent_out = np.zeros((n_entities, dim))
-    return EmbeddingTable(ent_in=ent_in, cat_in=cat_in, ent_out=ent_out)
+    inp = (rng.random((n_entities + n_categories, dim)) - 0.5) * (1.0 / dim)
+    return EmbeddingTable(inp=inp, n_entities=n_entities, ent_out=np.zeros((n_entities, dim)))
 
 
 class EmbeddingIndex:
@@ -86,7 +95,7 @@ class EmbeddingIndex:
 
     def save_text(self, path: str | Path) -> None:
         """Write the export: entities first, then categories."""
-        _write_text(path, (self.ent_labels, self.ent_vecs), (self.cat_labels, self.cat_vecs))
+        _write_text(path, self.vecs, self.ent_labels, self.cat_labels)
 
 
 def check_labels(ent_labels: list[str], cat_labels: list[str]) -> None:
@@ -125,19 +134,19 @@ def scaled_norm(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | np.float64]:
 
 
 def save_text(table: EmbeddingTable, vocab: Vocabulary, path: str | Path) -> None:
-    _write_text(path, (vocab.entity_labels(), table.ent_in), (vocab.category_labels(), table.cat_in))
+    _write_text(path, table.inp, vocab.entity_labels(), vocab.category_labels())
 
 
-def _write_text(path: str | Path, ents: tuple[list[str], np.ndarray], cats: tuple[list[str], np.ndarray]) -> None:
-    """Write the export from the entities' and the categories' ``(labels, vectors)``, in that order."""
-    check_labels(ents[0], cats[0])
-    dim = ents[1].shape[1]
-    fmt = "%s%s " + " ".join(["%.6g"] * dim) + "\n"
+def _write_text(path: str | Path, vecs: np.ndarray, ent_labels: list[str], cat_labels: list[str]) -> None:
+    """Write the export from one row matrix, entity rows first, and the labels of each kind."""
+    check_labels(ent_labels, cat_labels)
+    dim = vecs.shape[1]
+    fmt = "%s " + " ".join(["%.6g"] * dim) + "\n"
+    rows = ["e:" + label for label in ent_labels] + ["c:" + label for label in cat_labels]
     with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"{len(ents[0]) + len(cats[0])} {dim}\n")
-        for prefix, (labels, vecs) in (("e:", ents), ("c:", cats)):
-            for label, vec in zip(labels, vecs):
-                fh.write(fmt % (prefix, label, *vec.tolist()))
+        fh.write(f"{len(rows)} {dim}\n")
+        for row, vec in zip(rows, vecs):
+            fh.write(fmt % (row, *vec.tolist()))
 
 
 def _header(line: str, source: str) -> tuple[int, int]:

@@ -6,35 +6,37 @@ consecutive pairs that share a target, cut into pieces of at most
 contiguously, so a group is one document or a piece of one. Every group has
 one row of k negatives, shared by all of its pairs (the HogBatch scheme of
 Ji et al. 2016). Per group the kernel scores the G contexts and the k shared
-negatives against the target row and its weighted category rows, all as they
-were before the group, sums the deltas over the group, and applies one SGD
-step to every touched row: G + k output rows where per-pair negatives took
+negatives against the target's weighted predictor rows, all as they were
+before the group, sums the deltas over the group, and applies one SGD step
+to every touched row: G + k output rows where per-pair negatives took
 G(1 + k). With one pair per group this is plain per-pair SGD; groups of more
 than 8 pairs lost nearest-neighbour purity on a deep category DAG, because
-every summed step lands on category rows that many entities share. Two
+every summed step lands on category rows that many entities share.
+
+The predictors are rows of one input matrix ``inp``, held as one weighted
+CSR (``pred_offsets``, ``pred_ids``, ``pred_ws``) whose first entry for t is
+t's own row at weight 1, followed by its categories' rows. Two
 implementations share the exact same math:
 
 * ``train_chunk_numba`` -- explicit loops compiled with ``@njit``.
-* ``train_chunk_numpy`` -- one matmul per group, used when numba is
-  unavailable or when ``CATEMBED_NO_NUMBA=1`` is set.
+* ``train_chunk_numpy`` -- one matmul per group, used when numba does not import.
 
 ``train_chunk`` points at the selected backend. Sigmoid pre-activations are
 clamped to [-CLAMP, CLAMP] before exponentiation, which bounds every log term
 and every gradient coefficient; it does not bound the rows, so a large enough
 learning rate still overflows them.
 
-Gradient convention: the loss for pair (t, c) with weighted categories
-{(c_i, w_i)} and negatives {n} is
+Gradient convention: the loss for pair (t, c) with predictor rows {(p_i, w_i)}
+and negatives {n} is
 
-    loss = log(1+exp(-u_c.v_t)) + sum_i w_i log(1+exp(-u_c.v_ci))
-         + sum_n [log(1+exp(u_n.v_t)) + sum_i w_i log(1+exp(u_n.v_ci))]
+    loss = sum_i w_i [log(1+exp(-u_c.v_pi)) + sum_n log(1+exp(u_n.v_pi))]
 
 i.e. the negated log-sigmoid objective, so lower is better. A group is G
 pairs (t, c_1..c_G) that all take the group's negatives {n}. The negative
-term depends only on t, its categories and {n}, which every pair of the
+term depends only on t's predictors and {n}, which every pair of the
 group shares, so it is the same for all G pairs: the kernel scores each
 shared negative once and multiplies its loss and its coefficient
-w_i sigmoid(u_n.v_ci) by G. That is the exact sum of the G per-pair
+w_i sigmoid(u_n.v_pi) by G. That is the exact sum of the G per-pair
 gradients when every pair draws the same negatives, not an approximation.
 Both kernels write every term of a group as m w log(1+exp(z)) with z
 clamped: z = -u.v and m = 1 for a context, z = u.v and m = G for a shared
@@ -46,15 +48,11 @@ computed against the pre-group rows, summed, then applied at once.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 CLAMP = 30.0
 GROUP_MAX = 8  # most pairs per SGD step
-_ONE = np.ones(1)
-
-_ENV_FLAG = "CATEMBED_NO_NUMBA"
 
 
 def group_bounds(targets: np.ndarray) -> np.ndarray:
@@ -82,22 +80,21 @@ def group_contexts(targets: np.ndarray, contexts: np.ndarray) -> np.ndarray:
 
 
 def train_chunk_numpy(
-    ent_in: np.ndarray,
-    cat_in: np.ndarray,
+    inp: np.ndarray,
     ent_out: np.ndarray,
+    lr: float,
     targets: np.ndarray,
     contexts: np.ndarray,
     negatives: np.ndarray,
-    cat_offsets: np.ndarray,
-    cat_ids: np.ndarray,
-    cat_ws: np.ndarray,
-    lr: float,
+    pred_offsets: np.ndarray,
+    pred_ids: np.ndarray,
+    pred_ws: np.ndarray,
 ) -> float:
     """Pure-numpy chunk kernel; sequential per-group updates.
 
     ``negatives`` holds one row of k negatives per group, in chunk order.
     """
-    d = ent_in.shape[1]
+    d = inp.shape[1]
     k = negatives.shape[1]
     bounds = group_bounds(targets)
     if negatives.shape[0] != len(bounds) - 1:
@@ -117,14 +114,13 @@ def train_chunk_numpy(
     total = 0.0
     for a, b, negs in zip(bounds[:-1].tolist(), bounds[1:].tolist(), negatives):
         t = targets[a]
-        lo, hi = cat_offsets[t], cat_offsets[t + 1]
-        cids = cat_ids[lo:hi]
+        lo, hi = pred_offsets[t], pred_offsets[t + 1]
+        rows, w = pred_ids[lo:hi], pred_ws[lo:hi]
         n_pos = b - a
         # the group's contexts come first, then its shared negatives
         ids = np.concatenate((contexts[a:b], negs))
 
-        preds = np.concatenate((ent_in[t : t + 1], cat_in[cids]))
-        w = np.concatenate((_ONE, cat_ws[lo:hi]))
+        preds = inp[rows]
         outs = ent_out[ids]
 
         z = outs @ preds.T
@@ -137,18 +133,14 @@ def train_chunk_numpy(
         coef = exp_z / (1.0 + exp_z)
         coef *= step[n_pos]
         coef *= w
-        ent_in[t] -= coef[:, 0] @ outs
-        if hi > lo:
-            cat_in[cids] -= coef[:, 1:].T @ outs
+        inp[rows] -= coef.T @ outs
         np.subtract.at(out_flat, (ids[:, None] * d + cols).ravel(), (coef @ preds).ravel())
     return total
 
 
-def _train_chunk_loops(
-    ent_in, cat_in, ent_out, targets, contexts, negatives, cat_offsets, cat_ids, cat_ws, lr
-):
+def _train_chunk_loops(inp, ent_out, lr, targets, contexts, negatives, pred_offsets, pred_ids, pred_ws):
     n_pairs = targets.shape[0]
-    d = ent_in.shape[1]
+    d = inp.shape[1]
     k = negatives.shape[1]
     starts = np.empty(n_pairs + 1, dtype=np.int64)
     n_groups = 0
@@ -159,29 +151,20 @@ def _train_chunk_loops(
     starts[n_groups] = n_pairs
     if negatives.shape[0] != n_groups:
         raise ValueError("negatives needs one row per group")
-    max_m = 0
-    for e in range(cat_offsets.shape[0] - 1):
-        width = cat_offsets[e + 1] - cat_offsets[e]
-        if width > max_m:
-            max_m = width
-    pred_delta = np.zeros((1 + max_m, d))
+    pred_delta = np.zeros((np.diff(pred_offsets).max(), d))
     out_delta = np.zeros((GROUP_MAX + k, d))
     total = 0.0
     for g in range(n_groups):
         a = starts[g]
         n_pos = starts[g + 1] - a
         t = targets[a]
-        lo = cat_offsets[t]
-        m = cat_offsets[t + 1] - lo
+        lo = pred_offsets[t]
+        m = pred_offsets[t + 1] - lo
         # score the group's contexts, then its shared negatives, against the
         # rows as they were before the group
-        for p in range(1 + m):
-            if p == 0:
-                v = ent_in[t]
-                wp = 1.0
-            else:
-                v = cat_in[cat_ids[lo + p - 1]]
-                wp = cat_ws[lo + p - 1]
+        for p in range(m):
+            v = inp[pred_ids[lo + p]]
+            wp = pred_ws[lo + p]
             for r in range(n_pos + k):
                 if r < n_pos:
                     u = ent_out[contexts[a + r]]
@@ -205,13 +188,10 @@ def _train_chunk_loops(
                 for j in range(d):
                     pred_delta[p, j] += c * u[j]
                     out_delta[r, j] += c * v[j]
-        for j in range(d):
-            ent_in[t, j] -= pred_delta[0, j]
-            pred_delta[0, j] = 0.0
-        for p in range(1, 1 + m):
-            cid = cat_ids[lo + p - 1]
+        for p in range(m):
+            row = pred_ids[lo + p]
             for j in range(d):
-                cat_in[cid, j] -= pred_delta[p, j]
+                inp[row, j] -= pred_delta[p, j]
                 pred_delta[p, j] = 0.0
         for r in range(n_pos + k):
             row = contexts[a + r] if r < n_pos else negatives[g, r - n_pos]
@@ -221,18 +201,12 @@ def _train_chunk_loops(
     return total
 
 
-def _env_disables_numba() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip() not in ("", "0")
+try:
+    from numba import njit
 
-
-train_chunk_numba = None
-if not _env_disables_numba():
-    try:
-        from numba import njit
-
-        train_chunk_numba = njit(cache=True)(_train_chunk_loops)
-    except ImportError:
-        train_chunk_numba = None
+    train_chunk_numba = njit(cache=True)(_train_chunk_loops)
+except ImportError:
+    train_chunk_numba = None
 
 if train_chunk_numba is not None:
     train_chunk = train_chunk_numba

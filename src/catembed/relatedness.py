@@ -119,7 +119,12 @@ def run_relatedness(index: EmbeddingIndex, pairs: list[RelatednessPair]) -> dict
             "mapping2": mapping(row2),
         }
         if row1 is not None and row2 is not None:
-            score = cosine(index.vecs[row1], index.vecs[row2])
+            try:
+                score = cosine(index.vecs[row1], index.vecs[row2])
+            except EvalError:
+                word, row = (pair.word1, row1) if not index.vecs[row1].any() else (pair.word2, row2)
+                label = "e:" + index.ent_labels[row] if row < n_ent else "c:" + index.cat_labels[row - n_ent]
+                raise EvalError(f"word {word!r} maps to row {label!r}, a zero vector: cosine undefined") from None
             outcome["model"] = score
             model_scores.append(score)
             human_scores.append(pair.score)

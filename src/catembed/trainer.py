@@ -74,10 +74,22 @@ class TrainConfig:
 @dataclass
 class ChunkStats:
     epoch: int
-    pairs_done: int
-    total_pairs: int
+    pairs_done: int  # pairs trained so far
+    position: int  # schedule position, in pairs, that sets the chunk's lr
+    total_pairs: int  # pairs scheduled over all epochs
     lr: float
     loss_per_pair: float
+
+
+def predictor_csr(offsets: np.ndarray, cat_ids: np.ndarray, cat_ws: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The kernels' predictor CSR from :func:`weight_csr`'s per-entity category CSR.
+
+    Entity e's slice holds its own input row e at weight 1, then each of its
+    categories c at row ``n_entities + c`` with its weight.
+    """
+    n_ent, starts = len(offsets) - 1, offsets[:-1]
+    ids = np.insert(cat_ids + n_ent, starts, np.arange(n_ent))
+    return offsets + np.arange(n_ent + 1), ids, np.insert(cat_ws, starts, 1.0)
 
 
 def _subsample_mask(contexts: np.ndarray, counts: np.ndarray, threshold: float, rng) -> np.ndarray:
@@ -98,12 +110,12 @@ def train(
     pairs, re-evaluated once per chunk at the position of the chunk's first
     pair in its epoch's full pair stream, so pairs dropped by subsampling
     still advance it; within a chunk the kernel takes one step per group of
-    same-target pairs. ``ChunkStats.pairs_done`` counts the pairs trained.
+    same-target pairs.
     """
     config.validate()
     vocab = corpus.vocab
-    cat_offsets, cat_ids, cat_ws = weight_csr(graph, corpus.entity_categories, vocab.entity_labels(), config.mode)
-    table = init_embeddings(vocab.n_entities, max(1, vocab.n_categories), config.dim, config.seed)
+    preds = predictor_csr(*weight_csr(graph, corpus.entity_categories, vocab.entity_labels(), config.mode))
+    table = init_embeddings(vocab.n_entities, vocab.n_categories, config.dim, config.seed)
     noise = build_noise_table(vocab, config.noise_alpha)
     counts = vocab.entity_counts().astype(np.float64)
 
@@ -136,17 +148,13 @@ def train(
             )
             # a diverging run overflows inside the kernel; the loss check below reports it
             with np.errstate(over="ignore", invalid="ignore"):
-                loss = kernels.train_chunk(
-                    table.ent_in, table.cat_in, table.ent_out,
-                    chunk_targets, chunk_contexts, negs,
-                    cat_offsets, cat_ids, cat_ws, lr,
-                )
+                loss = kernels.train_chunk(table.inp, table.ent_out, lr, chunk_targets, chunk_contexts, negs, *preds)
             if not math.isfinite(loss):
                 raise TrainError(f"non-finite loss at epoch {epoch}, pairs {done}: {loss!r}")
             done += stop - start
             if on_chunk is not None:
                 on_chunk(ChunkStats(
-                    epoch=epoch, pairs_done=done, total_pairs=total,
+                    epoch=epoch, pairs_done=done, position=position, total_pairs=total,
                     lr=lr, loss_per_pair=loss / (stop - start),
                 ))
         log.debug("epoch %d/%d done (%d pairs)", epoch, config.epochs, done)

@@ -27,6 +27,11 @@ class PairGradient:
             self.deltas[key] = delta.copy()
 
 
+def table_of(ent_in: np.ndarray, cat_in: np.ndarray, ent_out: np.ndarray) -> EmbeddingTable:
+    """A table whose input matrix stacks copies of ``ent_in`` and ``cat_in``."""
+    return EmbeddingTable(inp=np.vstack([ent_in, cat_in]), n_entities=len(ent_in), ent_out=ent_out)
+
+
 def softmax_prob(table: EmbeddingTable, predictor: np.ndarray, context: int) -> float:
     """Exact softmax p(context | predictor) over all entity output rows.
 

@@ -272,6 +272,19 @@ class TestEvalRelatedness:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {emb}:2: non-numeric value") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("word, label", [("Jazz", "e:jazz"), ("music", "c:music")])
+    def test_zero_vector_is_a_one_line_error_naming_word_and_row(self, tmp_path, capsys, word, label):
+        # a 3-row file whose row for `word` is zero
+        rows = {"e:jazz": "1 2 3", "e:rock": "3 1 2", "c:music": "2 2 1", label: "0 0 0"}
+        emb = tmp_path / "emb.txt"
+        emb.write_text("3 3\n" + "".join(f"{row} {vec}\n" for row, vec in rows.items()), encoding="utf-8")
+        data = tmp_path / "rel.tsv"
+        data.write_text(f"rock\t{word}\t5.0\n", encoding="utf-8")
+        rc = main(["eval-relatedness", "--embeddings", str(emb), "--dataset", str(data),
+                   "--output", str(tmp_path / "o"), "--verbosity", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: word {word!r} maps to row {label!r}, a zero vector: cosine undefined\n"
+
     def test_unmapped_words_dropped(self, trained_dir, tmp_path):
         dataset = tmp_path / "pairs.tsv"
         dataset.write_text(

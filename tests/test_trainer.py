@@ -5,21 +5,21 @@ import numpy as np
 import pytest
 
 from catembed.corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
-from catembed.embeddings import EmbeddingTable, init_embeddings
+from catembed.embeddings import init_embeddings
 from catembed.errors import ConfigError, TrainError
-from catembed.hierarchy import AncestorWeights
+from catembed.hierarchy import AncestorWeights, weight_csr
 from catembed import trainer
 from catembed.kernels import CLAMP, group_bounds
 from catembed.sampler import pairs_arrays
 from catembed.trainer import TrainConfig, train
 
-from oracles import apply_gradient, group_loss_and_grad, pair_loss_and_grad, softmax_prob
+from oracles import apply_gradient, group_loss_and_grad, pair_loss_and_grad, softmax_prob, table_of
 
 EMPTY_WEIGHTS = AncestorWeights(categories=(), weights=np.empty(0))
 
 
 def random_table(rng, n_ent, n_cat, dim, scale=0.5):
-    return EmbeddingTable(
+    return table_of(
         ent_in=rng.normal(0, scale, (n_ent, dim)),
         cat_in=rng.normal(0, scale, (n_cat, dim)),
         ent_out=rng.normal(0, scale, (n_ent, dim)),
@@ -124,6 +124,19 @@ class TestInitEmbeddings:
         assert np.array_equal(a.ent_in, b.ent_in)
         assert np.array_equal(a.cat_in, b.cat_in)
 
+    def test_one_draw_equals_the_old_two_draws(self):
+        # entity rows then category rows, as two draws of one generator gave them
+        table = init_embeddings(7, 3, 5, seed=4)
+        rng = np.random.default_rng(4)
+        assert np.array_equal(table.ent_in, (rng.random((7, 5)) - 0.5) * (1.0 / 5))
+        assert np.array_equal(table.cat_in, (rng.random((3, 5)) - 0.5) * (1.0 / 5))
+
+    def test_inputs_are_one_row_matrix(self):
+        table = init_embeddings(7, 3, 5, seed=4)
+        assert table.inp.shape == (10, 5) and table.inp.flags.c_contiguous
+        assert np.shares_memory(table.ent_in, table.inp) and np.shares_memory(table.cat_in, table.inp)
+        assert np.array_equal(table.inp, np.vstack([table.ent_in, table.cat_in]))
+
     def test_different_seeds_differ(self):
         a = init_embeddings(11, 4, 8, seed=9)
         b = init_embeddings(11, 4, 8, seed=10)
@@ -140,7 +153,7 @@ class TestSoftmaxProb:
 
     def test_two_entity_logit_gap(self):
         # dot products (1, 0): p = e / (e + 1)
-        table = EmbeddingTable(
+        table = table_of(
             ent_in=np.array([[1.0], [0.0]]),
             cat_in=np.zeros((1, 1)),
             ent_out=np.array([[1.0], [0.0]]),
@@ -164,13 +177,13 @@ class TestSoftmaxProb:
 
 class TestPairLoss:
     def test_zero_vectors_no_categories_one_negative(self):
-        table = EmbeddingTable(ent_in=np.zeros((3, 4)), cat_in=np.zeros((1, 4)), ent_out=np.zeros((3, 4)))
+        table = table_of(ent_in=np.zeros((3, 4)), cat_in=np.zeros((1, 4)), ent_out=np.zeros((3, 4)))
         grad = pair_loss_and_grad(table, (0, 1), EMPTY_WEIGHTS, np.array([2]))
         assert grad.loss == pytest.approx(-2 * math.log(0.5), abs=1e-12)
         assert grad.loss == pytest.approx(1.38629, abs=1e-5)
 
     def test_zero_vectors_one_category_one_negative(self):
-        table = EmbeddingTable(ent_in=np.zeros((3, 4)), cat_in=np.zeros((2, 4)), ent_out=np.zeros((3, 4)))
+        table = table_of(ent_in=np.zeros((3, 4)), cat_in=np.zeros((2, 4)), ent_out=np.zeros((3, 4)))
         weights = AncestorWeights(categories=(1,), weights=np.array([1.0]))
         grad = pair_loss_and_grad(table, (0, 1), weights, np.array([2]))
         assert grad.loss == pytest.approx(-4 * math.log(0.5), abs=1e-12)
@@ -365,6 +378,43 @@ class TestTrain:
         assert stats[-1].lr < (cfg.lr0 + cfg.lr_min) / 2
         assert all(a.lr > b.lr for a, b in zip(stats, stats[1:]))
 
+    def test_subsampled_positions_follow_the_schedule(self):
+        # the schedule position runs over every scheduled pair, so it reaches the
+        # last epoch even though most pairs are dropped
+        _, graph, corpus = tiny_world()
+        stats = []
+        cfg = TrainConfig(dim=8, epochs=3, negatives=3, chunk=20, seed=3, subsample=1e-3)
+        train(corpus, graph, cfg, on_chunk=stats.append)
+        positions = [s.position for s in stats]
+        assert positions == sorted(positions)
+        assert (cfg.epochs - 1) * corpus.n_pairs <= positions[-1] < stats[-1].total_pairs
+        assert stats[-1].pairs_done < positions[-1]
+
+    def test_unsubsampled_position_is_pairs_before_the_chunk(self):
+        _, graph, corpus = tiny_world()
+        stats = []
+        train(corpus, graph, TrainConfig(dim=8, epochs=2, negatives=3, chunk=37, seed=3), on_chunk=stats.append)
+        assert [s.position for s in stats] == [0] + [s.pairs_done for s in stats[:-1]]
+
+    def test_predictor_csr_puts_the_own_row_first(self):
+        vocab, graph, corpus = tiny_world()
+        offsets, ids, ws = weight_csr(graph, corpus.entity_categories, vocab.entity_labels(), "hce")
+        pred_offsets, pred_ids, pred_ws = trainer.predictor_csr(offsets, ids, ws)
+        n_ent = vocab.n_entities
+        assert np.array_equal(np.diff(pred_offsets), np.diff(offsets) + 1)
+        for e in range(n_ent):
+            lo, hi = pred_offsets[e], pred_offsets[e + 1]
+            assert pred_ids[lo] == e and pred_ws[lo] == 1.0
+            assert np.array_equal(pred_ids[lo + 1:hi], ids[offsets[e]:offsets[e + 1]] + n_ent)
+            assert np.array_equal(pred_ws[lo + 1:hi], ws[offsets[e]:offsets[e + 1]])
+
+    def test_predictor_csr_of_entities_without_categories(self):
+        offsets = np.array([0, 0, 2, 2, 3])
+        got = trainer.predictor_csr(offsets, np.array([1, 0, 1]), np.array([0.25, 0.75, 1.0]))
+        assert got[0].tolist() == [0, 1, 4, 5, 7]
+        assert got[1].tolist() == [0, 1, 5, 4, 2, 3, 5]
+        assert got[2].tolist() == [1.0, 1.0, 0.25, 0.75, 1.0, 1.0, 1.0]
+
     def test_deterministic_from_seed(self):
         _, graph, corpus = tiny_world()
         cfg = TrainConfig(dim=8, epochs=2, negatives=3, chunk=37, seed=5)
@@ -430,8 +480,6 @@ class TestTrain:
         raw = load_hierarchy([f"root\t{leaf}" for leaf in leaves], vocab)
         graph, _ = prune_to_dag(raw, vocab, "root")
         corpus = load_corpus(lines, vocab, graph)
-
-        from catembed.hierarchy import weight_csr
 
         off_ce, ids_ce, ws_ce = weight_csr(graph, corpus.entity_categories, vocab.entity_labels(), "ce")
         off_h, ids_h, ws_h = weight_csr(graph, corpus.entity_categories, vocab.entity_labels(), "hce")
