@@ -255,8 +255,28 @@ def kmeans(
     return best
 
 
-# Largest n x n float64 distance matrix agglomerative() builds: 1 GiB, n <= 11,585.
+# Most bytes of n x n float64 distance matrices agglomerative() holds at once:
+# 1 GiB. That is one matrix of n <= 11,585 for a lone call, and two of
+# n <= 8,192 for a call handed a shared matrix, as run_categorization's sweep does.
 AGGLOMERATIVE_MAX_BYTES = 1 << 30
+
+
+def _check_matrix_bytes(n: int, shared: bool) -> None:
+    """Refuse n x n float64 matrices above ``AGGLOMERATIVE_MAX_BYTES``: a run's own, and a shared one if it reads one."""
+    size = n * n * 8
+    if (2 if shared else 1) * size > AGGLOMERATIVE_MAX_BYTES:
+        held = f"two {size}-byte distance matrices" if shared else f"an {size}-byte distance matrix"
+        raise EvalError(
+            f"agglomerative clustering of n={n} items needs {held}, above the {AGGLOMERATIVE_MAX_BYTES}-byte limit"
+        )
+
+
+@_QUIET_OVERFLOW
+def _metric_sq_dists(x: np.ndarray, metric: str) -> np.ndarray:
+    """The squared euclidean distances agglomerative() starts from: between the rows, or the normalized rows for cosine."""
+    if metric == "cosine":
+        x = _normalize_rows(x)
+    return _pairwise_sq_dists(x, x)
 
 
 @_QUIET_OVERFLOW
@@ -265,11 +285,17 @@ def agglomerative(
     k: int,
     metric: str = "euclidean",
     linkage: str = "average",
+    *,
+    sq_dists: np.ndarray | None = None,
 ) -> ClusteringSolution:
     """Bottom-up merging until k clusters; ties go to the smallest slot pair.
 
     Each merge rescans only the rows whose nearest neighbour it took away,
     so a run is O(n^2) time on typical data rather than O(n^3).
+
+    ``sq_dists``, if given, must be ``_metric_sq_dists(vectors, metric)``,
+    so that runs of several linkages share one build; it is only read, and
+    the run merges on its own copy, so two n x n matrices are held at once.
     """
     x = np.asarray(vectors, dtype=np.float64)
     n = len(x)
@@ -283,19 +309,16 @@ def agglomerative(
         raise EvalError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
     if linkage == "ward" and metric != "euclidean":
         raise EvalError("ward linkage requires the euclidean metric")
-    if n * n * 8 > AGGLOMERATIVE_MAX_BYTES:
-        raise EvalError(
-            f"agglomerative clustering of n={n} items needs an {n * n * 8}-byte distance matrix, "
-            f"above the {AGGLOMERATIVE_MAX_BYTES}-byte limit"
-        )
-    if metric == "cosine":
-        x = _normalize_rows(x)
+    _check_matrix_bytes(n, shared=sq_dists is not None)
 
     # Initial dissimilarity: squared euclidean for ward (Lance-Williams form),
     # plain euclidean otherwise.
-    d = _pairwise_sq_dists(x, x)
-    if linkage != "ward":
-        np.sqrt(d, out=d)
+    if sq_dists is None:
+        d = _metric_sq_dists(x, metric)
+        if linkage != "ward":
+            np.sqrt(d, out=d)
+    else:
+        d = sq_dists.copy() if linkage == "ward" else np.sqrt(sq_dists)
     np.fill_diagonal(d, np.inf)
 
     # Müllner's "generic" algorithm (arXiv:1109.2378): per row, the first
@@ -445,12 +468,19 @@ def run_categorization(
     if method in ("cluster", "both"):
         if sub.n_classes < 2:
             raise EvalError("clustering needs at least 2 gold classes")
+        # the agglomerative runs of one metric share its distance matrix;
+        # only one shared matrix is alive at a time, next to a run's working copy
+        _check_matrix_bytes(len(vectors), shared=True)
+        shared_metric, shared = None, None
         combos = []
         for algo, metric, link in _sweep_combos():
             if algo == "kmeans":
                 sol = kmeans(vectors, sub.n_classes, metric=metric, seed=seed)
             else:
-                sol = agglomerative(vectors, sub.n_classes, metric=metric, linkage=link)
+                if metric != shared_metric:
+                    shared = None  # freed before the next metric's matrix is built
+                    shared_metric, shared = metric, _metric_sq_dists(vectors, metric)
+                sol = agglomerative(vectors, sub.n_classes, metric=metric, linkage=link, sq_dists=shared)
             combos.append({
                 "algorithm": algo,
                 "metric": metric,

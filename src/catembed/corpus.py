@@ -65,11 +65,13 @@ def read_lines(source: str | Path | Iterable[str]) -> tuple[str, Iterable[str]]:
         raise CorpusError(f"input file not found: {path}")
     data = path.read_bytes()
     try:
-        return str(path), data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the bytes before the first bad one decode; a sentinel counts the line it opens
         lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise FormatError(f"invalid UTF-8 at byte {exc.start}", str(path), lineno) from None
+    del data  # freed before splitlines builds the lines: two copies of the file at the peak, not three
+    return str(path), text.splitlines()
 
 
 def records(source: str | Path | Iterable[str], names: tuple[str, ...]) -> Iterator[tuple[str, int, list[str]]]:

@@ -160,8 +160,23 @@ def _header(line: str, source: str) -> tuple[int, int]:
     return n_rows, dim
 
 
+# Rows handed to np.loadtxt at once: big enough that its per-call cost
+# vanishes, small enough that a block that falls back re-parses little.
+_BLOCK_LINES = 4096
+
+
 def load_embeddings(path: str | Path) -> EmbeddingIndex:
     """Load a text export; a malformed row fails with its ``<path>:<line>``.
+
+    The lines are taken in blocks of ``_BLOCK_LINES``. Each block's values
+    are parsed in C by ``np.loadtxt``, which splits only on whitespace that
+    ``str.split`` splits on and accepts only tokens that ``float()`` accepts,
+    with the same value. A block that ``loadtxt`` refuses, or whose rows do
+    not all come out ``dim`` wide, is parsed again line by line with
+    ``float()`` (:func:`_parse_lines`); that pass either accepts what
+    ``loadtxt`` could not (``1_000``, non-ASCII digits) or raises the error of
+    the first bad line. Nothing is allocated from the header's row count,
+    which is only compared with the rows found.
 
     Rows of each kind keep their file order. The rows are stacked once, and
     a file that interleaves the kinds is then reordered entity rows first;
@@ -171,36 +186,80 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
     if not lines:
         raise FormatError("empty embedding file", source, 1)
     n_rows, dim = _header(lines[0], source)
-    labels: dict[str, list[str]] = {"e:": [], "c:": []}  # unprefixed, per kind
-    rows: list[np.ndarray] = []
-    linenos: list[int] = []
-    is_cat: list[bool] = []
     seen: set[str] = set()  # prefixed labels; folded clashes stay two rows
-    for lineno, line in enumerate(lines[1:], 2):
+    blocks = [
+        _parse_block(lines[i:i + _BLOCK_LINES], i + 1, dim, seen)
+        or _parse_lines(lines[i:i + _BLOCK_LINES], i + 1, dim, seen, source)
+        for i in range(1, len(lines), _BLOCK_LINES)
+    ]
+    del lines  # freed before the blocks are stacked into a second copy of the values
+    names = [name for block in blocks for name in block[0]]  # prefixed row labels, in file order
+    if len(names) != n_rows:
+        raise FormatError(f"header promised {n_rows} rows, found {len(names)}", source)
+    linenos = [lineno for block in blocks for lineno in block[2]]
+    vecs = np.concatenate([block[1] for block in blocks]) if blocks else np.empty((0, dim))
+    del blocks
+    bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
+    if bad.size:
+        raise FormatError("non-finite value", source, linenos[bad[0]])
+    is_cat = [name.startswith("c:") for name in names]
+    if is_cat != sorted(is_cat):
+        vecs = vecs[np.argsort(is_cat, kind="stable")]
+    ent_labels = [name[2:] for name, cat in zip(names, is_cat) if not cat]
+    cat_labels = [name[2:] for name, cat in zip(names, is_cat) if cat]
+    return EmbeddingIndex(ent_labels, cat_labels, vecs)
+
+
+_Rows = tuple[list[str], np.ndarray, list[int]]  # prefixed labels, values, line numbers
+
+
+def _parse_block(lines: list[str], first: int, dim: int, seen: set[str]) -> _Rows | None:
+    """The block's rows from one ``np.loadtxt`` call, or None if any line needs :func:`_parse_lines`.
+
+    ``seen`` is updated only when the block is accepted.
+    """
+    names, rests, linenos = [], [], []
+    for lineno, line in enumerate(lines, first):
+        parts = line.split(None, 1)
+        if not parts:
+            continue
+        if len(parts) == 1 or parts[0][:2] not in ("e:", "c:"):
+            return None
+        names.append(parts[0])
+        rests.append(parts[1])
+        linenos.append(lineno)
+    if not names or len(set(names)) != len(names) or not seen.isdisjoint(names):
+        return None
+    try:
+        vecs = np.loadtxt(rests, comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    if vecs.shape != (len(names), dim):
+        return None
+    seen.update(names)
+    return names, vecs, linenos
+
+
+def _parse_lines(lines: list[str], first: int, dim: int, seen: set[str], source: str) -> _Rows:
+    """The block's rows, one line at a time with ``float()``; a bad line raises its ``FormatError``."""
+    names: list[str] = []
+    rows: list[list[float]] = []
+    linenos: list[int] = []
+    for lineno, line in enumerate(lines, first):
         parts = line.split()
         if not parts:
             continue
         if len(parts) != dim + 1:
             raise FormatError(f"expected {dim + 1} columns, got {len(parts)}", source, lineno)
-        prefix = parts[0][:2]
-        if prefix not in labels:
+        if parts[0][:2] not in ("e:", "c:"):
             raise FormatError(f"row label {parts[0]!r} lacks an e:/c: prefix", source, lineno)
         if parts[0] in seen:
             raise FormatError(f"duplicate row label {parts[0]!r}", source, lineno)
         seen.add(parts[0])
         try:
-            rows.append(np.array([float(x) for x in parts[1:]]))
+            rows.append([float(x) for x in parts[1:]])
         except ValueError as exc:
             raise FormatError(f"non-numeric value ({exc})", source, lineno) from None
-        labels[prefix].append(parts[0][2:])
+        names.append(parts[0])
         linenos.append(lineno)
-        is_cat.append(prefix == "c:")
-    if len(rows) != n_rows:
-        raise FormatError(f"header promised {n_rows} rows, found {len(rows)}", source)
-    vecs = np.vstack(rows) if rows else np.empty((0, dim))
-    bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
-    if bad.size:
-        raise FormatError("non-finite value", source, linenos[bad[0]])
-    if is_cat != sorted(is_cat):
-        vecs = vecs[np.argsort(is_cat, kind="stable")]
-    return EmbeddingIndex(labels["e:"], labels["c:"], vecs)
+    return names, np.array(rows, dtype=np.float64).reshape(-1, dim), linenos

@@ -133,8 +133,12 @@ def train_chunk_numpy(
         coef = exp_z / (1.0 + exp_z)
         coef *= step[n_pos]
         coef *= w
-        inp[rows] -= coef.T @ outs
+        # the output step reads preds before they take their own step; the
+        # predictor rows of a group are distinct, so writing the gathered copy
+        # back equals updating inp[rows] in place
         np.subtract.at(out_flat, (ids[:, None] * d + cols).ravel(), (coef @ preds).ravel())
+        preds -= coef.T @ outs
+        inp[rows] = preds
     return total
 
 

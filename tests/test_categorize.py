@@ -220,6 +220,15 @@ class TestAgglomerative:
         with pytest.raises(EvalError, match=r"^agglomerative clustering of n=5 items needs an 200-byte"):
             agglomerative(pts, 2)
 
+    def test_shared_matrix_counts_twice_against_the_limit(self, monkeypatch):
+        pts = np.random.default_rng(2).normal(size=(5, 2))
+        sq = _pairwise_sq_dists(pts, pts)
+        monkeypatch.setattr(categorize, "AGGLOMERATIVE_MAX_BYTES", 2 * 5 * 5 * 8)
+        assert agglomerative(pts, 2, sq_dists=sq).k == 2
+        monkeypatch.setattr(categorize, "AGGLOMERATIVE_MAX_BYTES", 2 * 5 * 5 * 8 - 1)
+        with pytest.raises(EvalError, match=r"^agglomerative clustering of n=5 items needs two 200-byte distance matrices"):
+            agglomerative(pts, 2, sq_dists=sq)
+
     @pytest.mark.parametrize("linkage", LINKAGES)
     def test_overflowing_distances_rejected(self, linkage):
         # the all-inf matrix once merged slot 0 with itself, doubling its
@@ -406,6 +415,18 @@ class TestExactEquivalence:
             sol = agglomerative(pts, k, metric=metric, linkage=linkage)
             assert np.array_equal(sol.assignment, reference_agglomerative(pts, k, metric, linkage))
 
+    @pytest.mark.parametrize("metric,linkage", AGGLOMERATIVE_COMBOS)
+    @pytest.mark.parametrize("data", ["blobs", "grid"])
+    def test_shared_matrix_gives_the_same_clustering(self, metric, linkage, data):
+        pts = gaussian_blobs(5) if data == "blobs" else integer_grid(5)
+        sq = categorize._metric_sq_dists(pts, metric)
+        before = sq.copy()
+        for k in (1, 2, 4, 9, len(pts) - 1):
+            own = agglomerative(pts, k, metric=metric, linkage=linkage)
+            shared = agglomerative(pts, k, metric=metric, linkage=linkage, sq_dists=sq)
+            assert np.array_equal(own.assignment, shared.assignment)
+            assert np.array_equal(sq, before)  # only read, never merged on
+
     def test_merge_rounding_onto_a_cached_minimum(self):
         # an average-linkage update rounds a merged distance exactly onto a
         # row's cached minimum: the lower column must become its neighbour
@@ -554,6 +575,40 @@ class TestRunCategorization:
         index, gold = separable_index(per_class=4)
         run_categorization(index, gold, method="both")
         assert calls == {"kmeans": 2, "agglomerative": 5, "nn_classify": 1}
+
+    def test_sweep_builds_one_matrix_per_metric(self, monkeypatch):
+        built, passed = [], []
+        real_build, real_agglomerative = categorize._metric_sq_dists, categorize.agglomerative
+
+        def build(x, metric):
+            built.append(metric)
+            return real_build(x, metric)
+
+        def agglomerative_spy(vectors, k, metric, linkage, *, sq_dists):
+            passed.append((metric, sq_dists.copy()))
+            return real_agglomerative(vectors, k, metric, linkage, sq_dists=sq_dists)
+
+        monkeypatch.setattr(categorize, "_metric_sq_dists", build)
+        monkeypatch.setattr(categorize, "agglomerative", agglomerative_spy)
+        index, gold = separable_index(per_class=4)
+        run_categorization(index, gold, method="cluster")
+        assert built == ["cosine", "euclidean"]
+        assert [metric for metric, _ in passed] == ["cosine"] * 2 + ["euclidean"] * 3
+        for metric, sq in passed:
+            assert np.array_equal(sq, real_build(index.ent_vecs, metric))
+
+    def test_sweep_refuses_oversized_n_before_building(self, monkeypatch):
+        index, gold = separable_index(per_class=4)  # n = 12
+        monkeypatch.setattr(categorize, "_metric_sq_dists", lambda *args: pytest.fail("matrix built"))
+        monkeypatch.setattr(categorize, "AGGLOMERATIVE_MAX_BYTES", 2 * 12 * 12 * 8 - 1)
+        with pytest.raises(EvalError) as info:
+            run_categorization(index, gold, method="cluster")
+        assert str(info.value) == (
+            "agglomerative clustering of n=12 items needs two 1152-byte distance matrices, above the 2303-byte limit"
+        )
+        monkeypatch.undo()
+        monkeypatch.setattr(categorize, "AGGLOMERATIVE_MAX_BYTES", 2 * 12 * 12 * 8)
+        assert run_categorization(index, gold, method="cluster")["cluster"]["purity"] == 1.0
 
     def test_misclassification_grouped_by_predicted(self):
         # two classes bundled together plus one far entity guarantees a mix-up

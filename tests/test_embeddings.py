@@ -217,6 +217,105 @@ class TestTextFormat:
         assert np.array_equal(loaded.ent_vecs, vecs)
 
 
+
+def _rows(n, dim=3):
+    return [f"e:r{i} " + " ".join(str(i + j / 4) for j in range(dim)) for i in range(n)]
+
+
+class TestBlockParse:
+    """The loader parses blocks of ``_BLOCK_LINES`` lines with np.loadtxt and
+    falls back to one ``float()`` per value. With 3-line blocks every fault
+    below falls in a later block than the first."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr("catembed.embeddings._BLOCK_LINES", 3)
+
+    @pytest.mark.parametrize("token", [
+        "1_000", "\u0661", "0x10", "1,5", "1d5", ".5", "1.", "+.5e-3", "nan", "-iNF", "Infinity", "\u22121",
+    ])
+    def test_token_parses_as_float_does(self, tmp_path, token):
+        # the token sits on line 9, in the third block, behind 7 good rows
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join(["8 3", *_rows(7), f"c:t 0.5 {token} 2"]) + "\n", encoding="utf-8")
+        try:
+            want = float(token)
+        except ValueError as exc:
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:9: non-numeric value \\(") as info:
+                load_embeddings(path)
+            assert str(info.value).endswith(f"({exc})")
+            return
+        if not np.isfinite(want):
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:9: non-finite value$"):
+                load_embeddings(path)
+            return
+        index = load_embeddings(path)
+        assert index.cat_vecs[0].tolist() == [0.5, want, 2.0]
+        assert index.ent_vecs.tolist() == [[i + j / 4 for j in range(3)] for i in range(7)]
+
+    def test_no_break_space_separates_values(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join(["5 3", *_rows(4), "c:t 1\xa02\u20033"]) + "\n", encoding="utf-8")
+        assert load_embeddings(path).cat_vecs.tolist() == [[1.0, 2.0, 3.0]]
+
+    def test_block_result_equals_per_line_result(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        vecs = rng.normal(size=(11, 6)) * 10.0 ** rng.integers(-300, 300, (11, 6))
+        path = tmp_path / "emb.txt"
+        EmbeddingIndex([f"e{i}" for i in range(8)], ["x", "y", "z"], vecs).save_text(path)
+        fast = load_embeddings(path)
+        monkeypatch.setattr("catembed.embeddings._parse_block", lambda *args: None)
+        slow = load_embeddings(path)
+        assert fast.ent_labels == slow.ent_labels and fast.cat_labels == slow.cat_labels
+        assert fast.vecs.tobytes() == slow.vecs.tobytes()
+
+    def test_label_only_row_names_its_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join(["6 3", *_rows(4), "e:lonely", "e:last 1 2 3"]) + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:6: expected 4 columns, got 1$"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_block_of_the_wrong_width_names_its_first_line(self, tmp_path, width):
+        # loadtxt reads lines 5-7 as one even matrix, just not 3 wide
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join(["6 3", *_rows(3), *_rows(6, width)[3:]]) + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:5: expected 4 columns, got {width + 1}$"):
+            load_embeddings(path)
+
+    def test_first_bad_line_of_a_block_wins(self, tmp_path):
+        # line 5 holds a bad value, line 6 repeats a label of an earlier block
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join(["6 3", *_rows(3), "e:x 1 y 3", "e:r0 1 2 3"]) + "\n")
+        with pytest.raises(FormatError, match=r":5: non-numeric value"):
+            load_embeddings(path)
+        path.write_text("\n".join(["6 3", *_rows(3), "e:x 1 2 3", "e:r0 1 2 3"]) + "\n")
+        with pytest.raises(FormatError, match=r":6: duplicate row label 'e:r0'$"):
+            load_embeddings(path)
+
+    def test_blank_lines_and_trailing_whitespace(self, tmp_path):
+        # the second block is blank lines only; the rest mixes tabs and trailing spaces
+        path = tmp_path / "emb.txt"
+        path.write_text("3 2\ne:a 1 2  \n\t\n\n \n\n\ne:b\t3\t4\t\n\n c:k 5 6\n\n")
+        index = load_embeddings(path)
+        assert index.ent_labels == ["a", "b"] and index.cat_labels == ["k"]
+        assert index.vecs.tolist() == [[1, 2], [3, 4], [5, 6]]
+
+    def test_late_non_finite_value_names_its_line(self, tmp_path):
+        rows = _rows(10)
+        rows[8] = "e:r8 1 2 inf"
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join(["10 3", *rows]) + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:10: non-finite value$"):
+            load_embeddings(path)
+
+    def test_huge_header_allocates_nothing(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("1000000000000 3\ne:a 1 2 3\ne:b 4 5 6\n")
+        with pytest.raises(FormatError, match="header promised 1000000000000 rows, found 2$"):
+            load_embeddings(path)
+
+
 class TestSaveText:
     def test_rows_match_per_float_formatting(self, tmp_path):
         # every value class %.6g has to render as the per-float f-string did
