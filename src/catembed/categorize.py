@@ -157,9 +157,13 @@ def _nearest_centers(x: np.ndarray, sq_x: np.ndarray, centers: np.ndarray) -> np
     return nearest
 
 
-def _sq_dists_to_assigned(x: np.ndarray, centers: np.ndarray, assignment: np.ndarray) -> np.ndarray:
-    """``_pairwise_sq_dists(x, centers)[i, assignment[i]]`` for every i, bitwise."""
-    diff = x - centers[assignment]
+def _row_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared euclidean distance from each row of ``x`` to ``y``: one row, or one row per row of ``x``.
+
+    Each entry sums its d squared differences in one contiguous reduction, so
+    it is bitwise the entry ``_pairwise_sq_dists`` gives for the same two rows.
+    """
+    diff = x - y
     np.square(diff, out=diff)
     return diff.sum(axis=1)
 
@@ -174,7 +178,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     n = len(x)
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
-    d2 = _pairwise_sq_dists(x, centers[:1])[:, 0]
+    d2 = _row_sq_dists(x, centers[0])
     for j in range(1, k):
         total = d2.sum()
         if not np.isfinite(total):
@@ -184,12 +188,18 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[j] = x[idx]
-        d2 = np.minimum(d2, _pairwise_sq_dists(x, centers[j:j + 1])[:, 0])
+        d2 = np.minimum(d2, _row_sq_dists(x, centers[j]))
     return centers
 
 
-def _repair_empty(assignment: np.ndarray, d2_assigned: np.ndarray, k: int) -> None:
-    """Give every empty cluster the farthest point of a multi-member cluster."""
+def _repair_empty(assignment: np.ndarray, d2_assigned: np.ndarray, k: int) -> np.ndarray:
+    """Give every empty cluster the farthest point of a multi-member cluster; return the cluster sizes.
+
+    ``d2_assigned[i]`` is point i's squared distance to its assigned center.
+    Empty clusters are filled in index order, each by the point farthest from
+    its center among the points of clusters that keep a member, the first
+    such point on ties. ``kmeans`` calls it only when a cluster is empty.
+    """
     sizes = np.bincount(assignment, minlength=k)
     for cluster in range(k):
         while sizes[cluster] == 0:
@@ -202,6 +212,30 @@ def _repair_empty(assignment: np.ndarray, d2_assigned: np.ndarray, k: int) -> No
             assignment[steal] = cluster
             d2_assigned[steal] = 0.0
             sizes[cluster] += 1
+    return sizes
+
+
+def _update_centers(centers: np.ndarray, x: np.ndarray, assignment: np.ndarray, sizes: np.ndarray,
+                    index: np.ndarray) -> None:
+    """Set every ``centers[j]`` to ``x[assignment == j].mean(axis=0)``, bitwise.
+
+    ``sizes`` counts the points per cluster, none of them 0; ``centers`` and
+    ``x`` are C-contiguous and ``index`` is a work buffer of ``x``'s shape, int64.
+    For d >= 2 that mean sums its rows one at a time in item order, starting
+    from 0.0, then divides by the count. One ``np.add.at`` over the flat
+    centers, at ``assignment * d + col``, adds the rows in that same order.
+    For d = 1 numpy sums the column pairwise, so the mean is taken per cluster.
+    """
+    d = x.shape[1]
+    if d == 1:
+        for j in range(len(centers)):
+            centers[j] = x[assignment == j].mean(axis=0)
+        return
+    np.add((assignment * d)[:, None], np.arange(d), out=index)
+    centers.fill(0.0)
+    # 1-d index and values take numpy's fast path; 2-d ones ran ~5x slower
+    np.add.at(centers.reshape(-1), index.reshape(-1), x.reshape(-1))
+    centers /= sizes[:, None]
 
 
 @_QUIET_OVERFLOW
@@ -213,8 +247,14 @@ def kmeans(
     max_iters: int = 100,
     seed: int = 0,
 ) -> ClusteringSolution:
-    """Lloyd's algorithm with k-means++ seeding, best of ``restarts`` by inertia."""
-    x = np.asarray(vectors, dtype=np.float64)
+    """Lloyd's algorithm with k-means++ seeding, best of ``restarts`` by inertia.
+
+    A Lloyd step assigns each point to its nearest center (``_nearest_centers``),
+    repairs empty clusters only when ``np.bincount`` finds one, and recomputes
+    every center as the mean of its points with one ``np.add.at``
+    (``_update_centers``), bitwise the per-cluster mean.
+    """
+    x = np.ascontiguousarray(vectors, dtype=np.float64)
     n = len(x)
     if k < 1:
         raise EvalError(f"k must be >= 1, got {k}")
@@ -233,20 +273,21 @@ def kmeans(
 
     rng = np.random.default_rng(seed)
     sq_x = (x * x).sum(axis=1)
+    index = np.empty(x.shape, dtype=np.int64)  # every Lloyd step's scatter index, built in place
     best: ClusteringSolution | None = None
     for _ in range(restarts):
         centers = _kmeanspp_init(x, k, rng)
         assignment = np.full(n, -1, dtype=np.int64)
         for _it in range(max_iters):
             new_assignment = _nearest_centers(x, sq_x, centers)
-            d2_assigned = _sq_dists_to_assigned(x, centers, new_assignment)
-            _repair_empty(new_assignment, d2_assigned, k)
+            sizes = np.bincount(new_assignment, minlength=k)
+            if not sizes.all():
+                sizes = _repair_empty(new_assignment, _row_sq_dists(x, centers[new_assignment]), k)
             if np.array_equal(new_assignment, assignment):
                 break
             assignment = new_assignment
-            for j in range(k):
-                centers[j] = x[assignment == j].mean(axis=0)
-        objective = float(_sq_dists_to_assigned(x, centers, assignment).sum())
+            _update_centers(centers, x, assignment, sizes, index)
+        objective = float(_row_sq_dists(x, centers[assignment]).sum())
         if not np.isfinite(objective):
             raise EvalError(_OVERFLOW)
         if best is None or objective < best.objective:
@@ -290,7 +331,8 @@ def agglomerative(
 ) -> ClusteringSolution:
     """Bottom-up merging until k clusters; ties go to the smallest slot pair.
 
-    Each merge rescans only the rows whose nearest neighbour it took away,
+    Each merge updates the merged row and column whole, retired slots
+    included, and rescans only the rows whose nearest neighbour it took away,
     so a run is O(n^2) time on typical data rather than O(n^3).
 
     ``sq_dists``, if given, must be ``_metric_sq_dists(vectors, metric)``,
@@ -339,34 +381,34 @@ def agglomerative(
             raise EvalError(_OVERFLOW)
         j = int(nn[i])
         a, b = sizes[i], sizes[j]
-        # Lance-Williams update of the merged row against every other active
-        # cluster c at once; elementwise the same arithmetic as one c at a time
-        c = np.flatnonzero(active)
-        c = c[(c != i) & (c != j)]
-        di, dj = d[i, c], d[j, c]
+        # Lance-Williams update of the merged row against every slot at once;
+        # elementwise the same arithmetic as one active cluster c at a time.
+        # Retired slots hold inf in rows i and j, and so do columns i and j
+        # (the diagonal and the finite d[i, j] meet inf), so they stay inf.
+        di, dj = d[i], d[j]
         if linkage == "average":
             d_new = (a * di + b * dj) / (a + b)
         elif linkage == "complete":
             d_new = np.maximum(di, dj)
         else:  # ward
-            cc = sizes[c]
-            d_new = ((a + cc) * di + (b + cc) * dj - cc * d[i, j]) / (a + b + cc)
-        d[i, c] = d_new
-        d[c, i] = d_new
+            d_new = ((a + sizes) * di + (b + sizes) * dj - sizes * d[i, j]) / (a + b + sizes)
+        d[i] = d_new
+        d[:, i] = d_new
         members[i].extend(members[j])
         sizes[i] += sizes[j]
         active[j] = False
-        d[j, :] = np.inf
+        d[j] = np.inf
         d[:, j] = np.inf
-        mind[j] = np.inf
-        # rows whose neighbour was i or j rescan; any other row compares its
-        # new distance to i with its cached minimum, the lower column winning ties
-        stale = (nn[c] == i) | (nn[c] == j)
-        rest, d_rest = c[~stale], d_new[~stale]
-        closer = (d_rest < mind[rest]) | ((d_rest == mind[rest]) & (i < nn[rest]))
-        nn[rest[closer]] = i
-        mind[rest[closer]] = d_rest[closer]
-        rescan = np.append(c[stale], i)
+        # a retired slot has no neighbour: it is never stale, and at inf it
+        # never takes i as closer
+        nn[j], mind[j] = -1, np.inf
+        # rows whose neighbour was i or j, row i among them, rescan; every
+        # other row compares its new distance to i with its cached minimum,
+        # the lower column winning ties (the rescan overwrites stale rows)
+        rescan = np.flatnonzero((nn == i) | (nn == j))
+        closer = (d_new < mind) | ((d_new == mind) & (i < nn))
+        nn[closer] = i
+        mind[closer] = d_new[closer]
         nn[rescan] = d[rescan].argmin(axis=1)
         mind[rescan] = d[rescan, nn[rescan]]
 

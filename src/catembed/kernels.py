@@ -97,13 +97,13 @@ def train_chunk_numpy(
     d = inp.shape[1]
     k = negatives.shape[1]
     bounds = group_bounds(targets)
-    if negatives.shape[0] != len(bounds) - 1:
-        raise ValueError(f"negatives needs one row per group: {len(bounds) - 1} groups, {negatives.shape[0]} rows")
+    n_groups = len(bounds) - 1
+    if negatives.shape[0] != n_groups:
+        raise ValueError(f"negatives needs one row per group: {n_groups} groups, {negatives.shape[0]} rows")
     # np.subtract.at over a flat view takes numpy's 1-d fast path; over rows it is ~4x slower
     if not ent_out.flags.c_contiguous:
         raise ValueError("ent_out must be C-contiguous")
     out_flat = ent_out.reshape(-1)
-    cols = np.arange(d)
     # Per group size G, over its G context rows and then its k negative rows:
     # the sign that turns each score into the z of its loss term log(1+exp(z)),
     # each row's multiplicity (1 per context, G per shared negative), and
@@ -111,21 +111,29 @@ def train_chunk_numpy(
     sign = [np.concatenate((-np.ones(g), np.ones(k)))[:, None] for g in range(GROUP_MAX + 1)]
     mult = [np.concatenate((np.ones(g), np.full(k, float(g)))) for g in range(GROUP_MAX + 1)]
     step = [(lr * m)[:, None] * s for m, s in zip(mult, sign)]
+    # The output ids of the whole chunk, group after group: each group's
+    # contexts, then its shared negatives, from id offset bounds[g] + g k on.
+    # Their flat scatter index is built per group: a whole-chunk copy at d
+    # columns raised the deep-dag benchmark's peak RSS by 2.2 MB.
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    offsets = starts + k * np.arange(n_groups)
+    ids = np.empty(len(targets) + n_groups * k, dtype=np.int64)
+    ids[np.arange(len(targets)) + k * np.repeat(np.arange(n_groups), sizes)] = contexts
+    ids[(offsets + sizes)[:, None] + np.arange(k)] = negatives
+    cols = np.arange(d)
+    t = targets[starts]
     total = 0.0
-    for a, b, negs in zip(bounds[:-1].tolist(), bounds[1:].tolist(), negatives):
-        t = targets[a]
-        lo, hi = pred_offsets[t], pred_offsets[t + 1]
+    for n_pos, a, lo, hi in zip(sizes.tolist(), offsets.tolist(), pred_offsets[t].tolist(),
+                                pred_offsets[t + 1].tolist()):
+        b = a + n_pos + k
         rows, w = pred_ids[lo:hi], pred_ws[lo:hi]
-        n_pos = b - a
-        # the group's contexts come first, then its shared negatives
-        ids = np.concatenate((contexts[a:b], negs))
-
         preds = inp[rows]
-        outs = ent_out[ids]
+        outs = ent_out[ids[a:b]]
 
         z = outs @ preds.T
         z *= sign[n_pos]
-        np.clip(z, -CLAMP, CLAMP, out=z)
+        np.minimum(z, CLAMP, out=z)
+        np.maximum(z, -CLAMP, out=z)
         exp_z = np.exp(z)
         total += float(mult[n_pos] @ np.log1p(exp_z) @ w)
 
@@ -136,7 +144,7 @@ def train_chunk_numpy(
         # the output step reads preds before they take their own step; the
         # predictor rows of a group are distinct, so writing the gathered copy
         # back equals updating inp[rows] in place
-        np.subtract.at(out_flat, (ids[:, None] * d + cols).ravel(), (coef @ preds).ravel())
+        np.subtract.at(out_flat, (ids[a:b, None] * d + cols).ravel(), (coef @ preds).ravel())
         preds -= coef.T @ outs
         inp[rows] = preds
     return total

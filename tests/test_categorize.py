@@ -452,6 +452,46 @@ class TestExactEquivalence:
                 assert np.array_equal(sol.assignment, assignment)
                 assert sol.objective == objective
 
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("data", ["blobs", "grid", "shifted", "tiny"])
+    def test_kmeans_matches_reference_at_sweep_restarts(self, monkeypatch, metric, data):
+        # run_categorization runs 10 restarts. On duplicate points (grid, tiny)
+        # k = n - 1 empties a cluster, so the repair path is checked bitwise too.
+        repairs = []
+
+        def spy(*args):
+            repairs.append(args[2])
+            return _repair_empty(*args)
+
+        monkeypatch.setattr(categorize, "_repair_empty", spy)
+        pts = gaussian_blobs(1) if data in ("blobs", "shifted") else integer_grid(1)
+        pts = pts + 1e9 if data == "shifted" else pts * 1e-158 if data == "tiny" else pts
+        for k in (2, 4, len(pts) - 1):
+            for max_iters in (1, 100):
+                sol = kmeans(pts, k, metric=metric, restarts=10, max_iters=max_iters, seed=1)
+                assignment, objective = reference_kmeans(pts, k, metric, 10, max_iters, 1)
+                assert np.array_equal(sol.assignment, assignment)
+                assert sol.objective == objective
+        if data in ("grid", "tiny"):
+            assert len(pts) - 1 in repairs
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 50, 120])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_center_update_equals_per_cluster_mean(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        n, k = 200, 40
+        x = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-6, 7, size=dim)
+        x[rng.random(x.shape) < 0.1] = -0.0  # numpy's sums start from +0.0
+        # clusters 0-9 hold one point each, 10-39 share the rest
+        assignment = np.concatenate([np.arange(k), rng.integers(10, k, n - k)])
+        rng.shuffle(assignment)
+        sizes = np.bincount(assignment, minlength=k)
+        assert (sizes[:10] == 1).all()
+        centers = np.full((k, dim), np.nan)
+        categorize._update_centers(centers, x, assignment, sizes, np.empty(x.shape, dtype=np.int64))
+        want = np.array([x[assignment == j].mean(axis=0) for j in range(k)])
+        assert centers.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("seed", range(4))
     def test_batched_nn_equals_per_entity_loop(self, seed):
         rng = np.random.default_rng(seed)
