@@ -20,6 +20,17 @@ from .errors import EvalError, FormatError
 
 METRICS = ("euclidean", "cosine")
 LINKAGES = ("ward", "complete", "average")
+# run_categorization's (algorithm, metric, linkage) runs, in report order;
+# the agglomerative runs of each metric are adjacent, so they share one matrix
+SWEEP = (
+    ("agglomerative", "cosine", "average"),
+    ("agglomerative", "cosine", "complete"),
+    ("agglomerative", "euclidean", "average"),
+    ("agglomerative", "euclidean", "complete"),
+    ("agglomerative", "euclidean", "ward"),
+    ("kmeans", "cosine", None),
+    ("kmeans", "euclidean", None),
+)
 
 
 @dataclass
@@ -83,35 +94,30 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / norms
 
 
-# Differences _pairwise_sq_dists holds at once; 64k was fastest for n = 500,
-# d = 100 on a 2-core x86-64 machine, and 8x smaller or larger was slower.
-_BLOCK_ELEMENTS = 1 << 16
-
-
 def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared euclidean distance from every row of ``x`` to every row of ``y``.
 
-    Rows of ``x`` are taken in blocks so that memory stays at the (n, m)
-    result. Each entry still sums its d squared differences in one contiguous
-    reduction, so it is bitwise equal to reducing the full (n, m, d) tensor.
-    When ``y is x`` each block is computed against the rows from its own
-    first row on and mirrored into the transpose: ``(a - b)**2`` equals
-    ``(b - a)**2`` bit for bit, so the matrix is the same at half the work.
+    One row of the shorter operand is taken at a time, in one scratch buffer,
+    so memory stays at the (n, m) result. Each entry sums its d squared
+    differences in one contiguous reduction, bitwise equal to reducing the
+    full (n, m, d) tensor. As ``(a - b)**2`` equals ``(b - a)**2`` bit for
+    bit, a shorter ``y`` gives the transpose of the swapped call, and when
+    ``y is x`` each row is computed from its own index on and mirrored into
+    its column, the same matrix at half the work.
     """
+    if len(y) < len(x):
+        return _pairwise_sq_dists(y, x).T
     same = y is x
     out = np.empty((len(x), len(y)))
-    step = max(1, _BLOCK_ELEMENTS // max(1, y.size))
-    # one scratch block for the whole call: allocating each block of a
-    # shrinking width anew raised the deep-dag benchmark's peak RSS by 1.5 MB
-    buf = np.empty((min(step, len(x)), len(y), x.shape[1]))
-    for start in range(0, len(x), step):
-        stop, first = start + step, start if same else 0
-        diff = buf[:len(x) - start, first:]
-        np.subtract(x[start:stop, None, :], y[None, first:, :], out=diff)
+    buf = np.empty(y.shape)
+    for i, row in enumerate(x):
+        first = i if same else 0
+        diff = buf[first:]
+        np.subtract(row, y[first:], out=diff)
         np.square(diff, out=diff)
-        diff.sum(axis=2, out=out[start:stop, first:])
+        diff.sum(axis=1, out=out[i, first:])
         if same:
-            out[stop:, start:stop] = out[start:stop, stop:].T
+            out[i + 1:, i] = out[i, i + 1:]
     return out
 
 
@@ -454,18 +460,6 @@ def nn_classify(entity_vecs: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return d2.argmin(axis=1)  # first minimum: lowest index on ties
 
 
-def _sweep_combos() -> list[tuple[str, str, str | None]]:
-    combos: list[tuple[str, str, str | None]] = []
-    for metric in METRICS:
-        for link in LINKAGES:
-            if link == "ward" and metric != "euclidean":
-                continue
-            combos.append(("agglomerative", metric, link))
-    for metric in METRICS:
-        combos.append(("kmeans", metric, None))
-    return sorted(combos, key=lambda c: (c[0], c[1], c[2] or ""))
-
-
 def run_categorization(
     index: EmbeddingIndex,
     gold: GoldLabeling,
@@ -515,7 +509,7 @@ def run_categorization(
         _check_matrix_bytes(len(vectors), shared=True)
         shared_metric, shared = None, None
         combos = []
-        for algo, metric, link in _sweep_combos():
+        for algo, metric, link in SWEEP:
             if algo == "kmeans":
                 sol = kmeans(vectors, sub.n_classes, metric=metric, seed=seed)
             else:

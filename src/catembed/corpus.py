@@ -37,23 +37,9 @@ def normalize_label(text: str) -> str:
     return text.strip().lower().replace(" ", "_")
 
 
-class FoldedLabels:
-    """Case- and space-insensitive lookup into a growing label list.
-
-    ``labels`` is shared, not copied; labels appended to it later are folded
-    on the next lookup. The lowest index wins when two labels fold together.
-    """
-
-    def __init__(self, labels: list[str]):
-        self._labels = labels
-        self._folded: dict[str, int] = {}
-        self._seen = 0
-
-    def get(self, word: str) -> int | None:
-        for idx in range(self._seen, len(self._labels)):
-            self._folded.setdefault(normalize_label(self._labels[idx]), idx)
-        self._seen = len(self._labels)
-        return self._folded.get(normalize_label(word))
+def folded_index(labels: list[str]) -> dict[str, int]:
+    """Case- and space-insensitive lookup: folded label -> index; the lowest index wins on a clash."""
+    return {normalize_label(label): idx for idx, label in reversed(list(enumerate(labels)))}
 
 
 def read_lines(source: str | Path | Iterable[str]) -> tuple[str, Iterable[str]]:
@@ -102,7 +88,6 @@ class Vocabulary:
         self._ent_counts: list[int] = []
         self._cat_index: dict[str, int] = {}
         self._cat_labels: list[str] = []
-        self._folded_ent = FoldedLabels(self._ent_labels)
 
     @property
     def n_entities(self) -> int:
@@ -152,8 +137,8 @@ class Vocabulary:
         return list(self._cat_labels)
 
     def match_entity(self, word: str) -> int | None:
-        """Case/space-insensitive entity lookup; lowest index wins on case clashes."""
-        return self._folded_ent.get(word)
+        """Case/space-insensitive entity lookup over the labels as they are now; lowest index wins on clashes."""
+        return folded_index(self._ent_labels).get(normalize_label(word))
 
 
 def _iter_documents(source) -> Iterator[tuple[str, list[str], list[str]]]:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import FoldedLabels, Vocabulary, read_lines
+from .corpus import Vocabulary, folded_index, normalize_label, read_lines
 from .errors import CorpusError, FormatError
 
 
@@ -59,7 +59,8 @@ class EmbeddingIndex:
 
     ``vecs`` has shape ``(n_ent + n_cat, d)``, entity rows first, each kind
     in file order; ``ent_vecs`` and ``cat_vecs`` are views of its two parts.
-    :meth:`row` resolves a word to a row of ``vecs``.
+    :meth:`row` resolves a word to a row of ``vecs``. The labels are folded
+    once, here, so the label lists must not grow afterwards.
     """
 
     def __init__(self, ent_labels: list[str], cat_labels: list[str], vecs: np.ndarray):
@@ -68,8 +69,8 @@ class EmbeddingIndex:
         self.vecs = vecs
         self.ent_vecs = vecs[:len(ent_labels)]
         self.cat_vecs = vecs[len(ent_labels):]
-        self._folded_ent = FoldedLabels(ent_labels)
-        self._folded_cat = FoldedLabels(cat_labels)
+        self._folded_ent = folded_index(ent_labels)
+        self._folded_cat = folded_index(cat_labels)
 
     @property
     def dim(self) -> int:
@@ -80,10 +81,10 @@ class EmbeddingIndex:
         return len(self.vecs)
 
     def match_entity(self, word: str) -> int | None:
-        return self._folded_ent.get(word)
+        return self._folded_ent.get(normalize_label(word))
 
     def match_category(self, word: str) -> int | None:
-        return self._folded_cat.get(word)
+        return self._folded_cat.get(normalize_label(word))
 
     def row(self, word: str) -> int | None:
         """Row of ``vecs`` for a word: its folded entity row, else its folded category row, else None."""
@@ -160,45 +161,30 @@ def _header(line: str, source: str) -> tuple[int, int]:
     return n_rows, dim
 
 
-# Rows handed to np.loadtxt at once: big enough that its per-call cost
-# vanishes, small enough that a block that falls back re-parses little.
-_BLOCK_LINES = 4096
-
-
 def load_embeddings(path: str | Path) -> EmbeddingIndex:
     """Load a text export; a malformed row fails with its ``<path>:<line>``.
 
-    The lines are taken in blocks of ``_BLOCK_LINES``. Each block's values
-    are parsed in C by ``np.loadtxt``, which splits only on whitespace that
+    The values of all rows are parsed in C by one ``np.loadtxt`` call
+    (:func:`_parse_block`), which splits only on whitespace that
     ``str.split`` splits on and accepts only tokens that ``float()`` accepts,
-    with the same value. A block that ``loadtxt`` refuses, or whose rows do
-    not all come out ``dim`` wide, is parsed again line by line with
+    with the same value. If ``loadtxt`` refuses the file, or its rows do not
+    all come out ``dim`` wide, the file is parsed again line by line with
     ``float()`` (:func:`_parse_lines`); that pass either accepts what
     ``loadtxt`` could not (``1_000``, non-ASCII digits) or raises the error of
     the first bad line. Nothing is allocated from the header's row count,
     which is only compared with the rows found.
 
-    Rows of each kind keep their file order. The rows are stacked once, and
-    a file that interleaves the kinds is then reordered entity rows first;
-    every file :func:`save_text` writes is already in that order.
+    Rows of each kind keep their file order. A file that interleaves the
+    kinds is reordered entity rows first; every file :func:`save_text` writes
+    is already in that order.
     """
     source, lines = read_lines(path)
     if not lines:
         raise FormatError("empty embedding file", source, 1)
     n_rows, dim = _header(lines[0], source)
-    seen: set[str] = set()  # prefixed labels; folded clashes stay two rows
-    blocks = [
-        _parse_block(lines[i:i + _BLOCK_LINES], i + 1, dim, seen)
-        or _parse_lines(lines[i:i + _BLOCK_LINES], i + 1, dim, seen, source)
-        for i in range(1, len(lines), _BLOCK_LINES)
-    ]
-    del lines  # freed before the blocks are stacked into a second copy of the values
-    names = [name for block in blocks for name in block[0]]  # prefixed row labels, in file order
+    names, vecs, linenos = _parse_block(lines[1:], dim) or _parse_lines(lines[1:], dim, source)
     if len(names) != n_rows:
         raise FormatError(f"header promised {n_rows} rows, found {len(names)}", source)
-    linenos = [lineno for block in blocks for lineno in block[2]]
-    vecs = np.concatenate([block[1] for block in blocks]) if blocks else np.empty((0, dim))
-    del blocks
     bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
     if bad.size:
         raise FormatError("non-finite value", source, linenos[bad[0]])
@@ -213,39 +199,41 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
 _Rows = tuple[list[str], np.ndarray, list[int]]  # prefixed labels, values, line numbers
 
 
-def _parse_block(lines: list[str], first: int, dim: int, seen: set[str]) -> _Rows | None:
-    """The block's rows from one ``np.loadtxt`` call, or None if any line needs :func:`_parse_lines`.
+def _parse_block(body: list[str], dim: int) -> _Rows | None:
+    """The rows of ``body`` (line 2 on) from one ``np.loadtxt`` call, or None if a line needs :func:`_parse_lines`."""
+    names, linenos = [], []
 
-    ``seen`` is updated only when the block is accepted.
-    """
-    names, rests, linenos = [], [], []
-    for lineno, line in enumerate(lines, first):
-        parts = line.split(None, 1)
-        if not parts:
-            continue
-        if len(parts) == 1 or parts[0][:2] not in ("e:", "c:"):
-            return None
-        names.append(parts[0])
-        rests.append(parts[1])
-        linenos.append(lineno)
-    if not names or len(set(names)) != len(names) or not seen.isdisjoint(names):
-        return None
+    def values():  # each row's values, streamed so that they are never all held at once
+        for lineno, line in enumerate(body, 2):
+            parts = line.split(None, 1)
+            if not parts:
+                continue
+            if len(parts) == 1 or parts[0][:2] not in ("e:", "c:"):
+                raise ValueError  # a row only _parse_lines can judge
+            names.append(parts[0])
+            linenos.append(lineno)
+            yield parts[1]
+
+    if not any(map(str.split, body)):
+        return None  # no rows, which loadtxt would warn about
     try:
-        vecs = np.loadtxt(rests, comments=None, ndmin=2, dtype=np.float64)
-    except ValueError:
+        # a row per line at most: allocating that many up front spares loadtxt growing its result;
+        # an allocation too large for a file of mostly blank lines falls back too
+        vecs = np.loadtxt(values(), comments=None, ndmin=2, dtype=np.float64, max_rows=len(body))
+    except (ValueError, MemoryError):
         return None
-    if vecs.shape != (len(names), dim):
+    if len(set(names)) != len(names) or vecs.shape != (len(names), dim):
         return None
-    seen.update(names)
     return names, vecs, linenos
 
 
-def _parse_lines(lines: list[str], first: int, dim: int, seen: set[str], source: str) -> _Rows:
-    """The block's rows, one line at a time with ``float()``; a bad line raises its ``FormatError``."""
+def _parse_lines(body: list[str], dim: int, source: str) -> _Rows:
+    """The rows of ``body`` (line 2 on), one line at a time with ``float()``; a bad line raises its ``FormatError``."""
     names: list[str] = []
     rows: list[list[float]] = []
     linenos: list[int] = []
-    for lineno, line in enumerate(lines, first):
+    seen: set[str] = set()  # prefixed labels; folded clashes stay two rows
+    for lineno, line in enumerate(body, 2):
         parts = line.split()
         if not parts:
             continue

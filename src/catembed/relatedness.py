@@ -61,16 +61,8 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Fractional ranks (1-based); tied values share the mean of their positions."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman(xs, ys) -> float:

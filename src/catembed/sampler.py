@@ -35,10 +35,6 @@ class NoiseTable:
 
     cumulative: np.ndarray
 
-    @property
-    def n_entities(self) -> int:
-        return len(self.cumulative)
-
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
         return np.searchsorted(self.cumulative, rng.random(size), side="right")
 

@@ -5,12 +5,12 @@ from catembed import categorize
 from catembed.categorize import (
     LINKAGES,
     METRICS,
+    SWEEP,
     ClusteringSolution,
     GoldLabeling,
     _cluster_misclassifications,
     _pairwise_sq_dists,
     _repair_empty,
-    _sweep_combos,
     agglomerative,
     kmeans,
     load_gold,
@@ -386,21 +386,26 @@ def integer_grid(seed=0, n=45):
     return pts
 
 
-AGGLOMERATIVE_COMBOS = [(m, link) for algo, m, link in _sweep_combos() if algo == "agglomerative"]
+AGGLOMERATIVE_COMBOS = [(m, link) for algo, m, link in SWEEP if algo == "agglomerative"]
 
 
 class TestExactEquivalence:
-    @pytest.mark.parametrize("block", [1, 7, 100, 1 << 16])
-    def test_blocked_distances_equal_one_shot_tensor(self, monkeypatch, block):
-        monkeypatch.setattr("catembed.categorize._BLOCK_ELEMENTS", block)
+    @pytest.mark.parametrize("n, m, d", [
+        (11, 37, 9),  # x shorter than y
+        (37, 11, 9),  # y shorter than x: the transpose of the swapped call
+        (1, 5, 3),  # one row
+        (5, 1, 3),
+        (20, 13, 1),  # d = 1
+    ])
+    def test_blocked_distances_equal_one_shot_tensor(self, n, m, d):
         rng = np.random.default_rng(8)
-        x, y = rng.normal(size=(37, 9)), rng.normal(size=(11, 9))
-        z = rng.normal(size=(5, 9))  # at block 100: rows in blocks of 2, the last one short
-        for a, b in ((x, y), (x, x), (y, x[:1]), (z, z)):
-            want = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-            assert np.array_equal(_pairwise_sq_dists(a, b), want)
-        for a in (x, z):  # y is x takes the mirrored upper-triangle path
-            assert np.array_equal(_pairwise_sq_dists(a, a), _pairwise_sq_dists(a, a.copy()))
+        for scale in (1.0, 1e150, 1e-160):
+            x, y = rng.normal(size=(n, d)) * scale, rng.normal(size=(m, d)) * scale
+            for a, b in ((x, y), (x, x), (y, y)):  # y is x takes the mirrored upper-triangle path
+                with np.errstate(over="ignore"):
+                    want = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+                    assert np.array_equal(_pairwise_sq_dists(a, b), want)
+                    assert np.array_equal(_pairwise_sq_dists(a, b.copy()), want)
 
     @pytest.mark.parametrize("metric,linkage", AGGLOMERATIVE_COMBOS)
     @pytest.mark.parametrize("data", ["blobs", "grid", "grid150"])

@@ -223,19 +223,15 @@ def _rows(n, dim=3):
 
 
 class TestBlockParse:
-    """The loader parses blocks of ``_BLOCK_LINES`` lines with np.loadtxt and
-    falls back to one ``float()`` per value. With 3-line blocks every fault
-    below falls in a later block than the first."""
-
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        monkeypatch.setattr("catembed.embeddings._BLOCK_LINES", 3)
+    """The loader parses the whole body with one np.loadtxt call and falls
+    back to one ``float()`` per value over the whole file. Every fault below
+    sits behind good rows."""
 
     @pytest.mark.parametrize("token", [
         "1_000", "\u0661", "0x10", "1,5", "1d5", ".5", "1.", "+.5e-3", "nan", "-iNF", "Infinity", "\u22121",
     ])
     def test_token_parses_as_float_does(self, tmp_path, token):
-        # the token sits on line 9, in the third block, behind 7 good rows
+        # the token sits on line 9, behind 7 good rows
         path = tmp_path / "emb.txt"
         path.write_text("\n".join(["8 3", *_rows(7), f"c:t 0.5 {token} 2"]) + "\n", encoding="utf-8")
         try:
@@ -269,6 +265,15 @@ class TestBlockParse:
         assert fast.ent_labels == slow.ent_labels and fast.cat_labels == slow.cat_labels
         assert fast.vecs.tobytes() == slow.vecs.tobytes()
 
+    def test_refused_allocation_falls_back(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join(["4 3", *_rows(4)]) + "\n")
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr("catembed.embeddings.np.loadtxt", no_memory)
+        assert load_embeddings(path).vecs.tolist() == [[i + j / 4 for j in range(3)] for i in range(4)]
+
     def test_label_only_row_names_its_line(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("\n".join(["6 3", *_rows(4), "e:lonely", "e:last 1 2 3"]) + "\n")
@@ -277,14 +282,21 @@ class TestBlockParse:
 
     @pytest.mark.parametrize("width", [2, 4])
     def test_block_of_the_wrong_width_names_its_first_line(self, tmp_path, width):
-        # loadtxt reads lines 5-7 as one even matrix, just not 3 wide
+        # loadtxt refuses the uneven rows; the per-line pass names line 5
         path = tmp_path / "emb.txt"
         path.write_text("\n".join(["6 3", *_rows(3), *_rows(6, width)[3:]]) + "\n")
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:5: expected 4 columns, got {width + 1}$"):
             load_embeddings(path)
 
+    def test_every_row_of_the_wrong_width_names_the_first(self, tmp_path):
+        # loadtxt reads every row as one even matrix, just not 3 wide: the shape check refuses it
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join(["4 3", *_rows(4, 2)]) + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: expected 4 columns, got 3$"):
+            load_embeddings(path)
+
     def test_first_bad_line_of_a_block_wins(self, tmp_path):
-        # line 5 holds a bad value, line 6 repeats a label of an earlier block
+        # line 5 holds a bad value, line 6 repeats the label of line 2
         path = tmp_path / "emb.txt"
         path.write_text("\n".join(["6 3", *_rows(3), "e:x 1 y 3", "e:r0 1 2 3"]) + "\n")
         with pytest.raises(FormatError, match=r":5: non-numeric value"):
@@ -294,7 +306,7 @@ class TestBlockParse:
             load_embeddings(path)
 
     def test_blank_lines_and_trailing_whitespace(self, tmp_path):
-        # the second block is blank lines only; the rest mixes tabs and trailing spaces
+        # a run of blank lines, tabs and trailing spaces
         path = tmp_path / "emb.txt"
         path.write_text("3 2\ne:a 1 2  \n\t\n\n \n\n\ne:b\t3\t4\t\n\n c:k 5 6\n\n")
         index = load_embeddings(path)

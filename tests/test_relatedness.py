@@ -6,6 +6,7 @@ import pytest
 from catembed.embeddings import EmbeddingIndex
 from catembed.errors import EvalError, FormatError
 from catembed.relatedness import (
+    _average_ranks,
     cosine,
     load_relatedness,
     run_relatedness,
@@ -123,6 +124,15 @@ class TestSpearman:
                 continue
             expect = stats.spearmanr(x, y).statistic
             assert spearman(x, y) == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_average_ranks_equal_rankdata(self, seed):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 7, 50, 400):
+            x = rng.integers(-3, 4, size=n) * rng.choice([0.5, 1.0, -0.0], size=n)  # heavy ties, signed zeros
+            want = stats.rankdata(x, method="average")
+            assert _average_ranks(x).tobytes() == want.astype(np.float64).tobytes()
 
     def test_monotone_invariance_with_ties(self):
         x = np.array([1.0, 2.0, 2.0, 3.0, 5.0])
