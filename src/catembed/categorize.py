@@ -21,7 +21,7 @@ from .errors import EvalError, FormatError
 METRICS = ("euclidean", "cosine")
 LINKAGES = ("ward", "complete", "average")
 # run_categorization's (algorithm, metric, linkage) runs, in report order;
-# the agglomerative runs of each metric are adjacent, so they share one matrix
+# it runs them metric by metric, so that each metric's runs share one matrix
 SWEEP = (
     ("agglomerative", "cosine", "average"),
     ("agglomerative", "cosine", "complete"),
@@ -180,11 +180,12 @@ _OVERFLOW = "squared distances between the vectors overflow float64"
 _QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 
 
-def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator, sq_dists: np.ndarray | None = None) -> np.ndarray:
     n = len(x)
     centers = np.empty((k, x.shape[1]))
-    centers[0] = x[rng.integers(n)]
-    d2 = _row_sq_dists(x, centers[0])
+    idx = int(rng.integers(n))
+    centers[0] = x[idx]
+    d2 = _row_sq_dists(x, x[idx]) if sq_dists is None else sq_dists[idx]
     for j in range(1, k):
         total = d2.sum()
         if not np.isfinite(total):
@@ -194,7 +195,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[j] = x[idx]
-        d2 = np.minimum(d2, _row_sq_dists(x, centers[j]))
+        d2 = np.minimum(d2, _row_sq_dists(x, x[idx]) if sq_dists is None else sq_dists[idx])
     return centers
 
 
@@ -252,6 +253,8 @@ def kmeans(
     restarts: int = 10,
     max_iters: int = 100,
     seed: int = 0,
+    *,
+    sq_dists: np.ndarray | None = None,
 ) -> ClusteringSolution:
     """Lloyd's algorithm with k-means++ seeding, best of ``restarts`` by inertia.
 
@@ -259,6 +262,9 @@ def kmeans(
     repairs empty clusters only when ``np.bincount`` finds one, and recomputes
     every center as the mean of its points with one ``np.add.at``
     (``_update_centers``), bitwise the per-cluster mean.
+
+    ``sq_dists``, if given, must be ``_metric_sq_dists(vectors, metric)``. Each
+    seed is a point; seeding reads its distances from that row and never writes.
     """
     x = np.ascontiguousarray(vectors, dtype=np.float64)
     n = len(x)
@@ -282,7 +288,7 @@ def kmeans(
     index = np.empty(x.shape, dtype=np.int64)  # every Lloyd step's scatter index, built in place
     best: ClusteringSolution | None = None
     for _ in range(restarts):
-        centers = _kmeanspp_init(x, k, rng)
+        centers = _kmeanspp_init(x, k, rng, sq_dists)
         assignment = np.full(n, -1, dtype=np.int64)
         for _it in range(max_iters):
             new_assignment = _nearest_centers(x, sq_x, centers)
@@ -504,26 +510,21 @@ def run_categorization(
     if method in ("cluster", "both"):
         if sub.n_classes < 2:
             raise EvalError("clustering needs at least 2 gold classes")
-        # the agglomerative runs of one metric share its distance matrix;
-        # only one shared matrix is alive at a time, next to a run's working copy
+        # every run of one metric shares its distance matrix; only one shared
+        # matrix is alive at a time, next to an agglomerative run's working copy
         _check_matrix_bytes(len(vectors), shared=True)
-        shared_metric, shared = None, None
-        combos = []
-        for algo, metric, link in SWEEP:
-            if algo == "kmeans":
-                sol = kmeans(vectors, sub.n_classes, metric=metric, seed=seed)
-            else:
-                if metric != shared_metric:
-                    shared = None  # freed before the next metric's matrix is built
-                    shared_metric, shared = metric, _metric_sq_dists(vectors, metric)
-                sol = agglomerative(vectors, sub.n_classes, metric=metric, linkage=link, sq_dists=shared)
-            combos.append({
-                "algorithm": algo,
-                "metric": metric,
-                "linkage": link,
-                "purity": purity(sol, sub),
-                "solution": sol,
-            })
+        by_run = {}
+        for metric in ("cosine", "euclidean"):
+            shared = _metric_sq_dists(vectors, metric)
+            for algo, _, link in (run for run in SWEEP if run[1] == metric):
+                if algo == "kmeans":
+                    sol = kmeans(vectors, sub.n_classes, metric=metric, seed=seed, sq_dists=shared)
+                else:
+                    sol = agglomerative(vectors, sub.n_classes, metric=metric, linkage=link, sq_dists=shared)
+                by_run[algo, metric, link] = {"algorithm": algo, "metric": metric, "linkage": link,
+                                              "purity": purity(sol, sub), "solution": sol}
+            del shared  # freed before the next metric's matrix is built
+        combos = [by_run[run] for run in SWEEP]
         best = max(combos, key=lambda c: c["purity"])  # max keeps the first on ties
         best_sol = best["solution"]
         report["cluster"] = {

@@ -228,9 +228,13 @@ def _parse_block(body: list[str], dim: int) -> _Rows | None:
 
 
 def _parse_lines(body: list[str], dim: int, source: str) -> _Rows:
-    """The rows of ``body`` (line 2 on), one line at a time with ``float()``; a bad line raises its ``FormatError``."""
+    """The rows of ``body`` (line 2 on), one line at a time with ``float()``; a bad line raises its ``FormatError``.
+
+    Each row is kept as its own float64 array, not as Python floats, so a file
+    refused at its last line peaks near its values' float64 bytes.
+    """
     names: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     linenos: list[int] = []
     seen: set[str] = set()  # prefixed labels; folded clashes stay two rows
     for lineno, line in enumerate(body, 2):
@@ -245,7 +249,7 @@ def _parse_lines(body: list[str], dim: int, source: str) -> _Rows:
             raise FormatError(f"duplicate row label {parts[0]!r}", source, lineno)
         seen.add(parts[0])
         try:
-            rows.append([float(x) for x in parts[1:]])
+            rows.append(np.array([float(x) for x in parts[1:]]))
         except ValueError as exc:
             raise FormatError(f"non-numeric value ({exc})", source, lineno) from None
         names.append(parts[0])

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -480,6 +482,41 @@ class TestExactEquivalence:
         if data in ("grid", "tiny"):
             assert len(pts) - 1 in repairs
 
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("data", ["blobs", "grid", "shifted", "tiny"])
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-160, 1e160])
+    def test_kmeans_seeded_from_the_shared_matrix_is_bitwise_the_row_path(self, metric, data, scale):
+        pts = gaussian_blobs(2) if data in ("blobs", "shifted") else integer_grid(2)
+        pts = pts + 1e9 if data == "shifted" else pts * 1e-158 if data == "tiny" else pts
+        pts = pts * scale
+        sq = categorize._metric_sq_dists(pts, metric)
+        before = sq.tobytes()
+        refused = []
+        for k in (2, 4, len(pts) - 1):
+            try:
+                want = kmeans(pts, k, metric=metric, restarts=10)
+            except EvalError as exc:
+                refused.append(k)
+                with pytest.raises(EvalError) as info:
+                    kmeans(pts, k, metric=metric, restarts=10, sq_dists=sq)
+                assert str(info.value) == str(exc)
+            else:
+                got = kmeans(pts, k, metric=metric, restarts=10, sq_dists=sq)
+                assert np.array_equal(got.assignment, want.assignment)
+                assert got.objective == want.objective
+            assert sq.tobytes() == before  # only read
+        # at 1e160 the euclidean distances overflow, except on the tiny data; cosine normalizes first
+        assert bool(refused) == (metric == "euclidean" and scale == 1e160 and data != "tiny")
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_seeding_from_the_shared_matrix_computes_no_distances(self, monkeypatch, metric):
+        pts = integer_grid(4)
+        x = categorize._normalize_rows(pts) if metric == "cosine" else pts
+        want = categorize._kmeanspp_init(x, 9, np.random.default_rng(3), None)
+        monkeypatch.setattr(categorize, "_row_sq_dists", lambda *args: pytest.fail("distances computed"))
+        got = categorize._kmeanspp_init(x, 9, np.random.default_rng(3), categorize._metric_sq_dists(pts, metric))
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 50, 120])
     @pytest.mark.parametrize("seed", range(3))
     def test_center_update_equals_per_cluster_mean(self, dim, seed):
@@ -622,25 +659,37 @@ class TestRunCategorization:
         assert calls == {"kmeans": 2, "agglomerative": 5, "nn_classify": 1}
 
     def test_sweep_builds_one_matrix_per_metric(self, monkeypatch):
-        built, passed = [], []
-        real_build, real_agglomerative = categorize._metric_sq_dists, categorize.agglomerative
+        built, alive, passed = [], [], []
+        real_build, real_agglomerative, real_kmeans = (
+            categorize._metric_sq_dists, categorize.agglomerative, categorize.kmeans)
 
         def build(x, metric):
-            built.append(metric)
-            return real_build(x, metric)
+            alive.append(sum(ref() is not None for _, ref in built))  # matrices alive before this build
+            sq = real_build(x, metric)
+            built.append((metric, weakref.ref(sq)))
+            return sq
 
         def agglomerative_spy(vectors, k, metric, linkage, *, sq_dists):
-            passed.append((metric, sq_dists.copy()))
+            passed.append(("agglomerative", metric, sq_dists.copy()))
             return real_agglomerative(vectors, k, metric, linkage, sq_dists=sq_dists)
+
+        def kmeans_spy(vectors, k, metric, seed, *, sq_dists):
+            passed.append(("kmeans", metric, sq_dists.copy()))
+            return real_kmeans(vectors, k, metric, seed=seed, sq_dists=sq_dists)
 
         monkeypatch.setattr(categorize, "_metric_sq_dists", build)
         monkeypatch.setattr(categorize, "agglomerative", agglomerative_spy)
+        monkeypatch.setattr(categorize, "kmeans", kmeans_spy)
         index, gold = separable_index(per_class=4)
-        run_categorization(index, gold, method="cluster")
-        assert built == ["cosine", "euclidean"]
-        assert [metric for metric, _ in passed] == ["cosine"] * 2 + ["euclidean"] * 3
-        for metric, sq in passed:
+        report = run_categorization(index, gold, method="cluster")
+        assert [metric for metric, _ in built] == ["cosine", "euclidean"]
+        assert alive == [0, 0]  # the cosine matrix is freed before the euclidean one is built
+        assert [algo_metric for *algo_metric, _ in passed] == (
+            [["agglomerative", "cosine"]] * 2 + [["kmeans", "cosine"]]
+            + [["agglomerative", "euclidean"]] * 3 + [["kmeans", "euclidean"]])
+        for _, metric, sq in passed:
             assert np.array_equal(sq, real_build(index.ent_vecs, metric))
+        assert [tuple(c[kk] for kk in ("algorithm", "metric", "linkage")) for c in report["cluster"]["sweep"]] == list(SWEEP)
 
     def test_sweep_refuses_oversized_n_before_building(self, monkeypatch):
         index, gold = separable_index(per_class=4)  # n = 12

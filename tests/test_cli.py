@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from catembed import cli
+from catembed import cli, kernels
 from catembed.cli import build_parser, effective_config, main
 from catembed.corpus import build_vocabulary, load_hierarchy, prune_to_dag
 from catembed.embeddings import EmbeddingIndex, load_embeddings
@@ -466,6 +467,25 @@ def test_trained_export_rewrites_byte_for_byte(trained_dir, tmp_path):
     again = tmp_path / "again.txt"
     load_embeddings(src).save_text(again)
     assert again.read_bytes() == src.read_bytes()
+
+
+@pytest.mark.skipif(kernels.BACKEND != "numpy", reason="the pinned export is the numpy kernel's")
+def test_quickstart_outputs_are_pinned(tmp_path):
+    # the README quickstart at seed 42: any change to training or categorization shows here
+    world, run = tmp_path / "world", tmp_path / "run"
+    assert main(["gen-synthetic", "--output", str(world), "--seed", "42", "--verbosity", "0"]) == 0
+    assert main([
+        "train", "--corpus", str(world / "corpus.tsv"), "--hierarchy", str(world / "hierarchy.tsv"),
+        "--root", "root", "--mode", "hce", "--dim", "100", "--epochs", "5", "--negatives", "10",
+        "--chunk", "500", "--seed", "42", "--output", str(run), "--verbosity", "0",
+    ]) == 0
+    assert main([
+        "eval-categorize", "--embeddings", str(run / "embeddings.txt"), "--gold", str(world / "gold.tsv"),
+        "--output", str(run / "eval"), "--method", "both", "--verbosity", "0",
+    ]) == 0
+    assert hashlib.md5((run / "embeddings.txt").read_bytes()).hexdigest() == "f449a4788b25cad4417f0f8164efd488"
+    report = run / "eval" / "categorize_report.json"
+    assert hashlib.md5(report.read_bytes()).hexdigest() == "f7b80c407e26f3f4b89a932898eeb6c5"
 
 
 class TestConfigFile:

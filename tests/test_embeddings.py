@@ -1,10 +1,13 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from catembed.corpus import build_vocabulary
-from catembed.embeddings import EmbeddingIndex, init_embeddings, load_embeddings, save_text, scaled_norm
+from catembed.embeddings import (
+    EmbeddingIndex, _parse_lines, init_embeddings, load_embeddings, save_text, scaled_norm,
+)
 from catembed.errors import CorpusError, FormatError
 
 
@@ -320,6 +323,22 @@ class TestBlockParse:
         path.write_text("\n".join(["10 3", *rows]) + "\n")
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:10: non-finite value$"):
             load_embeddings(path)
+
+    def test_refused_file_holds_its_values_as_float64(self):
+        # the per-line pass keeps every row until the bad last line; one Python
+        # float per value would take over 4x the rows' float64 bytes
+        n, dim = 2000, 100
+        rng = np.random.default_rng(5)
+        body = [f"e:r{i} " + " ".join(f"{v:.6g}" for v in rng.normal(size=dim)) for i in range(n - 1)]
+        body.append(f"e:last {'1 ' * (dim - 1)}x1")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=rf"^emb\.txt:{n + 1}: non-numeric value \("):
+                _parse_lines(body, dim, "emb.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * dim * 8
 
     def test_huge_header_allocates_nothing(self, tmp_path):
         path = tmp_path / "emb.txt"
