@@ -2,8 +2,10 @@
 
 Clustering is self-contained (k-means++ and bottom-up agglomerative merging)
 so results are deterministic given a seed, including tie-breaking, which
-external toolkits do not guarantee. The cosine metric runs euclidean machinery
-on length-normalized copies of the vectors.
+external toolkits do not guarantee. Both algorithms run on points and their
+squared euclidean distance matrix, which ``run_categorization`` prepares once
+per metric with ``_metric_space``; the cosine metric is euclidean machinery on
+length-normalized copies of the vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .corpus import normalize_label, records
 from .embeddings import EmbeddingIndex, scaled_norm
 from .errors import EvalError, FormatError
 
-METRICS = ("euclidean", "cosine")
 LINKAGES = ("ward", "complete", "average")
 # run_categorization's (algorithm, metric, linkage) runs, in report order;
 # it runs them metric by metric, so that each metric's runs share one matrix
@@ -84,14 +85,7 @@ def load_gold(path: str | Path) -> GoldLabeling:
 @dataclass
 class ClusteringSolution:
     assignment: np.ndarray  # cluster index per item, in [0, k)
-    k: int
     objective: float = float("nan")
-
-
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    x, norms = scaled_norm(x)
-    norms[norms == 0] = 1.0
-    return x / norms
 
 
 def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -176,16 +170,32 @@ def _row_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 _OVERFLOW = "squared distances between the vectors overflow float64"
 # kmeans, agglomerative and nn_classify detect that overflow and raise EvalError(_OVERFLOW);
-# numpy's RuntimeWarnings about it would only print ahead of that one line
+# numpy's RuntimeWarnings about it, there or in _metric_space, would only print ahead of that one line
 _QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 
 
-def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator, sq_dists: np.ndarray | None = None) -> np.ndarray:
+@_QUIET_OVERFLOW
+def _metric_space(vectors: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(x, sq_dists)``: the points the clustering of ``metric`` runs on, and their squared distances.
+
+    ``x`` holds the rows as C-contiguous float64, scaled to unit length for
+    cosine (a zero row stays zero), and ``sq_dists`` is ``_pairwise_sq_dists(x, x)``.
+    """
+    x = np.ascontiguousarray(vectors, dtype=np.float64)
+    if metric == "cosine":
+        x, norms = scaled_norm(x)
+        norms[norms == 0] = 1.0
+        x = x / norms
+    return x, _pairwise_sq_dists(x, x)
+
+
+def _kmeanspp_init(x: np.ndarray, sq_dists: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds; every seed is a point, so its distances are its row of ``sq_dists``."""
     n = len(x)
     centers = np.empty((k, x.shape[1]))
     idx = int(rng.integers(n))
     centers[0] = x[idx]
-    d2 = _row_sq_dists(x, x[idx]) if sq_dists is None else sq_dists[idx]
+    d2 = sq_dists[idx]
     for j in range(1, k):
         total = d2.sum()
         if not np.isfinite(total):
@@ -195,7 +205,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator, sq_dists: np
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[j] = x[idx]
-        d2 = np.minimum(d2, _row_sq_dists(x, x[idx]) if sq_dists is None else sq_dists[idx])
+        d2 = np.minimum(d2, sq_dists[idx])
     return centers
 
 
@@ -247,14 +257,12 @@ def _update_centers(centers: np.ndarray, x: np.ndarray, assignment: np.ndarray, 
 
 @_QUIET_OVERFLOW
 def kmeans(
-    vectors: np.ndarray,
+    x: np.ndarray,
+    sq_dists: np.ndarray,
     k: int,
-    metric: str = "euclidean",
     restarts: int = 10,
     max_iters: int = 100,
     seed: int = 0,
-    *,
-    sq_dists: np.ndarray | None = None,
 ) -> ClusteringSolution:
     """Lloyd's algorithm with k-means++ seeding, best of ``restarts`` by inertia.
 
@@ -263,32 +271,27 @@ def kmeans(
     every center as the mean of its points with one ``np.add.at``
     (``_update_centers``), bitwise the per-cluster mean.
 
-    ``sq_dists``, if given, must be ``_metric_sq_dists(vectors, metric)``. Each
-    seed is a point; seeding reads its distances from that row and never writes.
+    ``x`` and ``sq_dists`` are ``_metric_space``'s points and distances; both
+    are only read.
     """
-    x = np.ascontiguousarray(vectors, dtype=np.float64)
     n = len(x)
     if k < 1:
         raise EvalError(f"k must be >= 1, got {k}")
     if k > n:
         raise EvalError(f"k={k} exceeds the number of points ({n})")
-    if metric not in METRICS:
-        raise EvalError(f"metric must be one of {METRICS}, got {metric!r}")
     if restarts < 1:
         raise EvalError(f"restarts must be >= 1, got {restarts}")
     if max_iters < 1:
         raise EvalError(f"max_iters must be >= 1, got {max_iters}")
-    if metric == "cosine":
-        x = _normalize_rows(x)
     if k == n:
-        return ClusteringSolution(assignment=np.arange(n), k=k, objective=0.0)
+        return ClusteringSolution(assignment=np.arange(n), objective=0.0)
 
     rng = np.random.default_rng(seed)
     sq_x = (x * x).sum(axis=1)
     index = np.empty(x.shape, dtype=np.int64)  # every Lloyd step's scatter index, built in place
     best: ClusteringSolution | None = None
     for _ in range(restarts):
-        centers = _kmeanspp_init(x, k, rng, sq_dists)
+        centers = _kmeanspp_init(x, sq_dists, k, rng)
         assignment = np.full(n, -1, dtype=np.int64)
         for _it in range(max_iters):
             new_assignment = _nearest_centers(x, sq_x, centers)
@@ -303,76 +306,40 @@ def kmeans(
         if not np.isfinite(objective):
             raise EvalError(_OVERFLOW)
         if best is None or objective < best.objective:
-            best = ClusteringSolution(assignment=assignment.copy(), k=k, objective=objective)
+            best = ClusteringSolution(assignment=assignment.copy(), objective=objective)
     assert best is not None
     return best
 
 
-# Most bytes of n x n float64 distance matrices agglomerative() holds at once:
-# 1 GiB. That is one matrix of n <= 11,585 for a lone call, and two of
-# n <= 8,192 for a call handed a shared matrix, as run_categorization's sweep does.
+# Most bytes of n x n float64 distance matrices run_categorization's sweep holds
+# at once, a shared matrix and an agglomerative run's working copy: 1 GiB, so
+# n <= 8,192.
 AGGLOMERATIVE_MAX_BYTES = 1 << 30
 
 
-def _check_matrix_bytes(n: int, shared: bool) -> None:
-    """Refuse n x n float64 matrices above ``AGGLOMERATIVE_MAX_BYTES``: a run's own, and a shared one if it reads one."""
-    size = n * n * 8
-    if (2 if shared else 1) * size > AGGLOMERATIVE_MAX_BYTES:
-        held = f"two {size}-byte distance matrices" if shared else f"an {size}-byte distance matrix"
-        raise EvalError(
-            f"agglomerative clustering of n={n} items needs {held}, above the {AGGLOMERATIVE_MAX_BYTES}-byte limit"
-        )
-
-
 @_QUIET_OVERFLOW
-def _metric_sq_dists(x: np.ndarray, metric: str) -> np.ndarray:
-    """The squared euclidean distances agglomerative() starts from: between the rows, or the normalized rows for cosine."""
-    if metric == "cosine":
-        x = _normalize_rows(x)
-    return _pairwise_sq_dists(x, x)
-
-
-@_QUIET_OVERFLOW
-def agglomerative(
-    vectors: np.ndarray,
-    k: int,
-    metric: str = "euclidean",
-    linkage: str = "average",
-    *,
-    sq_dists: np.ndarray | None = None,
-) -> ClusteringSolution:
+def agglomerative(sq_dists: np.ndarray, k: int, linkage: str = "average") -> ClusteringSolution:
     """Bottom-up merging until k clusters; ties go to the smallest slot pair.
 
     Each merge updates the merged row and column whole, retired slots
     included, and rescans only the rows whose nearest neighbour it took away,
     so a run is O(n^2) time on typical data rather than O(n^3).
 
-    ``sq_dists``, if given, must be ``_metric_sq_dists(vectors, metric)``,
-    so that runs of several linkages share one build; it is only read, and
-    the run merges on its own copy, so two n x n matrices are held at once.
+    ``sq_dists`` is ``_metric_space``'s distance matrix, so that runs of
+    several linkages share one build; it is only read, and the run merges on
+    its own copy, so two n x n matrices are held at once.
     """
-    x = np.asarray(vectors, dtype=np.float64)
-    n = len(x)
+    n = len(sq_dists)
     if k < 1:
         raise EvalError(f"k must be >= 1, got {k}")
     if k > n:
         raise EvalError(f"k={k} exceeds the number of points ({n})")
-    if metric not in METRICS:
-        raise EvalError(f"metric must be one of {METRICS}, got {metric!r}")
     if linkage not in LINKAGES:
         raise EvalError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
-    if linkage == "ward" and metric != "euclidean":
-        raise EvalError("ward linkage requires the euclidean metric")
-    _check_matrix_bytes(n, shared=sq_dists is not None)
 
     # Initial dissimilarity: squared euclidean for ward (Lance-Williams form),
     # plain euclidean otherwise.
-    if sq_dists is None:
-        d = _metric_sq_dists(x, metric)
-        if linkage != "ward":
-            np.sqrt(d, out=d)
-    else:
-        d = sq_dists.copy() if linkage == "ward" else np.sqrt(sq_dists)
+    d = sq_dists.copy() if linkage == "ward" else np.sqrt(sq_dists)
     np.fill_diagonal(d, np.inf)
 
     # Müllner's "generic" algorithm (arXiv:1109.2378): per row, the first
@@ -427,16 +394,11 @@ def agglomerative(
     assignment = np.empty(n, dtype=np.int64)
     for cluster, slot in enumerate(np.where(active)[0]):
         assignment[members[slot]] = cluster
-    return ClusteringSolution(assignment=assignment, k=k)
-
-
-def purity(solution: ClusteringSolution, gold: GoldLabeling) -> float:
-    """Fraction of items sitting in their cluster's majority gold class."""
-    classes = gold.class_indices()
-    return purity_from_labels(solution.assignment, classes)
+    return ClusteringSolution(assignment=assignment)
 
 
 def purity_from_labels(assignment: np.ndarray, classes: np.ndarray) -> float:
+    """Fraction of items sitting in their cluster's majority gold class."""
     if len(assignment) != len(classes):
         raise EvalError(
             f"solution covers {len(assignment)} items, gold has {len(classes)}"
@@ -510,23 +472,27 @@ def run_categorization(
     if method in ("cluster", "both"):
         if sub.n_classes < 2:
             raise EvalError("clustering needs at least 2 gold classes")
-        # every run of one metric shares its distance matrix; only one shared
-        # matrix is alive at a time, next to an agglomerative run's working copy
-        _check_matrix_bytes(len(vectors), shared=True)
+        # every run of one metric shares its points and distance matrix; only
+        # one shared matrix is alive at a time, next to an agglomerative run's
+        # working copy
+        n = len(vectors)
+        if 2 * n * n * 8 > AGGLOMERATIVE_MAX_BYTES:
+            raise EvalError(f"agglomerative clustering of n={n} items needs two {n * n * 8}-byte distance "
+                            f"matrices, above the {AGGLOMERATIVE_MAX_BYTES}-byte limit")
         by_run = {}
         for metric in ("cosine", "euclidean"):
-            shared = _metric_sq_dists(vectors, metric)
+            x, sq_dists = _metric_space(vectors, metric)
             for algo, _, link in (run for run in SWEEP if run[1] == metric):
                 if algo == "kmeans":
-                    sol = kmeans(vectors, sub.n_classes, metric=metric, seed=seed, sq_dists=shared)
+                    sol = kmeans(x, sq_dists, sub.n_classes, seed=seed)
                 else:
-                    sol = agglomerative(vectors, sub.n_classes, metric=metric, linkage=link, sq_dists=shared)
+                    sol = agglomerative(sq_dists, sub.n_classes, link)
                 by_run[algo, metric, link] = {"algorithm": algo, "metric": metric, "linkage": link,
-                                              "purity": purity(sol, sub), "solution": sol}
-            del shared  # freed before the next metric's matrix is built
+                                              "purity": purity_from_labels(sol.assignment, classes),
+                                              "assignment": sol.assignment}
+            del x, sq_dists  # freed before the next metric's matrix is built
         combos = [by_run[run] for run in SWEEP]
         best = max(combos, key=lambda c: c["purity"])  # max keeps the first on ties
-        best_sol = best["solution"]
         report["cluster"] = {
             "purity": best["purity"],
             "best_params": {kk: best[kk] for kk in ("algorithm", "metric", "linkage")},
@@ -534,7 +500,7 @@ def run_categorization(
                 {kk: c[kk] for kk in ("algorithm", "metric", "linkage", "purity")}
                 for c in combos
             ],
-            "misclassified": _cluster_misclassifications(best_sol, sub),
+            "misclassified": _cluster_misclassifications(best["assignment"], classes, sub),
         }
 
     if method in ("nn", "both"):
@@ -573,9 +539,10 @@ def _misclassifications(predicted: list[str], gold: GoldLabeling) -> dict[str, l
     return by_predicted
 
 
-def _cluster_misclassifications(solution: ClusteringSolution, gold: GoldLabeling) -> dict[str, list[dict]]:
+def _cluster_misclassifications(assignment: np.ndarray, classes: np.ndarray,
+                                gold: GoldLabeling) -> dict[str, list[dict]]:
     """Map each cluster to its majority class, then list the out-of-class items, cluster by cluster."""
-    rows, counts = _contingency(solution.assignment, gold.class_indices())
+    rows, counts = _contingency(assignment, classes)
     majority = counts.argmax(axis=1)  # argmax keeps the lowest class on ties
     order = np.argsort(rows, kind="stable")  # cluster first, then item index
     return _misclassifications([gold.class_labels[majority[rows[i]]] for i in order], gold.subset(order))

@@ -68,13 +68,9 @@ def generate_world(out_dir: str | Path, spec: SyntheticSpec) -> SyntheticWorld:
             leaf_labels.append(f"p{i}_l{j}")
             leaf_parent.append(i)
 
-    n_leaves = len(leaf_labels)
-    entity_labels: list[str] = []
-    leaf_entities: list[list[int]] = [[] for _ in range(n_leaves)]
-    for leaf in range(n_leaves):
-        for e in range(spec.entities_per_leaf):
-            leaf_entities[leaf].append(len(entity_labels))
-            entity_labels.append(f"{leaf_labels[leaf]}_e{e:02d}")
+    # leaf i owns the contiguous entity ids [i * per_leaf, (i + 1) * per_leaf)
+    per_leaf = spec.entities_per_leaf
+    entity_labels = [f"{leaf}_e{e:02d}" for leaf in leaf_labels for e in range(per_leaf)]
 
     hierarchy_path = out / "hierarchy.tsv"
     with hierarchy_path.open("w", encoding="utf-8") as fh:
@@ -83,24 +79,23 @@ def generate_world(out_dir: str | Path, spec: SyntheticSpec) -> SyntheticWorld:
         for leaf, parent in zip(leaf_labels, leaf_parent):
             fh.write(f"{parent_labels[parent]}\t{leaf}\n")
 
-    entity_leaf = np.empty(len(entity_labels), dtype=np.int64)
-    for leaf, ents in enumerate(leaf_entities):
-        entity_leaf[ents] = leaf
-
     corpus_path = out / "corpus.tsv"
     n_entities = len(entity_labels)
     with corpus_path.open("w", encoding="utf-8") as fh:
         for _ in range(spec.docs):
             target = int(rng.integers(n_entities))
-            leaf = int(entity_leaf[target])
-            same = [e for e in leaf_entities[leaf] if e != target]
-            other = [e for e in range(n_entities) if entity_leaf[e] != leaf]
+            leaf = target // per_leaf
+            first = leaf * per_leaf
             contexts = []
             for _c in range(spec.contexts_per_doc):
-                if rng.random() < spec.p_in or not other:
-                    contexts.append(same[int(rng.integers(len(same)))])
+                # draw the j-th entity of the same leaf but the target, or of
+                # the other leaves, skipping over the excluded id or block
+                if rng.random() < spec.p_in:
+                    j = first + int(rng.integers(per_leaf - 1))
+                    contexts.append(j + (j >= target))
                 else:
-                    contexts.append(other[int(rng.integers(len(other)))])
+                    j = int(rng.integers(n_entities - per_leaf))
+                    contexts.append(j + per_leaf * (j >= first))
             fh.write(
                 f"{entity_labels[target]}\t{leaf_labels[leaf]}\t"
                 + " ".join(entity_labels[c] for c in contexts)
@@ -109,8 +104,8 @@ def generate_world(out_dir: str | Path, spec: SyntheticSpec) -> SyntheticWorld:
 
     gold_path = out / "gold.tsv"
     with gold_path.open("w", encoding="utf-8") as fh:
-        for ent, leaf in zip(entity_labels, entity_leaf):
-            fh.write(f"{ent}\t{leaf_labels[leaf]}\n")
+        for i, ent in enumerate(entity_labels):
+            fh.write(f"{ent}\t{leaf_labels[i // per_leaf]}\n")
 
     return SyntheticWorld(
         corpus_path=corpus_path,

@@ -6,23 +6,33 @@ import pytest
 from catembed import categorize
 from catembed.categorize import (
     LINKAGES,
-    METRICS,
     SWEEP,
-    ClusteringSolution,
     GoldLabeling,
     _cluster_misclassifications,
+    _metric_space,
     _pairwise_sq_dists,
     _repair_empty,
     agglomerative,
     kmeans,
     load_gold,
     nn_classify,
-    purity,
     purity_from_labels,
     run_categorization,
 )
 from catembed.embeddings import EmbeddingIndex
 from catembed.errors import EvalError, FormatError
+
+
+METRICS = ("euclidean", "cosine")
+
+
+def space(pts, metric="euclidean"):
+    """The points and distance matrix run_categorization hands the clustering of ``metric``."""
+    return _metric_space(pts, metric)
+
+
+def sq_dists(pts, metric="euclidean"):
+    return _metric_space(pts, metric)[1]
 
 
 def set_partitions(items):
@@ -61,19 +71,16 @@ def gold_from_classes(classes):
 class TestPurity:
     def test_perfect_clustering(self):
         classes = [0, 0, 1, 1, 2]
-        sol = ClusteringSolution(assignment=np.array(classes), k=3)
-        assert purity(sol, gold_from_classes(classes)) == 1.0
+        assert purity_from_labels(np.array(classes), gold_from_classes(classes).class_indices()) == 1.0
 
     def test_worked_example(self):
         # clusters {a,b,c},{d,e}; gold g1={a,b,d}, g2={c,e} -> (2+1)/5
-        sol = ClusteringSolution(assignment=np.array([0, 0, 0, 1, 1]), k=2)
         gold = gold_from_classes([0, 0, 1, 0, 1])
-        assert purity(sol, gold) == pytest.approx(0.6)
+        assert purity_from_labels(np.array([0, 0, 0, 1, 1]), gold.class_indices()) == pytest.approx(0.6)
 
     def test_single_cluster(self):
-        sol = ClusteringSolution(assignment=np.zeros(5, dtype=np.int64), k=1)
         gold = gold_from_classes([0, 0, 0, 1, 1])
-        assert purity(sol, gold) == pytest.approx(3 / 5)
+        assert purity_from_labels(np.zeros(5, dtype=np.int64), gold.class_indices()) == pytest.approx(3 / 5)
 
     def test_matches_bruteforce_on_all_small_partitions(self):
         # exhaustive over every partition pair of 4 items (the <= 6 sweep is in
@@ -104,7 +111,7 @@ class TestPurity:
 class TestKmeans:
     def test_recovers_separated_blobs(self):
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.1, 10.0]])
-        sol = kmeans(pts, 2, seed=0)
+        sol = kmeans(*space(pts), 2, seed=0)
         # oracle: brute-force best 2-partition by inertia
         best = None
         for mask in range(1, 7):  # proper bipartitions of 4 points up to symmetry
@@ -122,34 +129,34 @@ class TestKmeans:
 
     def test_k_equals_points(self):
         pts = np.random.default_rng(1).normal(size=(5, 3))
-        sol = kmeans(pts, 5, seed=0)
+        sol = kmeans(*space(pts), 5, seed=0)
         assert sorted(sol.assignment.tolist()) == [0, 1, 2, 3, 4]
         assert sol.objective == 0.0
 
     def test_k_one(self):
         pts = np.random.default_rng(2).normal(size=(6, 2))
-        sol = kmeans(pts, 1, seed=0)
+        sol = kmeans(*space(pts), 1, seed=0)
         assert np.all(sol.assignment == 0)
 
     def test_k_larger_than_points_errors(self):
         with pytest.raises(EvalError):
-            kmeans(np.zeros((3, 2)), 4)
+            kmeans(*space(np.zeros((3, 2))), 4)
 
     def test_k_zero_errors(self):
         with pytest.raises(EvalError):
-            kmeans(np.zeros((3, 2)), 0)
+            kmeans(*space(np.zeros((3, 2))), 0)
 
     @pytest.mark.parametrize("arg", ["restarts", "max_iters"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_iteration_counts_below_one_error(self, arg, value):
         pts = np.random.default_rng(2).normal(size=(6, 2))
         with pytest.raises(EvalError, match=f"{arg} must be >= 1"):
-            kmeans(pts, 2, **{arg: value})
+            kmeans(*space(pts), 2, **{arg: value})
 
     def test_deterministic_given_seed(self):
         pts = np.random.default_rng(3).normal(size=(20, 4))
-        a = kmeans(pts, 3, seed=11)
-        b = kmeans(pts, 3, seed=11)
+        a = kmeans(*space(pts), 3, seed=11)
+        b = kmeans(*space(pts), 3, seed=11)
         assert np.array_equal(a.assignment, b.assignment)
 
     # at 1e160 and 1e-170 the plain row norms overflow to inf or underflow to 0;
@@ -159,8 +166,8 @@ class TestKmeans:
         rng = np.random.default_rng(4)
         base = rng.normal(size=(12, 3))
         scales = rng.uniform(0.5, 5.0, size=(12, 1))
-        a = kmeans(base, 3, metric="cosine", seed=2)
-        b = kmeans(base * scales * factor, 3, metric="cosine", seed=2)
+        a = kmeans(*space(base, "cosine"), 3, seed=2)
+        b = kmeans(*space(base * scales * factor, "cosine"), 3, seed=2)
         assert np.array_equal(a.assignment, b.assignment)
         assert b.objective == pytest.approx(a.objective, rel=1e-12)
 
@@ -169,7 +176,7 @@ class TestKmeans:
         # finite vectors whose squared distances exceed float64
         pts = np.random.default_rng(7).normal(size=(40, 3)) * 1e160
         with pytest.raises(EvalError, match="^squared distances between the vectors overflow float64$"):
-            kmeans(pts, k, seed=0)
+            kmeans(*space(pts), k, seed=0)
 
     def test_objective_non_increasing_within_restart(self):
         rng = np.random.default_rng(5)
@@ -177,7 +184,7 @@ class TestKmeans:
         # re-run Lloyd manually from the same seeding and track the objective
         from catembed.categorize import _kmeanspp_init, _pairwise_sq_dists, _repair_empty
 
-        centers = _kmeanspp_init(x, 4, np.random.default_rng(9))
+        centers = _kmeanspp_init(x, sq_dists(x), 4, np.random.default_rng(9))
         prev = None
         assignment = np.full(len(x), -1, dtype=np.int64)
         for _ in range(50):
@@ -200,36 +207,19 @@ class TestAgglomerative:
     def test_three_collinear_points(self):
         # merge costs: {0,1} distance 1, {1,10} gap 9 -> clusters {0,1},{10}
         pts = np.array([[0.0], [1.0], [10.0]])
-        sol = agglomerative(pts, 2, metric="euclidean", linkage="average")
+        sol = agglomerative(sq_dists(pts), 2, linkage="average")
         assert sol.assignment[0] == sol.assignment[1] != sol.assignment[2]
 
     def test_k_equals_points_gives_singletons(self):
         pts = np.random.default_rng(1).normal(size=(4, 2))
-        sol = agglomerative(pts, 4)
+        sol = agglomerative(sq_dists(pts), 4)
         assert sorted(sol.assignment.tolist()) == [0, 1, 2, 3]
 
     def test_duplicates_merge_first(self):
         pts = np.array([[5.0, 5.0], [0.0, 0.0], [5.0, 5.0], [9.0, 9.0]])
         for linkage in ("ward", "complete", "average"):
-            sol = agglomerative(pts, 3, linkage=linkage)
+            sol = agglomerative(sq_dists(pts), 3, linkage=linkage)
             assert sol.assignment[0] == sol.assignment[2]
-
-    def test_matrix_above_size_limit_rejected(self, monkeypatch):
-        pts = np.random.default_rng(2).normal(size=(5, 2))
-        monkeypatch.setattr(categorize, "AGGLOMERATIVE_MAX_BYTES", 5 * 5 * 8)
-        assert agglomerative(pts, 2).k == 2  # exactly at the limit
-        monkeypatch.setattr(categorize, "AGGLOMERATIVE_MAX_BYTES", 5 * 5 * 8 - 1)
-        with pytest.raises(EvalError, match=r"^agglomerative clustering of n=5 items needs an 200-byte"):
-            agglomerative(pts, 2)
-
-    def test_shared_matrix_counts_twice_against_the_limit(self, monkeypatch):
-        pts = np.random.default_rng(2).normal(size=(5, 2))
-        sq = _pairwise_sq_dists(pts, pts)
-        monkeypatch.setattr(categorize, "AGGLOMERATIVE_MAX_BYTES", 2 * 5 * 5 * 8)
-        assert agglomerative(pts, 2, sq_dists=sq).k == 2
-        monkeypatch.setattr(categorize, "AGGLOMERATIVE_MAX_BYTES", 2 * 5 * 5 * 8 - 1)
-        with pytest.raises(EvalError, match=r"^agglomerative clustering of n=5 items needs two 200-byte distance matrices"):
-            agglomerative(pts, 2, sq_dists=sq)
 
     @pytest.mark.parametrize("linkage", LINKAGES)
     def test_overflowing_distances_rejected(self, linkage):
@@ -237,21 +227,17 @@ class TestAgglomerative:
         # member list on every merge until memory ran out
         pts = np.random.default_rng(7).normal(size=(40, 3)) * 1e160
         with pytest.raises(EvalError, match="^squared distances between the vectors overflow float64$"):
-            agglomerative(pts, 2, linkage=linkage)
+            agglomerative(sq_dists(pts), 2, linkage=linkage)
 
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     def test_cosine_ignores_extreme_norms(self, scale):
         # the plain row norms overflow to inf or underflow to 0
         rng = np.random.default_rng(8)
         x = np.vstack([rng.normal(size=(20, 3)) + [6, 0, 0], rng.normal(size=(20, 3)) + [0, 6, 0]])
-        a = agglomerative(x, 2, metric="cosine", linkage="average")
-        b = agglomerative(x * scale, 2, metric="cosine", linkage="average")
+        a = agglomerative(sq_dists(x, "cosine"), 2, linkage="average")
+        b = agglomerative(sq_dists(x * scale, "cosine"), 2, linkage="average")
         assert np.bincount(a.assignment).tolist() == [20, 20]
         assert np.array_equal(a.assignment, b.assignment)
-
-    def test_ward_cosine_rejected(self):
-        with pytest.raises(EvalError):
-            agglomerative(np.zeros((4, 2)), 2, metric="cosine", linkage="ward")
 
     @pytest.mark.parametrize("linkage", ["complete", "average"])
     @pytest.mark.parametrize("seed", range(8))
@@ -260,7 +246,7 @@ class TestAgglomerative:
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(14, 3))  # continuous data: ties have measure zero
         k = int(rng.integers(2, 6))
-        sol = agglomerative(pts, k, metric="euclidean", linkage=linkage)
+        sol = agglomerative(sq_dists(pts), k, linkage=linkage)
         Z = scipy_hier.linkage(pts, method=linkage, metric="euclidean")
         ref = scipy_hier.fcluster(Z, k, criterion="maxclust")
         # same partition up to relabeling
@@ -273,7 +259,7 @@ class TestAgglomerative:
         rng = np.random.default_rng(100 + seed)
         pts = rng.normal(size=(12, 3))
         k = 3
-        sol = agglomerative(pts, k, metric="euclidean", linkage="ward")
+        sol = agglomerative(sq_dists(pts), k, linkage="ward")
         Z = scipy_hier.linkage(pts, method="ward")
         ref = scipy_hier.fcluster(Z, k, criterion="maxclust")
         assert purity_from_labels(sol.assignment, ref) == 1.0
@@ -289,7 +275,8 @@ def reference_rows(x, metric):
     x = np.asarray(x, dtype=np.float64)
     if metric == "cosine":
         peak = np.abs(x).max(axis=1, keepdims=True)
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(x, axis=1, keepdims=True)
         extreme = ((norms == np.inf) | (norms < 2.0**-500)) & (peak > 0)
         x = np.where(extreme, x / np.where(extreme, peak, 1.0), x)
         norms = np.linalg.norm(x, axis=1, keepdims=True)
@@ -419,45 +406,45 @@ class TestExactEquivalence:
             pts = gaussian_blobs(seed) if data == "blobs" else integer_grid(seed)
             ks = (1, 2, 4, 9, len(pts) - 1)
         for k in ks:
-            sol = agglomerative(pts, k, metric=metric, linkage=linkage)
+            sol = agglomerative(sq_dists(pts, metric), k, linkage=linkage)
             assert np.array_equal(sol.assignment, reference_agglomerative(pts, k, metric, linkage))
-
-    @pytest.mark.parametrize("metric,linkage", AGGLOMERATIVE_COMBOS)
-    @pytest.mark.parametrize("data", ["blobs", "grid"])
-    def test_shared_matrix_gives_the_same_clustering(self, metric, linkage, data):
-        pts = gaussian_blobs(5) if data == "blobs" else integer_grid(5)
-        sq = categorize._metric_sq_dists(pts, metric)
-        before = sq.copy()
-        for k in (1, 2, 4, 9, len(pts) - 1):
-            own = agglomerative(pts, k, metric=metric, linkage=linkage)
-            shared = agglomerative(pts, k, metric=metric, linkage=linkage, sq_dists=sq)
-            assert np.array_equal(own.assignment, shared.assignment)
-            assert np.array_equal(sq, before)  # only read, never merged on
 
     def test_merge_rounding_onto_a_cached_minimum(self):
         # an average-linkage update rounds a merged distance exactly onto a
         # row's cached minimum: the lower column must become its neighbour
         pts = np.array([[1], [0], [0], [1], [0], [2], [1], [1], [0]]) * 0.1
-        sol = agglomerative(pts, 2, metric="euclidean", linkage="average")
+        sol = agglomerative(sq_dists(pts), 2, linkage="average")
         assert np.array_equal(sol.assignment, reference_agglomerative(pts, 2, "euclidean", "average"))
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("data", ["blobs", "grid", "shifted", "tiny"])
     @pytest.mark.parametrize("seed", range(2))
-    def test_kmeans_matches_reference(self, metric, data, seed):
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-160, 1e160])
+    def test_kmeans_matches_reference(self, metric, data, seed, scale):
         # shifted: |x|^2 + |c|^2 - 2 x.c cancels to noise, so the exact refine
-        # decides; tiny: squared distances are subnormal and lose bits outright
+        # decides; tiny: squared distances are subnormal and lose bits outright.
+        # The scales push norms and distances towards overflow and underflow.
         pts = gaussian_blobs(seed) if data in ("blobs", "shifted") else integer_grid(seed)
         if data == "shifted":
             pts = pts + 1e9
         elif data == "tiny":
             pts = pts * 1e-158
+        pts = pts * scale
+        x, sq = space(pts, metric)
+        before = x.tobytes(), sq.tobytes()
+        # at 1e160 the euclidean distances overflow, except on the tiny data; cosine normalizes first
+        if metric == "euclidean" and scale == 1e160 and data != "tiny":
+            for k in (1, 2, 4, len(pts) - 1):
+                with pytest.raises(EvalError, match="^squared distances between the vectors overflow float64$"):
+                    kmeans(x, sq, k, restarts=3, seed=seed)
+            return
         for k in (1, 2, 4, len(pts) - 1):
             for max_iters in (1, 2, 100):
-                sol = kmeans(pts, k, metric=metric, restarts=3, max_iters=max_iters, seed=seed)
+                sol = kmeans(x, sq, k, restarts=3, max_iters=max_iters, seed=seed)
                 assignment, objective = reference_kmeans(pts, k, metric, 3, max_iters, seed)
                 assert np.array_equal(sol.assignment, assignment)
                 assert sol.objective == objective
+        assert (x.tobytes(), sq.tobytes()) == before  # only read
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("data", ["blobs", "grid", "shifted", "tiny"])
@@ -475,47 +462,12 @@ class TestExactEquivalence:
         pts = pts + 1e9 if data == "shifted" else pts * 1e-158 if data == "tiny" else pts
         for k in (2, 4, len(pts) - 1):
             for max_iters in (1, 100):
-                sol = kmeans(pts, k, metric=metric, restarts=10, max_iters=max_iters, seed=1)
+                sol = kmeans(*space(pts, metric), k, restarts=10, max_iters=max_iters, seed=1)
                 assignment, objective = reference_kmeans(pts, k, metric, 10, max_iters, 1)
                 assert np.array_equal(sol.assignment, assignment)
                 assert sol.objective == objective
         if data in ("grid", "tiny"):
             assert len(pts) - 1 in repairs
-
-    @pytest.mark.parametrize("metric", METRICS)
-    @pytest.mark.parametrize("data", ["blobs", "grid", "shifted", "tiny"])
-    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-160, 1e160])
-    def test_kmeans_seeded_from_the_shared_matrix_is_bitwise_the_row_path(self, metric, data, scale):
-        pts = gaussian_blobs(2) if data in ("blobs", "shifted") else integer_grid(2)
-        pts = pts + 1e9 if data == "shifted" else pts * 1e-158 if data == "tiny" else pts
-        pts = pts * scale
-        sq = categorize._metric_sq_dists(pts, metric)
-        before = sq.tobytes()
-        refused = []
-        for k in (2, 4, len(pts) - 1):
-            try:
-                want = kmeans(pts, k, metric=metric, restarts=10)
-            except EvalError as exc:
-                refused.append(k)
-                with pytest.raises(EvalError) as info:
-                    kmeans(pts, k, metric=metric, restarts=10, sq_dists=sq)
-                assert str(info.value) == str(exc)
-            else:
-                got = kmeans(pts, k, metric=metric, restarts=10, sq_dists=sq)
-                assert np.array_equal(got.assignment, want.assignment)
-                assert got.objective == want.objective
-            assert sq.tobytes() == before  # only read
-        # at 1e160 the euclidean distances overflow, except on the tiny data; cosine normalizes first
-        assert bool(refused) == (metric == "euclidean" and scale == 1e160 and data != "tiny")
-
-    @pytest.mark.parametrize("metric", METRICS)
-    def test_seeding_from_the_shared_matrix_computes_no_distances(self, monkeypatch, metric):
-        pts = integer_grid(4)
-        x = categorize._normalize_rows(pts) if metric == "cosine" else pts
-        want = categorize._kmeanspp_init(x, 9, np.random.default_rng(3), None)
-        monkeypatch.setattr(categorize, "_row_sq_dists", lambda *args: pytest.fail("distances computed"))
-        got = categorize._kmeanspp_init(x, 9, np.random.default_rng(3), categorize._metric_sq_dists(pts, metric))
-        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 50, 120])
     @pytest.mark.parametrize("seed", range(3))
@@ -560,7 +512,7 @@ class TestExactEquivalence:
                 want.setdefault(gold.class_labels[overlap.argmax()], []).append(
                     {"entity": gold.entities[i], "gold": gold.categories[i]})
         assert purity_from_labels(assignment, classes) == total / len(assignment)
-        got = _cluster_misclassifications(ClusteringSolution(assignment, k=4), gold)
+        got = _cluster_misclassifications(assignment, classes, gold)
         assert list(got.items()) == list(want.items())
 
 
@@ -660,49 +612,67 @@ class TestRunCategorization:
 
     def test_sweep_builds_one_matrix_per_metric(self, monkeypatch):
         built, alive, passed = [], [], []
-        real_build, real_agglomerative, real_kmeans = (
-            categorize._metric_sq_dists, categorize.agglomerative, categorize.kmeans)
+        real_space, real_agglomerative, real_kmeans = (
+            categorize._metric_space, categorize.agglomerative, categorize.kmeans)
 
-        def build(x, metric):
+        def build(vectors, metric):
             alive.append(sum(ref() is not None for _, ref in built))  # matrices alive before this build
-            sq = real_build(x, metric)
+            x, sq = real_space(vectors, metric)
             built.append((metric, weakref.ref(sq)))
-            return sq
+            return x, sq
 
-        def agglomerative_spy(vectors, k, metric, linkage, *, sq_dists):
-            passed.append(("agglomerative", metric, sq_dists.copy()))
-            return real_agglomerative(vectors, k, metric, linkage, sq_dists=sq_dists)
+        def agglomerative_spy(sq, k, linkage):
+            passed.append(("agglomerative", None, sq.copy()))
+            return real_agglomerative(sq, k, linkage)
 
-        def kmeans_spy(vectors, k, metric, seed, *, sq_dists):
-            passed.append(("kmeans", metric, sq_dists.copy()))
-            return real_kmeans(vectors, k, metric, seed=seed, sq_dists=sq_dists)
+        def kmeans_spy(x, sq, k, *, seed):
+            passed.append(("kmeans", x.copy(), sq.copy()))
+            return real_kmeans(x, sq, k, seed=seed)
 
-        monkeypatch.setattr(categorize, "_metric_sq_dists", build)
+        monkeypatch.setattr(categorize, "_metric_space", build)
         monkeypatch.setattr(categorize, "agglomerative", agglomerative_spy)
         monkeypatch.setattr(categorize, "kmeans", kmeans_spy)
         index, gold = separable_index(per_class=4)
         report = run_categorization(index, gold, method="cluster")
         assert [metric for metric, _ in built] == ["cosine", "euclidean"]
         assert alive == [0, 0]  # the cosine matrix is freed before the euclidean one is built
-        assert [algo_metric for *algo_metric, _ in passed] == (
-            [["agglomerative", "cosine"]] * 2 + [["kmeans", "cosine"]]
-            + [["agglomerative", "euclidean"]] * 3 + [["kmeans", "euclidean"]])
-        for _, metric, sq in passed:
-            assert np.array_equal(sq, real_build(index.ent_vecs, metric))
+        assert [algo for algo, *_ in passed] == ["agglomerative"] * 2 + ["kmeans"] + ["agglomerative"] * 3 + ["kmeans"]
+        for (_, x, sq), metric in zip(passed, ["cosine"] * 3 + ["euclidean"] * 4):
+            want_x, want_sq = real_space(index.ent_vecs, metric)
+            assert np.array_equal(sq, want_sq)
+            assert x is None or np.array_equal(x, want_x)
         assert [tuple(c[kk] for kk in ("algorithm", "metric", "linkage")) for c in report["cluster"]["sweep"]] == list(SWEEP)
 
+    def test_sweep_runs_only_read_the_shared_space(self, monkeypatch):
+        # every run of a metric gets the same points and matrix, so no run may write them
+        runs = []
+
+        def unchanged(name, fn):
+            def spy(*args, **kwargs):
+                before = [a.tobytes() for a in args if isinstance(a, np.ndarray)]
+                result = fn(*args, **kwargs)
+                runs.append(name)
+                assert [a.tobytes() for a in args if isinstance(a, np.ndarray)] == before, name
+                return result
+            return spy
+
+        for name in ("kmeans", "agglomerative"):
+            monkeypatch.setattr(categorize, name, unchanged(name, getattr(categorize, name)))
+        index, gold = separable_index(per_class=5, n_classes=4)
+        run_categorization(index, gold, method="cluster")
+        assert sorted(runs) == ["agglomerative"] * 5 + ["kmeans"] * 2
+
     def test_sweep_refuses_oversized_n_before_building(self, monkeypatch):
-        index, gold = separable_index(per_class=4)  # n = 12
-        monkeypatch.setattr(categorize, "_metric_sq_dists", lambda *args: pytest.fail("matrix built"))
+        index, gold = separable_index(per_class=4)  # n = 12, so two 1152-byte matrices
+        monkeypatch.setattr(categorize, "AGGLOMERATIVE_MAX_BYTES", 2 * 12 * 12 * 8)  # exactly at the limit
+        assert run_categorization(index, gold, method="cluster")["cluster"]["purity"] == 1.0
         monkeypatch.setattr(categorize, "AGGLOMERATIVE_MAX_BYTES", 2 * 12 * 12 * 8 - 1)
+        monkeypatch.setattr(categorize, "_metric_space", lambda *args: pytest.fail("matrix built"))
         with pytest.raises(EvalError) as info:
             run_categorization(index, gold, method="cluster")
         assert str(info.value) == (
             "agglomerative clustering of n=12 items needs two 1152-byte distance matrices, above the 2303-byte limit"
         )
-        monkeypatch.undo()
-        monkeypatch.setattr(categorize, "AGGLOMERATIVE_MAX_BYTES", 2 * 12 * 12 * 8)
-        assert run_categorization(index, gold, method="cluster")["cluster"]["purity"] == 1.0
 
     def test_misclassification_grouped_by_predicted(self):
         # two classes bundled together plus one far entity guarantees a mix-up

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from catembed.corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
@@ -44,6 +46,12 @@ class TestGenerateWorld:
             assert leaf_of[target] == label
             for ctx in ctxs.split():
                 assert leaf_of[ctx] == label
+
+    def test_corpus_is_pinned(self, tmp_path):
+        # several leaves per parent: same-leaf and cross-leaf draws both skip an id range
+        spec = SyntheticSpec(parents=3, leaves_per_parent=4, entities_per_leaf=5, docs=300, p_in=0.5, seed=3)
+        world = generate_world(tmp_path, spec)
+        assert hashlib.md5(world.corpus_path.read_bytes()).hexdigest() == "d77388eadd5ea94b965c00afff22dd82"
 
     def test_gold_covers_every_entity(self, tmp_path):
         spec = SyntheticSpec(parents=2, leaves_per_parent=3, entities_per_leaf=4, docs=30, seed=1)
