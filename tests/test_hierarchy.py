@@ -3,6 +3,7 @@ import pytest
 
 from catembed.corpus import CategoryGraph
 from catembed.errors import HierarchyError
+from catembed import hierarchy
 from catembed.hierarchy import category_weights, ce_weights, steps_down, weight_csr
 
 
@@ -210,6 +211,60 @@ class TestWeightCsr:
         with pytest.raises(HierarchyError, match="^entity 'e1': no weighted categories"):
             weight_csr(g, labeling, ["e0", "e1"], mode="hce")
 
+    @pytest.mark.parametrize("root_only_first", [True, False])
+    def test_first_of_two_failing_entities_is_named(self, root_only_first):
+        g = make_graph(3, [(0, 1), (1, 2)])
+        root_only, missing = (0,), (1, 9)  # category 9 is not in the graph
+        first, second = (root_only, missing) if root_only_first else (missing, root_only)
+        labeling = {0: (2,), 1: first, 2: (1, 2), 3: second, 4: (1,)}
+        message = (
+            "^entity 'e1': no weighted categories \\(directly labeled with the root only\\)$"
+            if root_only_first else "^entity 'e1': category 9 not in graph$"
+        )
+        with pytest.raises(HierarchyError, match=message):
+            weight_csr(g, labeling, [f"e{i}" for i in range(5)], mode="hce")
+
+    def test_ce_mode_skips_the_graph_check(self):
+        g = make_graph(2, [(0, 1)])
+        offsets, ids, ws = weight_csr(g, {0: (0,), 1: (1, 9)}, ["e0", "e1"], mode="ce")
+        assert offsets.tolist() == [0, 1, 3]
+        assert ids.tolist() == [0, 1, 9]
+        assert ws.tolist() == [1.0, 1.0, 1.0]
+
+    def test_no_labeled_entity_gives_empty_arrays(self):
+        g = make_graph(2, [(0, 1)])
+        for mode in ("ce", "hce"):
+            offsets, ids, ws = weight_csr(g, {}, ["e0", "e1"], mode=mode)
+            assert offsets.tolist() == [0, 0, 0]
+            assert (ids.dtype, ws.dtype, len(ids), len(ws)) == (np.int64, np.float64, 0, 0)
+
+
+class TestWalkCount:
+    """Each distinct direct category's ancestors are walked once per call."""
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        calls = []
+        inner = hierarchy._ancestor_paths
+
+        def counting(graph, cat):
+            calls.append(cat)
+            return inner(graph, cat)
+
+        monkeypatch.setattr(hierarchy, "_ancestor_paths", counting)
+        return calls
+
+    def test_weight_csr_walks_each_direct_category_once(self, walked):
+        g = make_graph(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
+        labeling = {0: (4,), 1: (2,), 2: (2, 4), 3: (4,), 4: (2,), 5: (2, 4)}
+        weight_csr(g, labeling, [f"e{i}" for i in range(6)], mode="hce")
+        assert sorted(walked) == [2, 4]
+
+    def test_steps_down_goes_through_the_same_walk(self, walked):
+        g = make_graph(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
+        steps_down(g, {2, 4})
+        assert sorted(walked) == [2, 4]
+
 
 @pytest.mark.parametrize("root, children, message", [
     (5, {0: (), 1: ()}, "^root category 5 is not a node of the graph$"),
@@ -328,3 +383,66 @@ class TestMatchesWholeGraphReference:
             size = int(rng.integers(1, 6))
             labeling[ent] = tuple(sorted({int(x) for x in rng.choice(deep, size=size)}))
         self.assert_csr_equal(g, labeling, n_entities)
+
+    @pytest.mark.parametrize("depth", [48, 70])
+    def test_path_counts_beyond_float64_integers(self, depth):
+        # A ladder of two-node levels, each node a child of both nodes above,
+        # plus edges that skip a level. Path counts and summed lengths pass
+        # 2**53 (depth 48), where float64 stops holding every integer, and
+        # 2**63 (depth 70), where int64 overflows.
+        edges = [(0, 1), (0, 2)]
+        for lv in range(1, depth):
+            for child in (2 * lv + 1, 2 * lv + 2):
+                edges += [(2 * lv - 1, child), (2 * lv, child)]
+            if lv >= 2:
+                edges.append((2 * lv - 3, 2 * lv + 1))
+        g = make_graph(2 * depth + 1, edges)
+        labeling = {0: (2 * depth,), 1: (2 * depth - 1, 2 * depth), 2: (3, 2 * depth), 3: (1,)}
+        self.assert_csr_equal(g, labeling, 4)
+
+
+def perfbench_like_world(seed):
+    """A deep DAG whose entities share direct categories, nest them, name the root and weigh many ancestors."""
+    rng = np.random.default_rng(seed)
+    g, levels = layered_dag(rng, widths=(3, 6, 12, 24, 40, 60, 80, 100), extra_parents=2)
+    pool = [int(c) for lvl in levels[-3:] for c in rng.choice(lvl, size=12, replace=False)]
+    labeling = {}
+    for ent in range(240):
+        if ent % 10 == 9:
+            continue  # unlabeled entity: empty slice
+        direct = {pool[int(i)] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 4)))}
+        if ent % 5 == 0:
+            direct.add(int(rng.choice(g.parents[min(direct)])))  # nest a parent of a direct category
+        if ent % 7 == 0:
+            direct.add(g.root)
+        labeling[ent] = tuple(sorted(direct))
+    return g, labeling
+
+
+class TestWeightCsrMatchesInspectWeights:
+    """Each ``weight_csr`` slice is bitwise what ``inspect-weights`` computes for that entity."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_slices_equal_per_entity_weights(self, seed):
+        g, labeling = perfbench_like_world(seed)
+        n_entities = 240
+        labels = [f"e{i}" for i in range(n_entities)]
+        for mode in ("ce", "hce"):
+            offsets, ids, ws = weight_csr(g, labeling, labels, mode)
+            lengths = []
+            for ent in range(n_entities):
+                lo, hi = offsets[ent], offsets[ent + 1]
+                direct = labeling.get(ent)
+                if direct is None:
+                    assert lo == hi
+                    continue
+                want = category_weights(steps_down(g, direct)) if mode == "hce" else ce_weights(direct)
+                assert ids[lo:hi].tolist() == list(want.categories)
+                assert ws[lo:hi].tobytes() == want.weights.tobytes()
+                lengths.append(hi - lo)
+            if mode == "hce":
+                assert max(lengths) > 8  # past numpy's 8-term unrolled sum
+                assert len(lengths) - len(set(lengths)) > 50  # many slices share a length
+        shared = list(labeling.values())
+        assert len(set(shared)) < len(shared)  # some entities share a whole direct set
+        assert any(g.root in direct for direct in shared)
