@@ -16,14 +16,13 @@ from .corpus import (
 )
 from .embeddings import EmbeddingIndex, EmbeddingTable, init_embeddings, load_embeddings, save_text
 from .errors import CatembedError
-from .hierarchy import AncestorWeights, category_weights, ce_weights, steps_down
+from .hierarchy import steps_down
 from .sampler import NoiseTable, build_noise_table, draw_negatives_batch, pairs_arrays
 from .trainer import TrainConfig, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AncestorWeights",
     "CatembedError",
     "CategoryGraph",
     "Corpus",
@@ -35,8 +34,6 @@ __all__ = [
     "__version__",
     "build_noise_table",
     "build_vocabulary",
-    "category_weights",
-    "ce_weights",
     "draw_negatives_batch",
     "init_embeddings",
     "load_corpus",

@@ -302,9 +302,9 @@ def cmd_inspect_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not direct:
         raise CatembedError(f"entity {args.entity!r} has no category labeling")
     steps = hierarchy.steps_down(graph, direct)
-    weights = hierarchy.category_weights(steps) if cfg.mode == "hce" else hierarchy.ce_weights(direct)
+    _, cats, ws = hierarchy.weight_csr(graph, {0: direct}, [vocab.entity_label(ent)], cfg.mode)
     print(f"# entity {vocab.entity_label(ent)} mode={cfg.mode}")
-    for cat, w in zip(weights.categories, weights.weights):
+    for cat, w in zip(cats.tolist(), ws.tolist()):
         marker = "direct" if cat in direct else "ancestor"
         # steps has no root key; the root can be a direct category in ce mode
         print(f"c:{vocab.category_label(cat)}\t{w:.6f}\tavg_steps={steps.get(cat, 0.0):.3f}\t{marker}")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 import heapq
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -27,28 +26,9 @@ import numpy as np
 from .corpus import CategoryGraph
 from .errors import HierarchyError
 
+MODES = ("ce", "hce")
 WEIGHT_SUM_TOL = 1e-9
 _ROOT_ONLY = "no weighted categories (directly labeled with the root only)"
-
-
-@dataclass
-class AncestorWeights:
-    """Per-entity category weights, ordered by ascending category index."""
-
-    categories: tuple[int, ...]
-    weights: np.ndarray  # float64, parallel to categories
-
-    def __len__(self) -> int:
-        return len(self.categories)
-
-    def check_normalized(self) -> None:
-        if len(self.categories) != len(set(self.categories)):
-            raise HierarchyError("duplicate categories in weight list")
-        if np.any(self.weights <= 0):
-            raise HierarchyError("non-positive category weight")
-        total = float(self.weights.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise HierarchyError(f"weights sum to {total!r}, expected 1.0")
 
 
 def _checked_direct(graph: CategoryGraph, direct: Iterable[int]) -> set[int]:
@@ -176,29 +156,6 @@ def steps_down(graph: CategoryGraph, direct: Iterable[int]) -> dict[int, float]:
     return dict(zip(cats.tolist(), steps.tolist()))
 
 
-def category_weights(steps: Mapping[int, float]) -> AncestorWeights:
-    """Normalized ``1 / (1 + steps)`` weights over an entity's weighted categories.
-
-    ``steps`` is the result of :func:`steps_down`. Closer categories (fewer
-    average downward steps) receive strictly larger weight; the result sums to 1.
-    """
-    if not steps:
-        raise HierarchyError(_ROOT_ONLY)
-    cats = tuple(sorted(steps))
-    raw = np.array([1.0 / (1.0 + steps[c]) for c in cats], dtype=np.float64)
-    out = AncestorWeights(categories=cats, weights=raw / raw.sum())
-    out.check_normalized()
-    return out
-
-
-def ce_weights(direct: Iterable[int]) -> AncestorWeights:
-    """Direct categories only, each with weight exactly 1 (unnormalized)."""
-    cats = tuple(sorted(set(direct)))
-    if not cats:
-        raise HierarchyError("entity has no direct categories")
-    return AncestorWeights(categories=cats, weights=np.ones(len(cats), dtype=np.float64))
-
-
 def weight_csr(
     graph: CategoryGraph,
     entity_categories: Mapping[int, tuple[int, ...]],
@@ -209,17 +166,19 @@ def weight_csr(
 
     Computed once at training start from the direct categories of each entity
     (``Corpus.entity_categories``), for one entity per label in
-    ``entity_labels``. Each entity's slice is bitwise equal to
-    :func:`category_weights` of :func:`steps_down` (``hce``) or to
-    :func:`ce_weights` (``ce``); entities with the same direct categories
-    share one computation. Entities without a labeling (context-only
-    entities) get an empty slice. A weight failure raises
+    ``entity_labels``. In ``hce`` mode an entity's slice holds the keys of
+    :func:`steps_down`, ascending, weighted ``1 / (1 + steps)`` and
+    normalized to sum to 1 within ``WEIGHT_SUM_TOL``; in ``ce`` mode it holds
+    the sorted direct categories, root included, each at weight exactly 1
+    and unchecked against the graph. Entities with the same direct
+    categories share one computation. Entities without a labeling
+    (context-only entities) get an empty slice. A weight failure raises
     :class:`HierarchyError` naming the first failing entity by its label.
 
     Returns ``(offsets, cat_ids, cat_ws)`` where entity e's categories live in
     ``cat_ids[offsets[e]:offsets[e+1]]``.
     """
-    if mode not in ("ce", "hce"):
+    if mode not in MODES:
         raise HierarchyError(f"unknown mode {mode!r}")
     row_of: dict[tuple[int, ...], int] = {}
     rows = np.array(

@@ -20,12 +20,10 @@ from . import kernels
 from .corpus import CategoryGraph, Corpus
 from .embeddings import EmbeddingTable, init_embeddings
 from .errors import ConfigError, TrainError
-from .hierarchy import weight_csr
+from .hierarchy import MODES, weight_csr
 from .sampler import build_noise_table, draw_negatives_batch, pairs_arrays
 
 log = logging.getLogger(__name__)
-
-MODES = ("ce", "hce")
 
 
 @dataclass

@@ -3,12 +3,12 @@
 The fast chunk kernels in :mod:`catembed.kernels` are checked against these.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from catembed.embeddings import EmbeddingTable
-from catembed.hierarchy import AncestorWeights
 from catembed.kernels import CLAMP
 
 
@@ -47,17 +47,19 @@ def softmax_prob(table: EmbeddingTable, predictor: np.ndarray, context: int) -> 
 def pair_loss_and_grad(
     table: EmbeddingTable,
     pair: tuple[int, int],
-    weights: AncestorWeights,
+    weights: tuple[Sequence[int], np.ndarray],
     negatives: np.ndarray,
 ) -> PairGradient:
     """Reference loss and exact analytic gradient for one training pair.
 
-    Touches exactly the rows {target input, each weighted category input,
-    context output, each negative output}; duplicate negatives accumulate.
+    ``weights`` is the target's ``(categories, weights)`` pair, parallel
+    sequences as in one entity's slice of ``weight_csr``. Touches exactly the
+    rows {target input, each weighted category input, context output, each
+    negative output}; duplicate negatives accumulate.
     """
     t, c = pair
-    cids = np.asarray(weights.categories, dtype=np.int64)
-    w = np.concatenate(([1.0], np.asarray(weights.weights, dtype=np.float64)))
+    cids = np.asarray(weights[0], dtype=np.int64)
+    w = np.concatenate(([1.0], np.asarray(weights[1], dtype=np.float64)))
     preds = np.vstack([table.ent_in[t][None, :], table.cat_in[cids]]) if len(cids) else table.ent_in[t][None, :]
     negatives = np.asarray(negatives, dtype=np.int64)
     outs = np.vstack([table.ent_out[c][None, :], table.ent_out[negatives]]) if negatives.size else table.ent_out[c][None, :]
@@ -86,7 +88,7 @@ def group_loss_and_grad(
     table: EmbeddingTable,
     target: int,
     contexts: np.ndarray,
-    weights: AncestorWeights,
+    weights: tuple[Sequence[int], np.ndarray],
     negatives: np.ndarray,
 ) -> PairGradient:
     """Reference loss and gradient for one group: pairs ``(target, contexts[g])`` with ``negatives[g]``.

@@ -10,7 +10,7 @@ import numpy as np
 from catembed.categorize import load_gold, purity_from_labels, run_categorization
 from catembed.cli import dota_gold_path, main
 from catembed.corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
-from catembed.hierarchy import AncestorWeights, category_weights, steps_down
+from catembed.hierarchy import steps_down
 from catembed.relatedness import spearman
 from catembed.sampler import build_noise_table
 from catembed.synthetic import SyntheticSpec, generate_world
@@ -19,7 +19,7 @@ from catembed.trainer import TrainConfig, train
 from oracles import pair_loss_and_grad
 from test_categorize import brute_purity, partition_to_labels, set_partitions
 from test_embeddings import index_from_table
-from test_hierarchy import brute_ancestors, brute_path_lengths, random_rooted_dag
+from test_hierarchy import brute_ancestors, brute_path_lengths, random_rooted_dag, weight_contract_holds, weight_slice
 from test_trainer import EMPTY_WEIGHTS, fd_gradient, random_table
 
 
@@ -41,7 +41,7 @@ def test_criterion_01_gradient_oracle():
         ws = ws / ws.sum() if n_cats else np.empty(0)
         negs = rng.integers(0, 6, size=int(rng.integers(1, 4)))
         t, c = int(rng.integers(6)), int(rng.integers(6))
-        grad = pair_loss_and_grad(table, (t, c), AncestorWeights(cats, ws), negs)
+        grad = pair_loss_and_grad(table, (t, c), (cats, ws), negs)
         fd = fd_gradient(table, t, c, cats, ws, negs, eps=1e-5)
         for key, fd_vec in fd.items():
             an_vec = grad.deltas[key]
@@ -115,17 +115,13 @@ def test_criterion_04_weight_contract():
             continue
         n_dags += 1
         steps = steps_down(graph, direct)
-        w = category_weights(steps)
-        if not (np.all(w.weights > 0) and abs(w.weights.sum() - 1.0) <= 1e-9):
+        cats, ws = weight_slice(graph, direct)
+        if cats != tuple(steps) or not weight_contract_holds(cats, ws, steps):
             contract_ok = False
-        for i, ci in enumerate(w.categories):
-            for j, cj in enumerate(w.categories):
-                if steps[ci] < steps[cj] and not w.weights[i] > w.weights[j]:
-                    contract_ok = False
         if n <= 12:
             if set(steps) != brute_ancestors(graph, direct):
                 brute_ok = False
-            for c in w.categories:
+            for c in cats:
                 if c in direct:
                     continue
                 lengths = brute_path_lengths(graph, c, direct)

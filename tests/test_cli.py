@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from catembed import cli, kernels
+from catembed import cli, kernels, trainer
 from catembed.cli import build_parser, effective_config, main
-from catembed.corpus import build_vocabulary, load_hierarchy, prune_to_dag
+from catembed.corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
 from catembed.embeddings import EmbeddingIndex, load_embeddings
 
 from test_hierarchy import brute_path_lengths
@@ -433,6 +433,47 @@ class TestInspectWeights:
     def test_ce_prints_direct_categories_only(self, diamond, capsys):
         rows = self.inspect_rows(*diamond, "ce", capsys)
         assert rows == {"d": (1.0, 0.0, "direct")}
+
+    @pytest.mark.parametrize("mode", ["ce", "hce"])
+    def test_rows_are_the_trainers_weight_slice(self, tmp_path, capsys, mode):
+        # three levels under the root, two-parent categories, nested and shared
+        # direct sets, the root beside a deeper label, and a context-only entity
+        hier = tmp_path / "hierarchy.tsv"
+        hier.write_text("root\ta\nroot\tb\nroot\tx\na\tc\nb\tc\na\td\nc\te\nd\te\nc\tf\nb\tf\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text(
+            "e1\te\te2 e3 ctx\ne2\tf,d\te1 e4\ne3\tc,e\te5 ctx\ne4\troot,f\te1 e6\n"
+            "e5\te\te2 e3\ne6\tx\te4 ctx\ne1\tb\te5\n",
+            encoding="utf-8",
+        )
+        vocab = build_vocabulary(corpus)
+        graph, _ = prune_to_dag(load_hierarchy(hier, vocab), vocab, "root")
+        labeling = load_corpus(corpus, vocab, graph).entity_categories
+        offsets, ids, ws = trainer.weight_csr(graph, labeling, vocab.entity_labels(), mode)
+        assert sorted(map(vocab.entity_label, labeling)) == [f"e{i}" for i in range(1, 7)]  # ctx is context-only
+        assert mode == "ce" or max(np.diff(offsets)) >= 4  # ancestors up to two levels above a direct one
+        for ent in labeling:
+            label = vocab.entity_label(ent)
+            rc = main(["inspect-weights", "--corpus", str(corpus), "--hierarchy", str(hier), "--root", "root",
+                       "--mode", mode, "--entity", label, "--verbosity", "0"])
+            assert rc == 0
+            out = capsys.readouterr().out.splitlines()
+            assert out[0] == f"# entity {label} mode={mode}"
+            printed = [line.split("\t")[:2] for line in out[1:]]
+            lo, hi = offsets[ent], offsets[ent + 1]
+            assert printed == [[f"c:{vocab.category_label(c)}", f"{w:.6f}"] for c, w in zip(ids[lo:hi], ws[lo:hi])]
+
+    def test_hce_root_only_entity_is_named(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("alpha\troot\tbeta\nbeta\tc1\talpha\n", encoding="utf-8")
+        hier = tmp_path / "hierarchy.tsv"
+        hier.write_text("root\tc1\n", encoding="utf-8")
+        rc = main(["inspect-weights", "--corpus", str(corpus), "--hierarchy", str(hier), "--root", "root",
+                   "--mode", "hce", "--entity", "alpha", "--verbosity", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: entity 'alpha': no weighted categories (directly labeled with the root only)\n"
+        )
 
     def test_unknown_entity_nonzero(self, world_dir, capsys):
         rc = main([

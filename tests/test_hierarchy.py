@@ -4,7 +4,7 @@ import pytest
 from catembed.corpus import CategoryGraph
 from catembed.errors import HierarchyError
 from catembed import hierarchy
-from catembed.hierarchy import category_weights, ce_weights, steps_down, weight_csr
+from catembed.hierarchy import WEIGHT_SUM_TOL, steps_down, weight_csr
 
 
 def make_graph(n, edges, root=0):
@@ -60,6 +60,22 @@ def brute_path_lengths(graph, start, targets):
 
     rec(start, 0)
     return lengths
+
+
+def weight_slice(graph, direct, mode="hce"):
+    """One entity's ``(categories, weights)`` slice of ``weight_csr``."""
+    _, ids, ws = weight_csr(graph, {0: tuple(sorted(direct))}, ["e0"], mode)
+    return tuple(ids.tolist()), ws
+
+
+def weight_contract_holds(cats, ws, steps):
+    """Distinct categories, positive weights summing to 1, and strictly more weight for fewer mean steps."""
+    return (
+        len(set(cats)) == len(cats)
+        and bool(np.all(ws > 0))
+        and abs(float(ws.sum()) - 1.0) <= WEIGHT_SUM_TOL
+        and all(wi > wj for ci, wi in zip(cats, ws) for cj, wj in zip(cats, ws) if steps[ci] < steps[cj])
+    )
 
 
 class TestAncestors:
@@ -126,15 +142,14 @@ class TestAvgStepsDown:
 class TestCategoryWeights:
     def test_single_direct_no_ancestors(self):
         g = make_graph(2, [(0, 1)])
-        w = category_weights(steps_down(g, {1}))
-        assert w.categories == (1,)
-        assert w.weights[0] == pytest.approx(1.0)
+        cats, ws = weight_slice(g, {1})
+        assert cats == (1,)
+        assert ws[0] == pytest.approx(1.0)
 
     def test_chain_weights(self):
         # c3(1) -> c2(2) -> c1(3); direct {c1}: raw (1, 1/2, 1/3) -> (6/11, 3/11, 2/11)
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-        w = category_weights(steps_down(g, {3}))
-        by_cat = dict(zip(w.categories, w.weights))
+        by_cat = dict(zip(*weight_slice(g, {3})))
         assert by_cat[3] == pytest.approx(6 / 11)
         assert by_cat[2] == pytest.approx(3 / 11)
         assert by_cat[1] == pytest.approx(2 / 11)
@@ -142,16 +157,15 @@ class TestCategoryWeights:
     def test_sibling_directs_share_parent(self):
         # parent p(1) with direct children c1(2), c2(3): raw (1, 1, 1/2)
         g = make_graph(4, [(0, 1), (1, 2), (1, 3)])
-        w = category_weights(steps_down(g, {2, 3}))
-        by_cat = dict(zip(w.categories, w.weights))
+        by_cat = dict(zip(*weight_slice(g, {2, 3})))
         assert by_cat[2] == pytest.approx(0.4)
         assert by_cat[3] == pytest.approx(0.4)
         assert by_cat[1] == pytest.approx(0.2)
 
     def test_root_only_direct_errors(self):
         g = make_graph(2, [(0, 1)])
-        with pytest.raises(HierarchyError):
-            category_weights(steps_down(g, {0}))
+        with pytest.raises(HierarchyError, match="^entity 'e0': no weighted categories"):
+            weight_slice(g, {0})
 
     @pytest.mark.parametrize("seed", range(60))
     def test_weight_contract_random_dags(self, seed):
@@ -163,30 +177,21 @@ class TestCategoryWeights:
         if not direct:
             return
         steps = steps_down(g, direct)
-        w = category_weights(steps)
-        w.check_normalized()
-        assert abs(w.weights.sum() - 1.0) <= 1e-9
-        assert np.all(w.weights > 0)
-        for i, ci in enumerate(w.categories):
-            for j, cj in enumerate(w.categories):
-                if steps[ci] < steps[cj]:
-                    assert w.weights[i] > w.weights[j]
+        cats, ws = weight_slice(g, direct)
+        assert cats == tuple(steps)
+        assert weight_contract_holds(cats, ws, steps)
 
 
 class TestCeWeights:
     def test_two_direct(self):
-        w = ce_weights({1, 2})
-        assert w.categories == (1, 2)
-        assert list(w.weights) == [1.0, 1.0]
+        cats, ws = weight_slice(make_graph(3, [(0, 1), (0, 2)]), {2, 1}, "ce")
+        assert cats == (1, 2)
+        assert ws.tolist() == [1.0, 1.0]
 
     def test_single(self):
-        w = ce_weights({5})
-        assert w.categories == (5,)
-        assert w.weights[0] == 1.0
-
-    def test_empty_errors(self):
-        with pytest.raises(HierarchyError):
-            ce_weights(set())
+        cats, ws = weight_slice(make_graph(2, [(0, 1)]), {5}, "ce")
+        assert cats == (5,)
+        assert ws.tolist() == [1.0]
 
 
 class TestWeightCsr:
@@ -342,6 +347,24 @@ def layered_dag(rng, widths, extra_parents):
     return make_graph(nxt, edges), levels
 
 
+def perfbench_like_world(seed):
+    """A deep DAG whose entities share direct categories, nest them, name the root and weigh many ancestors."""
+    rng = np.random.default_rng(seed)
+    g, levels = layered_dag(rng, widths=(3, 6, 12, 24, 40, 60, 80, 100), extra_parents=2)
+    pool = [int(c) for lvl in levels[-3:] for c in rng.choice(lvl, size=12, replace=False)]
+    labeling = {}
+    for ent in range(240):
+        if ent % 10 == 9:
+            continue  # unlabeled entity: empty slice
+        direct = {pool[int(i)] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 4)))}
+        if ent % 5 == 0:
+            direct.add(int(rng.choice(g.parents[min(direct)])))  # nest a parent of a direct category
+        if ent % 7 == 0:
+            direct.add(g.root)
+        labeling[ent] = tuple(sorted(direct))
+    return g, labeling
+
+
 class TestMatchesWholeGraphReference:
     """``weight_csr`` arrays are bitwise equal to the whole-graph computation."""
 
@@ -400,49 +423,14 @@ class TestMatchesWholeGraphReference:
         labeling = {0: (2 * depth,), 1: (2 * depth - 1, 2 * depth), 2: (3, 2 * depth), 3: (1,)}
         self.assert_csr_equal(g, labeling, 4)
 
-
-def perfbench_like_world(seed):
-    """A deep DAG whose entities share direct categories, nest them, name the root and weigh many ancestors."""
-    rng = np.random.default_rng(seed)
-    g, levels = layered_dag(rng, widths=(3, 6, 12, 24, 40, 60, 80, 100), extra_parents=2)
-    pool = [int(c) for lvl in levels[-3:] for c in rng.choice(lvl, size=12, replace=False)]
-    labeling = {}
-    for ent in range(240):
-        if ent % 10 == 9:
-            continue  # unlabeled entity: empty slice
-        direct = {pool[int(i)] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 4)))}
-        if ent % 5 == 0:
-            direct.add(int(rng.choice(g.parents[min(direct)])))  # nest a parent of a direct category
-        if ent % 7 == 0:
-            direct.add(g.root)
-        labeling[ent] = tuple(sorted(direct))
-    return g, labeling
-
-
-class TestWeightCsrMatchesInspectWeights:
-    """Each ``weight_csr`` slice is bitwise what ``inspect-weights`` computes for that entity."""
-
     @pytest.mark.parametrize("seed", range(3))
-    def test_slices_equal_per_entity_weights(self, seed):
+    def test_perfbench_like_world(self, seed):
         g, labeling = perfbench_like_world(seed)
-        n_entities = 240
-        labels = [f"e{i}" for i in range(n_entities)]
-        for mode in ("ce", "hce"):
-            offsets, ids, ws = weight_csr(g, labeling, labels, mode)
-            lengths = []
-            for ent in range(n_entities):
-                lo, hi = offsets[ent], offsets[ent + 1]
-                direct = labeling.get(ent)
-                if direct is None:
-                    assert lo == hi
-                    continue
-                want = category_weights(steps_down(g, direct)) if mode == "hce" else ce_weights(direct)
-                assert ids[lo:hi].tolist() == list(want.categories)
-                assert ws[lo:hi].tobytes() == want.weights.tobytes()
-                lengths.append(hi - lo)
-            if mode == "hce":
-                assert max(lengths) > 8  # past numpy's 8-term unrolled sum
-                assert len(lengths) - len(set(lengths)) > 50  # many slices share a length
+        self.assert_csr_equal(g, labeling, 240)
+        offsets, _, _ = weight_csr(g, labeling, [f"e{i}" for i in range(240)], "hce")
+        lengths = np.diff(offsets)[sorted(labeling)].tolist()
+        assert max(lengths) > 8  # past numpy's 8-term unrolled sum
+        assert len(lengths) - len(set(lengths)) > 50  # many slices share a length
         shared = list(labeling.values())
         assert len(set(shared)) < len(shared)  # some entities share a whole direct set
         assert any(g.root in direct for direct in shared)

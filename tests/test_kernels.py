@@ -5,7 +5,6 @@ import pytest
 
 from catembed import kernels
 from catembed.embeddings import EmbeddingTable
-from catembed.hierarchy import AncestorWeights
 from catembed.trainer import predictor_csr
 
 from oracles import apply_gradient, group_loss_and_grad, pair_loss_and_grad
@@ -66,7 +65,7 @@ def weights_of(chunk, t):
     pred_offsets, pred_ids, pred_ws = chunk[3:]
     lo, hi = pred_offsets[t], pred_offsets[t + 1]
     assert pred_ids[lo] == t and pred_ws[lo] == 1.0
-    return AncestorWeights(categories=tuple(pred_ids[lo + 1:hi] - (len(pred_offsets) - 1)), weights=pred_ws[lo + 1:hi])
+    return tuple(pred_ids[lo + 1:hi] - (len(pred_offsets) - 1)), pred_ws[lo + 1:hi]
 
 
 class TestNumpyKernel:

@@ -7,7 +7,7 @@ import pytest
 from catembed.corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
 from catembed.embeddings import init_embeddings
 from catembed.errors import ConfigError, TrainError
-from catembed.hierarchy import AncestorWeights, weight_csr
+from catembed.hierarchy import weight_csr
 from catembed import trainer
 from catembed.kernels import CLAMP, group_bounds
 from catembed.sampler import pairs_arrays
@@ -15,7 +15,7 @@ from catembed.trainer import TrainConfig, train
 
 from oracles import apply_gradient, group_loss_and_grad, pair_loss_and_grad, softmax_prob, table_of
 
-EMPTY_WEIGHTS = AncestorWeights(categories=(), weights=np.empty(0))
+EMPTY_WEIGHTS = ((), np.empty(0))
 
 
 def random_table(rng, n_ent, n_cat, dim, scale=0.5):
@@ -184,7 +184,7 @@ class TestPairLoss:
 
     def test_zero_vectors_one_category_one_negative(self):
         table = table_of(ent_in=np.zeros((3, 4)), cat_in=np.zeros((2, 4)), ent_out=np.zeros((3, 4)))
-        weights = AncestorWeights(categories=(1,), weights=np.array([1.0]))
+        weights = ((1,), np.array([1.0]))
         grad = pair_loss_and_grad(table, (0, 1), weights, np.array([2]))
         assert grad.loss == pytest.approx(-4 * math.log(0.5), abs=1e-12)
         assert grad.loss == pytest.approx(2.77259, abs=1e-5)
@@ -192,7 +192,7 @@ class TestPairLoss:
     def test_touches_exactly_the_contract_rows(self):
         rng = np.random.default_rng(7)
         table = random_table(rng, 8, 4, 6)
-        weights = AncestorWeights(categories=(0, 3), weights=np.array([0.7, 0.3]))
+        weights = ((0, 3), np.array([0.7, 0.3]))
         grad = pair_loss_and_grad(table, (2, 5), weights, np.array([1, 4, 4]))
         assert set(grad.deltas) == {
             ("ent_in", 2), ("cat_in", 0), ("cat_in", 3),
@@ -208,8 +208,7 @@ class TestPairLoss:
             ws = raw / raw.sum()
             negs = rng.integers(0, 6, size=3)
             t, c = int(rng.integers(6)), int(rng.integers(6))
-            weights = AncestorWeights(categories=cats, weights=ws)
-            grad = pair_loss_and_grad(table, (t, c), weights, negs)
+            grad = pair_loss_and_grad(table, (t, c), (cats, ws), negs)
             expect = reference_loss(table, t, c, cats, ws, negs)
             assert grad.loss == pytest.approx(expect, abs=1e-12)
 
@@ -228,8 +227,7 @@ class TestPairLoss:
                 ws = np.empty(0)
             negs = rng.integers(0, 6, size=int(rng.integers(1, 4)))
             t, c = int(rng.integers(6)), int(rng.integers(6))
-            weights = AncestorWeights(categories=cats, weights=ws)
-            grad = pair_loss_and_grad(table, (t, c), weights, negs)
+            grad = pair_loss_and_grad(table, (t, c), (cats, ws), negs)
             fd = fd_gradient(table, t, c, cats, ws, negs)
             for key, fd_vec in fd.items():
                 an_vec = grad.deltas[key]
@@ -279,7 +277,7 @@ class TestGroupLoss:
             contexts = rng.integers(0, 6, size=size)
             negatives = rng.integers(0, 6, size=(size, int(rng.integers(1, 4))))
             t = int(rng.integers(6))
-            grad = group_loss_and_grad(table, t, contexts, AncestorWeights(cats, ws), negatives)
+            grad = group_loss_and_grad(table, t, contexts, (cats, ws), negatives)
             expect = sum(reference_loss(table, t, c, cats, ws, negs) for c, negs in zip(contexts, negatives))
             assert grad.loss == pytest.approx(expect, abs=1e-12)
             fd = fd_group_gradient(table, t, contexts, cats, ws, negatives)
