@@ -17,7 +17,7 @@ from .corpus import (
 from .embeddings import EmbeddingIndex, EmbeddingTable, init_embeddings, load_embeddings, save_text
 from .errors import CatembedError
 from .hierarchy import steps_down
-from .sampler import NoiseTable, build_noise_table, draw_negatives_batch, pairs_arrays
+from .sampler import build_noise_table, draw_negatives_batch, pairs_arrays
 from .trainer import TrainConfig, train
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "Corpus",
     "EmbeddingIndex",
     "EmbeddingTable",
-    "NoiseTable",
     "TrainConfig",
     "Vocabulary",
     "__version__",

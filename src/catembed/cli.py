@@ -14,7 +14,6 @@ import argparse
 import importlib.resources
 import json
 import logging
-import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -175,15 +174,14 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     vocab, graph, corpus = _build_pipeline(cfg)
     embeddings.check_labels(vocab.entity_labels(), vocab.category_labels())
 
-    total_chunks = max(1, math.ceil(cfg.epochs * corpus.n_pairs / cfg.chunk))
-    log_every = max(1, total_chunks // 20)
-    state = {"smoothed": None, "chunks": 0}
+    # Progress is logged once per twentieth of the schedule, by the first chunk whose position reaches it.
+    state = {"smoothed": None, "next_twentieth": 0}
 
     def on_chunk(stats: trainer.ChunkStats) -> None:
         prev = state["smoothed"]
         state["smoothed"] = stats.loss_per_pair if prev is None else 0.9 * prev + 0.1 * stats.loss_per_pair
-        state["chunks"] += 1
-        if state["chunks"] % log_every == 0:
+        if 20 * stats.position >= state["next_twentieth"] * stats.total_pairs:
+            state["next_twentieth"] = 20 * stats.position // stats.total_pairs + 1
             log.info(
                 "epoch %d | lr %.5f at pair %d/%d | trained %d pairs | smoothed loss/pair %.4f",
                 stats.epoch, stats.lr, stats.position, stats.total_pairs, stats.pairs_done, state["smoothed"],

@@ -330,6 +330,19 @@ def prune_to_dag(
     return CategoryGraph(root=root, children=children), report
 
 
+def csr_offsets(lengths) -> np.ndarray:
+    """CSR offsets of slices with the given lengths."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def slice_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices of the slices ``[starts[i], starts[i] + lengths[i])``, concatenated."""
+    offsets = csr_offsets(lengths)
+    return np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+
+
 @dataclass
 class Corpus:
     """Training documents as flat int64 arrays, plus the entity labeling.

@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .corpus import CategoryGraph
+from .corpus import CategoryGraph, csr_offsets, slice_index
 from .errors import HierarchyError
 
 MODES = ("ce", "hce")
@@ -71,19 +71,6 @@ def _ancestor_paths(graph: CategoryGraph, cat: int) -> tuple[list[int], list[int
     return list(n), list(n.values()), list(s.values())
 
 
-def _offsets(lengths) -> np.ndarray:
-    """CSR offsets of slices with the given lengths."""
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    return offsets
-
-
-def _slice_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Indices of the slices ``[starts[i], starts[i] + lengths[i])``, concatenated."""
-    offsets = _offsets(lengths)
-    return np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
-
-
 def _steps_csr(graph: CategoryGraph, direct_sets: Sequence[set[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`steps_down` for many checked direct sets at once, as CSR arrays.
 
@@ -107,9 +94,9 @@ def _steps_csr(graph: CategoryGraph, direct_sets: Sequence[set[int]]) -> tuple[n
     col = {cat: i for i, cat in enumerate(direct_cats)}
     piece = np.array([col[cat] for direct in direct_sets for cat in direct], dtype=np.int64)
     piece_len = walk_len[piece]
-    at = _slice_index(_offsets(walk_len)[piece], piece_len)
+    at = slice_index(csr_offsets(walk_len)[piece], piece_len)
     is_direct = np.zeros(len(at), dtype=bool)
-    is_direct[_offsets(piece_len)[:-1]] = True  # each walk starts at its direct category
+    is_direct[csr_offsets(piece_len)[:-1]] = True  # each walk starts at its direct category
     span = int(nodes.max()) + 1
     owner = np.repeat(np.arange(len(direct_sets), dtype=np.int64), [len(direct) for direct in direct_sets])
     cats = nodes[at]
@@ -124,7 +111,7 @@ def _steps_csr(graph: CategoryGraph, direct_sets: Sequence[set[int]]) -> tuple[n
     s_sum = np.add.reduceat(s[at[order]], first)
     steps = np.where(np.logical_or.reduceat(is_direct[order], first), 0.0, np.asarray(s_sum / n_sum, dtype=np.float64))
     key = key[first]
-    return _offsets(np.bincount(key // span, minlength=len(direct_sets))), key % span, steps
+    return csr_offsets(np.bincount(key // span, minlength=len(direct_sets))), key % span, steps
 
 
 def _slice_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -200,11 +187,11 @@ def weight_csr(
         raw = 1.0 / (1.0 + steps)
         set_ws = raw / np.repeat(_slice_sums(raw, set_offsets), np.diff(set_offsets))
     else:
-        set_offsets = _offsets(np.array([len(direct) for direct in direct_sets], dtype=np.int64))
+        set_offsets = csr_offsets(np.array([len(direct) for direct in direct_sets], dtype=np.int64))
         set_ids = np.fromiter(chain.from_iterable(map(sorted, direct_sets)), np.int64, int(set_offsets[-1]))
         set_ws = np.ones(len(set_ids), dtype=np.float64)
     labeled = np.flatnonzero(rows >= 0)
     lengths = np.zeros(len(entity_labels), dtype=np.int64)
     lengths[labeled] = np.diff(set_offsets)[rows[labeled]]
-    at = _slice_index(set_offsets[rows[labeled]], lengths[labeled])
-    return _offsets(lengths), set_ids[at], set_ws[at]
+    at = slice_index(set_offsets[rows[labeled]], lengths[labeled])
+    return csr_offsets(lengths), set_ids[at], set_ws[at]

@@ -1,13 +1,16 @@
-"""Training-pair generation and unigram-power negative sampling."""
+"""Training-pair generation and unigram-power negative sampling.
+
+The noise table is a plain cumulative array over entity ids, and
+:func:`draw_negatives_batch` is the one way to draw from it.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary
+from .corpus import Corpus, slice_index
 from .errors import SamplerError
 
 
@@ -18,35 +21,17 @@ def pairs_arrays(corpus: Corpus, doc_order: Sequence[int] | None = None) -> tupl
         order = order[np.asarray(doc_order, dtype=np.int64)]  # a negative index counts from the end, as in a list
     starts = corpus.ctx_offsets[order]
     lengths = corpus.ctx_offsets[order + 1] - starts
-    targets = np.repeat(corpus.doc_target[order], lengths)
-    # Output pair p reads ctx_ids at its document's start plus p's offset within that document.
-    shift = starts - (np.cumsum(lengths) - lengths)
-    contexts = corpus.ctx_ids[np.arange(len(targets)) + np.repeat(shift, lengths)]
-    return targets, contexts
+    return np.repeat(corpus.doc_target[order], lengths), corpus.ctx_ids[slice_index(starts, lengths)]
 
 
-@dataclass
-class NoiseTable:
-    """Cumulative distribution over entity indices, p(e) proportional to count^alpha.
+def build_noise_table(counts: np.ndarray, alpha: float = 0.75) -> np.ndarray:
+    """Cumulative distribution over entity ids, p(e) proportional to ``counts[e] ** alpha``.
 
-    Sampling is a binary search over the cumulative sums, driven by the
-    caller's generator.
+    ``counts`` is the float64 entity-count array. Rejects an alpha whose
+    powered counts overflow, or that leaves the other entities less than
+    1e-6 of the mass: excluding the most probable entity would then redraw
+    forever.
     """
-
-    cumulative: np.ndarray
-
-    def sample(self, size, rng: np.random.Generator) -> np.ndarray:
-        return np.searchsorted(self.cumulative, rng.random(size), side="right")
-
-
-def build_noise_table(vocab: Vocabulary, alpha: float = 0.75) -> NoiseTable:
-    """Noise table over the entity counts of ``vocab`` raised to ``alpha``.
-
-    Rejects an alpha whose powered counts overflow, or that leaves the other
-    entities less than 1e-6 of the mass: excluding the most probable entity
-    would then redraw forever.
-    """
-    counts = vocab.entity_counts().astype(np.float64)
     if counts.size == 0 or not np.any(counts > 0):
         raise SamplerError("noise table needs at least one entity with positive count")
     with np.errstate(over="ignore"):
@@ -59,22 +44,23 @@ def build_noise_table(vocab: Vocabulary, alpha: float = 0.75) -> NoiseTable:
     probs /= total
     cumulative = np.cumsum(probs)
     cumulative[-1] = 1.0  # kill accumulated rounding at the top end
-    return NoiseTable(cumulative=cumulative)
+    return cumulative
 
 
 def draw_negatives_batch(
-    table: NoiseTable,
+    noise: np.ndarray,
     k: int,
     excludes: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw k negatives per row of ``excludes`` i.i.d. from the noise distribution.
+    """Draw k negatives per row of ``excludes`` i.i.d. from the ``noise`` table.
 
-    ``excludes`` is 2-D, one row per group of pairs holding every context of
-    that group, padded with -1. A draw equal to any entry of its row is
-    redrawn, so no context of a group appears among the group's negatives. A
-    row whose entities hold all but 1e-6 of the noise mass is refused, as
-    its redraws would go on forever.
+    Each draw is a binary search of ``rng.random()`` over the cumulative
+    ``noise`` array from :func:`build_noise_table`. ``excludes`` is 2-D, one
+    row per group of pairs holding every context of that group, padded with
+    -1. A draw equal to any entry of its row is redrawn, so no context of a
+    group appears among the group's negatives. A row whose entities hold all
+    but 1e-6 of the noise mass is refused, as its redraws would go on forever.
     """
     if k < 1:
         raise SamplerError(f"negative sample size must be >= 1, got {k}")
@@ -86,15 +72,15 @@ def draw_negatives_batch(
     counted = ex >= 0
     counted[:, 1:] &= ex[:, 1:] != ex[:, :-1]
     ids = np.maximum(ex, 0)
-    probs = table.cumulative[ids] - np.where(ids > 0, table.cumulative[ids - 1], 0.0)
+    probs = noise[ids] - np.where(ids > 0, noise[ids - 1], 0.0)
     mass = (probs * counted).sum(axis=1)
     full = np.flatnonzero(mass >= 1.0 - 1e-6)
     if full.size:
         row = full[0]
         raise SamplerError(f"the contexts of group {row} hold {mass[row]:.7g} of the noise mass; no negative is left to draw")
-    out = table.sample((len(excludes), k), rng)
+    out = np.searchsorted(noise, rng.random((len(excludes), k)), side="right")
     mask = (out[:, :, None] == excludes[:, None, :]).any(axis=2)
     while mask.any():
-        out[mask] = table.sample(int(mask.sum()), rng)
+        out[mask] = np.searchsorted(noise, rng.random(int(mask.sum())), side="right")
         mask = (out[:, :, None] == excludes[:, None, :]).any(axis=2)
     return out

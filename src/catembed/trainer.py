@@ -114,8 +114,8 @@ def train(
     vocab = corpus.vocab
     preds = predictor_csr(*weight_csr(graph, corpus.entity_categories, vocab.entity_labels(), config.mode))
     table = init_embeddings(vocab.n_entities, vocab.n_categories, config.dim, config.seed)
-    noise = build_noise_table(vocab, config.noise_alpha)
     counts = vocab.entity_counts().astype(np.float64)
+    noise = build_noise_table(counts, config.noise_alpha)
 
     shuffle_rng = np.random.default_rng([config.seed, 101])
     subsample_rng = np.random.default_rng([config.seed, 301])

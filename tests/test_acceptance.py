@@ -12,7 +12,7 @@ from catembed.cli import dota_gold_path, main
 from catembed.corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
 from catembed.hierarchy import steps_down
 from catembed.relatedness import spearman
-from catembed.sampler import build_noise_table
+from catembed.sampler import build_noise_table, draw_negatives_batch
 from catembed.synthetic import SyntheticSpec, generate_world
 from catembed.trainer import TrainConfig, train
 
@@ -198,8 +198,8 @@ def test_criterion_07_negative_sampler_distribution():
     vocab = build_vocabulary(["a\tc1\ta a", "b\tc1\t"])
     counts = dict(zip(vocab.entity_labels(), vocab.entity_counts()))
     assert counts == {"a": 3, "b": 1}
-    table = build_noise_table(vocab, alpha=1.0)
-    draws = table.sample(10**6, np.random.default_rng(777))
+    table = build_noise_table(vocab.entity_counts().astype(np.float64), alpha=1.0)
+    draws = draw_negatives_batch(table, 10**6, np.empty((1, 0), np.int64), np.random.default_rng(777))[0]
     freq = np.bincount(draws, minlength=2) / len(draws)
     ok = abs(freq[0] - 0.75) < 0.01 and abs(freq[1] - 0.25) < 0.01
     report(

@@ -589,6 +589,36 @@ class TestRunCategorization:
         with pytest.raises(EvalError):
             run_categorization(index, gold)
 
+    def test_unknown_method_refused(self):
+        index, gold = separable_index()
+        with pytest.raises(EvalError) as info:
+            run_categorization(index, gold, method="knn")
+        assert str(info.value) == "method must be cluster, nn or both, got 'knn'"
+
+    def test_clustering_one_gold_class_refused(self):
+        index, gold = separable_index()
+        gold = gold.subset(range(6))  # the six entities of class0
+        assert gold.n_classes == 1
+        with pytest.raises(EvalError) as info:
+            run_categorization(index, gold, method="cluster")
+        assert str(info.value) == "clustering needs at least 2 gold classes"
+
+    def test_no_resolvable_category_errors(self):
+        index, gold = separable_index()
+        gold = GoldLabeling(gold.entities, ["zzz"] * len(gold), ["zzz"])
+        with pytest.raises(EvalError) as info:
+            run_categorization(index, gold, method="nn")
+        assert str(info.value) == "no gold category resolves to an embedding row"
+
+    def test_class_without_vector_reported_and_left_out(self):
+        index, gold = separable_index()
+        gold = GoldLabeling(gold.entities, [c if c != "class2" else "y" for c in gold.categories],
+                            ["class0", "class1", "y"])
+        nn = run_categorization(index, gold, method="nn")["nn"]
+        assert nn["missing_categories"] == ["y"]
+        assert list(nn["prediction_counts"]) == ["class0", "class1"]  # every entity lands on a class with a vector
+        assert sum(nn["prediction_counts"].values()) == len(gold)
+
     def test_sweep_reports_every_combo(self):
         index, gold = separable_index(per_class=4)
         report = run_categorization(index, gold, method="cluster")
@@ -727,6 +757,21 @@ class TestGoldLoader:
         path.write_text("p0_l0_e01\tp0_l0\nP0_L0_E01\tp1_l0\n", encoding="utf-8")
         with pytest.raises(FormatError, match=r":2: duplicate entity 'P0_L0_E01'$"):
             load_gold(path)
+
+    @pytest.mark.parametrize("line", ["cat\t \n", " \tanimals\n"])
+    def test_empty_label_rejected(self, tmp_path, line):
+        path = tmp_path / "g.tsv"
+        path.write_text(line, encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            load_gold(path)
+        assert str(info.value) == f"{path}:1: empty label"
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("\n  \n", encoding="utf-8")
+        with pytest.raises(EvalError) as info:
+            load_gold(path)
+        assert str(info.value) == f"gold file {path} is empty"
 
     def test_bundled_dota_fixture_shape(self):
         from catembed.cli import dota_gold_path

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from catembed import cli, kernels, trainer
-from catembed.cli import build_parser, effective_config, main
+from catembed.cli import build_parser, effective_config, load_config_file, main
 from catembed.corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
 from catembed.embeddings import EmbeddingIndex, load_embeddings
 
@@ -137,6 +138,13 @@ class TestTrain:
         assert out.stderr == "error: non-finite loss at epoch 1, pairs 0: nan\n"
         assert not (tmp_path / "run").exists()
 
+    def test_missing_corpus_is_a_one_line_error(self, world_dir, tmp_path, capsys):
+        rc = main(["train", "--hierarchy", str(world_dir / "hierarchy.tsv"), "--output", str(tmp_path / "o"),
+                   "--verbosity", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: missing --corpus path\n"
+        assert not (tmp_path / "o").exists()
+
     def test_drop_pattern_with_comma_rejected(self, world_dir, tmp_path, capsys):
         # config.echo joins patterns with ',', so a re-run would read 'q,z' back as 'q' and 'z'
         assert main(train_args(world_dir, tmp_path / "x", "--drop-pattern", "q,z")) == 1
@@ -180,6 +188,20 @@ class TestTrain:
         out = tmp_path / "paper"
         rc = main(train_args(world_dir, out, "--mode", "hce", "--negatives", "10", "--chunk", "500"))
         assert rc == 0
+
+    @pytest.mark.parametrize("extra,lines", [((), range(20, 21)), (("--subsample", "1e-3"), range(1, 21))])
+    def test_progress_logged_once_per_twentieth(self, tmp_path, caplog, extra, lines):
+        # 510 pairs in chunks of 500: 40 chunks over 20 epochs, and each epoch starts a twentieth
+        world = tmp_path / "world"
+        assert main(["gen-synthetic", "--output", str(world), "--seed", "3", "--docs", "51",
+                     "--contexts-per-doc", "10", "--verbosity", "0"]) == 0
+        caplog.set_level(logging.INFO, logger="catembed")
+        assert main(["train", "--corpus", str(world / "corpus.tsv"), "--hierarchy", str(world / "hierarchy.tsv"),
+                     "--output", str(tmp_path / "run"), "--dim", "8", "--epochs", "20", "--chunk", "500",
+                     *extra]) == 0
+        progress = [r.getMessage() for r in caplog.records if " | lr " in r.getMessage()]
+        assert len(progress) in lines
+        assert progress[0].startswith("epoch 1 | lr ")  # the first chunk always reaches the first twentieth
 
 
 class TestEvalCategorize:
@@ -225,6 +247,17 @@ class TestEvalCategorize:
         )
         assert out.returncode == 1
         assert out.stderr == "error: squared distances between the vectors overflow float64\n"
+
+    def test_text_report_lists_unresolved_and_classes_without_vectors(self, tmp_path, capsys):
+        emb, gold = tmp_path / "emb.txt", tmp_path / "gold.tsv"
+        emb.write_text("4 2\ne:x0 1 0\ne:x1 1 0.1\ne:x2 0 1\nc:a 1 0\n", encoding="utf-8")
+        gold.write_text("x0\ta\nx1\ta\nx2\ty\nghost\ta\n", encoding="utf-8")
+        rc = main(["eval-categorize", "--embeddings", str(emb), "--gold", str(gold),
+                   "--output", str(tmp_path / "o"), "--method", "nn", "--verbosity", "0"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "unresolved: ghost" in lines
+        assert "  categories without vectors: y" in lines
 
     def test_missing_embeddings_nonzero(self, tmp_path, capsys):
         rc = main(["eval-categorize", "--embeddings", str(tmp_path / "absent.txt"),
@@ -348,6 +381,15 @@ class TestNeighbors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: --top-n must be >= 1, got {top_n}")
+
+    def test_zero_vector_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "zero.txt"
+        path.write_text("2 2\ne:z 0 0\ne:x 1 0\n", encoding="utf-8")
+        rc = main(["neighbors", "--embeddings", str(path), "--label", "z", "--verbosity", "0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: label 'z' has a zero vector\n"
 
     def test_absent_label_nonzero(self, trained_dir, capsys):
         rc = main(["neighbors", "--embeddings", str(trained_dir / "embeddings.txt"),
@@ -475,6 +517,15 @@ class TestInspectWeights:
             "error: entity 'alpha': no weighted categories (directly labeled with the root only)\n"
         )
 
+    def test_context_only_entity_is_a_one_line_error(self, tmp_path, capsys):
+        corpus, hier = tmp_path / "corpus.tsv", tmp_path / "hierarchy.tsv"
+        corpus.write_text("alpha\tc1\tbeta\n", encoding="utf-8")
+        hier.write_text("root\tc1\n", encoding="utf-8")
+        rc = main(["inspect-weights", "--corpus", str(corpus), "--hierarchy", str(hier), "--root", "root",
+                   "--entity", "beta", "--verbosity", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: entity 'beta' has no category labeling\n"
+
     def test_unknown_entity_nonzero(self, world_dir, capsys):
         rc = main([
             "inspect-weights",
@@ -561,6 +612,19 @@ class TestConfigFile:
         key, _, value = line.partition("=")
         err = capsys.readouterr().err
         assert err == f"error: {cfg}:2: bad value for {key!r}: {value!r}\n"
+
+    def test_line_without_equals_is_a_one_line_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# comment\ndim 8\n", encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--verbosity", "0"]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value, got 'dim 8'\n"
+
+    @pytest.mark.parametrize("value,parsed", [("off", False), ("No", False), ("on", True)])
+    def test_bool_words_parse(self, tmp_path, value, parsed):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"shuffle={value}\n", encoding="utf-8")
+        assert load_config_file(cfg) == {"shuffle": parsed}
+        assert load_config_file(cfg)["shuffle"] is parsed
 
     def test_checkpoint_every_is_no_longer_an_option(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

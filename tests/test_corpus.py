@@ -63,6 +63,11 @@ class TestBuildVocabulary:
         counts = dict(zip(vocab.entity_labels(), vocab.entity_counts()))
         assert counts["a"] == 4
 
+    def test_empty_target_label_rejected(self):
+        with pytest.raises(FormatError) as info:
+            build_vocabulary(["t\tc1\ta", " \tc1\ta"])
+        assert str(info.value) == "<stream>:2: empty target label"
+
     def test_empty_stream_errors(self):
         with pytest.raises(CorpusError):
             build_vocabulary([])
@@ -180,6 +185,13 @@ class TestLoadHierarchy:
         vocab = build_vocabulary(["t\ta\tx"])
         with pytest.raises(FormatError):
             load_hierarchy(["a\ta"], vocab)
+
+    @pytest.mark.parametrize("edge", ["root\t ", " \ta"])
+    def test_empty_label_in_edge_rejected(self, edge):
+        vocab = build_vocabulary(["t\ta\tx"])
+        with pytest.raises(FormatError) as info:
+            load_hierarchy(["root\ta", edge], vocab)
+        assert str(info.value) == "<stream>:2: empty category label in edge"
 
     def test_unknown_labels_become_categories(self):
         vocab = build_vocabulary(["t\ta\tx"])

@@ -236,6 +236,12 @@ class TestWeightCsr:
         assert ids.tolist() == [0, 1, 9]
         assert ws.tolist() == [1.0, 1.0, 1.0]
 
+    def test_unknown_mode_refused(self):
+        g = make_graph(2, [(0, 1)])
+        with pytest.raises(HierarchyError) as info:
+            weight_csr(g, {0: (1,)}, ["e0"], mode="flat")
+        assert str(info.value) == "unknown mode 'flat'"
+
     def test_no_labeled_entity_gives_empty_arrays(self):
         g = make_graph(2, [(0, 1)])
         for mode in ("ce", "hce"):

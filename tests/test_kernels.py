@@ -147,6 +147,11 @@ class TestLoopKernel:
     def test_matches_numpy_backend_on_runs(self, runs):
         assert_loops_match_numpy(*make_instance(3, runs=runs), 0.07)
 
+    def test_clamped_scores_match_numpy_backend(self):
+        # the instance of test_huge_vectors_stay_finite: scores beyond CLAMP on both sides
+        tables, chunk = make_instance(2)
+        assert_loops_match_numpy(tuple(a * 1e4 for a in tables), chunk, 1.0)
+
     def test_deterministic_across_calls(self):
         tables, chunk = make_instance(4)
         first = clone(tables)

@@ -165,6 +165,25 @@ class TestLoadRelatedness:
         with pytest.raises(FormatError):
             load_relatedness(path)
 
+    @pytest.mark.parametrize("line,message", [
+        ("cat\tdog\tx\n", "bad score 'x'"),
+        ("cat\t \t5\n", "empty word"),
+        (" \tdog\t5\n", "empty word"),
+    ])
+    def test_malformed_line_rejected(self, tmp_path, line, message):
+        path = tmp_path / "r.tsv"
+        path.write_text(line, encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            load_relatedness(path)
+        assert str(info.value) == f"{path}:1: {message}"
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_text("\n", encoding="utf-8")
+        with pytest.raises(EvalError) as info:
+            load_relatedness(path)
+        assert str(info.value) == f"relatedness dataset {path} is empty"
+
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("cat\tdog\t8\ndog\tcat\t7\n", encoding="utf-8")

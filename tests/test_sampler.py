@@ -3,7 +3,7 @@ import pytest
 
 from catembed.corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
 from catembed.errors import SamplerError
-from catembed.sampler import NoiseTable, build_noise_table, draw_negatives_batch, pairs_arrays
+from catembed.sampler import build_noise_table, draw_negatives_batch, pairs_arrays
 
 
 def small_corpus(lines):
@@ -126,8 +126,8 @@ class TestPairsArraysOracle:
 class TestNoiseTable:
     def test_uniform_two_entities(self):
         vocab = build_vocabulary(["a\tc1\tb", "b\tc1\ta"])  # counts (2, 2)
-        table = build_noise_table(vocab, alpha=1.0)
-        probs = np.diff(np.concatenate([[0.0], table.cumulative]))
+        table = build_noise_table(vocab.entity_counts().astype(np.float64), alpha=1.0)
+        probs = np.diff(np.concatenate([[0.0], table]))
         assert probs == pytest.approx([0.5, 0.5])
 
     def test_powered_counts(self):
@@ -135,8 +135,8 @@ class TestNoiseTable:
         vocab = build_vocabulary(["a\tc1\ta a a", "b\tc1\t"])
         counts = dict(zip(vocab.entity_labels(), vocab.entity_counts()))
         assert counts == {"a": 4, "b": 1}
-        table = build_noise_table(vocab, alpha=0.75)
-        probs = np.diff(np.concatenate([[0.0], table.cumulative]))
+        table = build_noise_table(vocab.entity_counts().astype(np.float64), alpha=0.75)
+        probs = np.diff(np.concatenate([[0.0], table]))
         expected_a = 4**0.75 / (4**0.75 + 1.0)  # 2.8284 / 3.8284
         assert probs[0] == pytest.approx(expected_a, abs=1e-12)
         assert probs[0] == pytest.approx(0.73880, abs=1e-4)
@@ -144,13 +144,13 @@ class TestNoiseTable:
 
     def test_single_entity_normalizes(self):
         vocab = build_vocabulary(["a\tc1\ta a a a"])
-        table = build_noise_table(vocab, alpha=0.37)
-        assert table.cumulative.tolist() == [1.0]
+        table = build_noise_table(vocab.entity_counts().astype(np.float64), alpha=0.37)
+        assert table.tolist() == [1.0]
 
     def test_overflowing_alpha_rejected(self):
         vocab = build_vocabulary(["a\tc1\ta a a", "b\tc1\t"])  # counts (4, 1); 4^600 = 2^1200
         with pytest.raises(SamplerError, match="overflows"):
-            build_noise_table(vocab, alpha=600)
+            build_noise_table(vocab.entity_counts().astype(np.float64), alpha=600)
 
     def test_degenerate_alpha_rejected(self):
         # counts (1, 3) at alpha 600: entity b holds all but 3^-600 of the mass
@@ -158,12 +158,18 @@ class TestNoiseTable:
         assert vocab.entity_counts().tolist() == [1, 3]
         assert np.isfinite(3.0**600)
         with pytest.raises(SamplerError, match="one entity"):
-            build_noise_table(vocab, alpha=600)
+            build_noise_table(vocab.entity_counts().astype(np.float64), alpha=600)
+
+    @pytest.mark.parametrize("counts", [np.zeros(0), np.zeros(3)])
+    def test_no_positive_count_rejected(self, counts):
+        with pytest.raises(SamplerError) as info:
+            build_noise_table(counts)
+        assert str(info.value) == "noise table needs at least one entity with positive count"
 
     def test_cumulative_ends_at_one(self):
         vocab = build_vocabulary([f"e{i}\tc1\te{(i+1) % 7}" for i in range(7)])
-        table = build_noise_table(vocab, alpha=0.75)
-        assert abs(table.cumulative[-1] - 1.0) <= 1e-12
+        table = build_noise_table(vocab.entity_counts().astype(np.float64), alpha=0.75)
+        assert abs(table[-1] - 1.0) <= 1e-12
 
 
 def padded(rows, width=8):
@@ -174,7 +180,7 @@ def padded(rows, width=8):
 class TestDrawNegatives:
     def test_exclusion_forces_other_entity(self):
         vocab = build_vocabulary(["a\tc1\tb", "b\tc1\ta"])
-        table = build_noise_table(vocab, alpha=1.0)
+        table = build_noise_table(vocab.entity_counts().astype(np.float64), alpha=1.0)
         e0 = vocab.entity_id("a")
         draws = draw_negatives_batch(table, 50, padded([[e0]]), np.random.default_rng(3))[0]
         assert np.all(draws != e0)
@@ -182,7 +188,7 @@ class TestDrawNegatives:
 
     def test_deterministic_from_same_state(self):
         vocab = build_vocabulary(["a\tc1\tb b", "b\tc1\ta"])
-        table = build_noise_table(vocab, alpha=0.75)
+        table = build_noise_table(vocab.entity_counts().astype(np.float64), alpha=0.75)
         rng1 = np.random.default_rng(42)
         rng2 = np.random.default_rng(42)
         first = draw_negatives_batch(table, 20, padded([[0], [1], []]), rng1)
@@ -192,25 +198,25 @@ class TestDrawNegatives:
 
     def test_single_entity_with_exclusion_errors(self):
         vocab = build_vocabulary(["a\tc1\ta"])
-        table = build_noise_table(vocab)
+        table = build_noise_table(vocab.entity_counts().astype(np.float64))
         with pytest.raises(SamplerError):
             draw_negatives_batch(table, 5, padded([[0]]), np.random.default_rng(0))
 
     def test_k_must_be_positive(self):
         vocab = build_vocabulary(["a\tc1\tb", "b\tc1\ta"])
-        table = build_noise_table(vocab)
+        table = build_noise_table(vocab.entity_counts().astype(np.float64))
         with pytest.raises(SamplerError):
             draw_negatives_batch(table, 0, padded([[0]]), np.random.default_rng(0))
 
     def test_one_dimensional_excludes_refused(self):
         vocab = build_vocabulary(["a\tc1\tb", "b\tc1\ta"])
-        table = build_noise_table(vocab)
+        table = build_noise_table(vocab.entity_counts().astype(np.float64))
         with pytest.raises(SamplerError, match="2-D"):
             draw_negatives_batch(table, 3, np.array([0, 1]), np.random.default_rng(0))
 
     def test_batch_respects_exclusions(self):
         vocab = build_vocabulary(["a\tc1\tb c", "b\tc1\ta c", "c\tc1\ta b"])
-        table = build_noise_table(vocab, alpha=1.0)
+        table = build_noise_table(vocab.entity_counts().astype(np.float64), alpha=1.0)
         excludes = padded([[0], [1], [2], [0, 0], [1, 0], [2, 1]] * 10)
         out = draw_negatives_batch(table, 7, excludes, np.random.default_rng(5))
         assert out.shape == (60, 7)
@@ -219,7 +225,7 @@ class TestDrawNegatives:
     @pytest.mark.parametrize("seed", range(5))
     def test_no_negative_is_a_context_of_its_group(self, seed):
         rng = np.random.default_rng(seed)
-        table = NoiseTable(np.cumsum(np.full(12, 1 / 12)))
+        table = np.cumsum(np.full(12, 1 / 12))
         rows = [rng.integers(0, 12, size=int(rng.integers(0, 9))) for _ in range(40)]
         excludes = padded(rows)
         out = draw_negatives_batch(table, 10, excludes, rng)
@@ -230,12 +236,12 @@ class TestDrawNegatives:
 
     @pytest.mark.parametrize("rows", [[[0, 1]], [[1, 0, 1, 0]], [[1], [1, 0]]])
     def test_group_holding_all_noise_mass_is_refused(self, rows):
-        table = NoiseTable(np.array([0.5, 1.0]))  # entities 0 and 1, half the mass each
+        table = np.array([0.5, 1.0])  # entities 0 and 1, half the mass each
         with pytest.raises(SamplerError, match=r"^the contexts of group \d+ hold 1 of the noise mass"):
             draw_negatives_batch(table, 3, padded(rows), np.random.default_rng(0))
 
     def test_group_holding_all_but_a_millionth_is_refused(self):
-        table = NoiseTable(np.array([0.5 - 2e-7, 1.0 - 2e-7, 1.0]))  # entity 2 holds 2e-7
+        table = np.array([0.5 - 2e-7, 1.0 - 2e-7, 1.0])  # entity 2 holds 2e-7
         with pytest.raises(SamplerError, match="group 1 hold"):
             draw_negatives_batch(table, 3, padded([[0], [0, 1]]), np.random.default_rng(0))
         out = draw_negatives_batch(table, 3, padded([[0], [1]]), np.random.default_rng(0))
@@ -245,8 +251,8 @@ class TestDrawNegatives:
         # counts (3, 1), alpha 1 -> (0.75, 0.25); small-n sanity (the million-draw
         # version lives in the acceptance suite)
         vocab = build_vocabulary(["a\tc1\ta a", "b\tc1\t"])
-        table = build_noise_table(vocab, alpha=1.0)
-        draws = table.sample(100_000, np.random.default_rng(11))
+        table = build_noise_table(vocab.entity_counts().astype(np.float64), alpha=1.0)
+        draws = draw_negatives_batch(table, 100_000, np.empty((1, 0), np.int64), np.random.default_rng(11))[0]
         freq = np.bincount(draws, minlength=2) / len(draws)
         assert freq[0] == pytest.approx(0.75, abs=0.01)
         assert freq[1] == pytest.approx(0.25, abs=0.01)

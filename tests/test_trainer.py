@@ -448,6 +448,16 @@ class TestTrain:
         table = train(corpus, graph, cfg)
         table.assert_finite()
 
+    def test_documents_without_contexts_rejected(self):
+        lines = ["a\tc1\t", "b\tc1\t"]
+        vocab = build_vocabulary(lines)
+        graph, _ = prune_to_dag(load_hierarchy(["root\tc1"], vocab), vocab, "root")
+        corpus = load_corpus(lines, vocab, graph)
+        assert len(corpus) == 2 and corpus.n_pairs == 0
+        with pytest.raises(TrainError) as info:
+            train(corpus, graph, TrainConfig(dim=4, epochs=1))
+        assert str(info.value) == "corpus yields no training pairs"
+
     def test_subsample_dropping_every_pair_rejected(self):
         _, graph, corpus = tiny_world()
         cfg = TrainConfig(dim=8, epochs=2, negatives=3, chunk=64, seed=3, subsample=1e-300)
