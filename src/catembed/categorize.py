@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import normalize_label, records
-from .embeddings import EmbeddingIndex, scaled_norm
+from .embeddings import EmbeddingIndex, unit_rows
 from .errors import EvalError, FormatError
 
 LINKAGES = ("ward", "complete", "average")
@@ -178,14 +178,12 @@ _QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 def _metric_space(vectors: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray]:
     """``(x, sq_dists)``: the points the clustering of ``metric`` runs on, and their squared distances.
 
-    ``x`` holds the rows as C-contiguous float64, scaled to unit length for
-    cosine (a zero row stays zero), and ``sq_dists`` is ``_pairwise_sq_dists(x, x)``.
+    ``x`` holds the rows as C-contiguous float64, scaled to unit length by
+    :func:`unit_rows` for cosine, and ``sq_dists`` is ``_pairwise_sq_dists(x, x)``.
     """
     x = np.ascontiguousarray(vectors, dtype=np.float64)
     if metric == "cosine":
-        x, norms = scaled_norm(x)
-        norms[norms == 0] = 1.0
-        x = x / norms
+        x, _ = unit_rows(x)
     return x, _pairwise_sq_dists(x, x)
 
 

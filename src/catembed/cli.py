@@ -278,16 +278,14 @@ def cmd_neighbors(cfg: RunConfig, args: argparse.Namespace) -> int:
     row = index.row(args.label)
     if row is None:
         raise CatembedError(f"label {args.label!r} not found in the embedding")
-    query, qnorm = embeddings.scaled_norm(index.vecs[row])
-    labels = ["e:" + lab for lab in index.ent_labels] + ["c:" + lab for lab in index.cat_labels]
-    matrix, norms = embeddings.scaled_norm(index.vecs)
-    if qnorm == 0.0:
+    unit, zero = embeddings.unit_rows(index.vecs)
+    if zero[row]:
         raise CatembedError(f"label {args.label!r} has a zero vector")
-    sims = (matrix @ query) / (np.maximum(norms[:, 0], 1e-300) * qnorm)
+    sims = unit @ unit[row]
     sims[row] = -np.inf
-    top = np.argsort(-sims, kind="stable")[: min(args.top_n, len(labels) - 1)]
+    top = np.argsort(-sims, kind="stable")[: min(args.top_n, index.n_rows - 1)]
     for i in top:
-        print(f"{labels[i]}\t{sims[i]:.4f}")
+        print(f"{index.label(i)}\t{sims[i]:.4f}")
     return 0
 
 
@@ -416,16 +414,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup_logging(verbosity: int) -> None:
-    level = {0: logging.WARNING, 1: logging.INFO}.get(verbosity, logging.DEBUG)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+class _StderrHandler(logging.StreamHandler):
+    # read at each record, so a caller that swaps sys.stderr still gets the lines
+    stream = property(lambda self: sys.stderr, lambda self, _: None)
+
+
+_LOG_HANDLER = _StderrHandler()
+_LOG_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = effective_config(args)  # the one RunConfig of this run
-        _setup_logging(cfg.verbosity)
+        log.addHandler(_LOG_HANDLER)  # once per process: a handler the logger has is not added again
+        log.setLevel({0: logging.WARNING, 1: logging.INFO}.get(cfg.verbosity, logging.DEBUG))
         return args.func(cfg, args)
     except (CatembedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,8 +59,8 @@ class EmbeddingIndex:
 
     ``vecs`` has shape ``(n_ent + n_cat, d)``, entity rows first, each kind
     in file order; ``ent_vecs`` and ``cat_vecs`` are views of its two parts.
-    :meth:`row` resolves a word to a row of ``vecs``. The labels are folded
-    once, here, so the label lists must not grow afterwards.
+    :meth:`row` maps a word to a row of ``vecs``, :meth:`label` a row to its
+    label. The labels are folded once, here, so they must not grow afterwards.
     """
 
     def __init__(self, ent_labels: list[str], cat_labels: list[str], vecs: np.ndarray):
@@ -85,6 +85,11 @@ class EmbeddingIndex:
 
     def match_category(self, word: str) -> int | None:
         return self._folded_cat.get(normalize_label(word))
+
+    def label(self, row: int) -> str:
+        """The export's label of row ``row`` of ``vecs``: ``e:`` and the entity's label, or ``c:`` and the category's."""
+        n_ent = len(self.ent_labels)
+        return "e:" + self.ent_labels[row] if row < n_ent else "c:" + self.cat_labels[row - n_ent]
 
     def row(self, word: str) -> int | None:
         """Row of ``vecs`` for a word: its folded entity row, else its folded category row, else None."""
@@ -111,27 +116,26 @@ def check_labels(ent_labels: list[str], cat_labels: list[str]) -> None:
 _TINY_NORM = 2.0**-500
 
 
-def scaled_norm(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | np.float64]:
-    """``(y, norm)`` such that ``y / norm`` is ``x`` scaled to unit length.
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(unit, zero)``: the rows of matrix ``x`` scaled to unit length, and a mask of its zero rows.
 
-    ``x`` is one vector (``norm`` is a scalar) or a matrix of rows (``norm``
-    has shape (n, 1)). ``np.linalg.norm`` overflows to inf on a row whose
+    An ordinary row is divided by its plain norm, bit for bit ``row /
+    np.linalg.norm(row)``. ``np.linalg.norm`` overflows to inf on a row whose
     norm is above about 1.3e154, and below ``_TINY_NORM`` the squares it sums
     fall towards the subnormals and lose digits, down to 0 on a nonzero row
     near 1e-170. Such a row is first divided by its largest absolute entry,
-    which puts its norm between 1 and sqrt(d). Every other row is returned as
-    is with its plain norm, bit for bit, and a zero row keeps norm 0.
+    which puts its norm between 1 and sqrt(d). A zero row stays zero and is
+    flagged in ``zero``.
     """
-    axis, keep = (None, False) if x.ndim == 1 else (1, True)
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(x, axis=axis, keepdims=keep)
-    # scalar tests for the common case: relatedness takes two norms per pair
-    if (_TINY_NORM <= norm < np.inf) if x.ndim == 1 else (_TINY_NORM <= norm.min() and norm.max() < np.inf):
-        return x, norm
-    peak = np.abs(x).max(axis=axis, keepdims=keep)
-    rescale = (np.isinf(norm) | (norm < _TINY_NORM)) & (peak > 0.0)
-    x = np.where(rescale, x / np.where(rescale, peak, 1.0), x)
-    return x, np.where(rescale, np.linalg.norm(x, axis=axis, keepdims=keep), norm)
+        norm = np.linalg.norm(x, axis=1, keepdims=True)
+    rescale = np.isinf(norm) | (norm < _TINY_NORM)
+    if rescale.any():
+        peak = np.abs(x).max(axis=1, keepdims=True)
+        x = np.where(rescale, x / np.where(peak > 0.0, peak, 1.0), x)
+        norm = np.where(rescale, np.linalg.norm(x, axis=1, keepdims=True), norm)
+    zero = norm[:, 0] == 0.0
+    return x / np.where(zero[:, None], 1.0, norm), zero
 
 
 def save_text(table: EmbeddingTable, vocab: Vocabulary, path: str | Path) -> None:

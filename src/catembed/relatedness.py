@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import normalize_label, records
-from .embeddings import EmbeddingIndex, scaled_norm
+from .embeddings import EmbeddingIndex, unit_rows
 from .errors import EvalError, FormatError
 
 
@@ -51,14 +51,6 @@ def load_relatedness(path: str | Path) -> list[RelatednessPair]:
     return pairs
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    a, na = scaled_norm(a)
-    b, nb = scaled_norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise EvalError("cosine similarity undefined for a zero vector")
-    return float(a @ b) / float(na * nb)
-
-
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Fractional ranks (1-based); tied values share the mean of their positions."""
     _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
@@ -90,8 +82,10 @@ def spearman(xs, ys) -> float:
 def run_relatedness(index: EmbeddingIndex, pairs: list[RelatednessPair]) -> dict:
     """Map each pair's words, score the survivors, and correlate with humans.
 
-    Pairs with any unmapped word are dropped and counted; needs at least two
-    surviving pairs.
+    Pairs with any unmapped word are dropped and counted. The mapped pairs'
+    rows are gathered in pair order, scaled by :func:`unit_rows` and scored
+    in one row-wise dot; a zero row is refused, the first in pair order
+    named. Needs at least two surviving pairs.
     """
     n_ent = len(index.ent_labels)
 
@@ -99,32 +93,32 @@ def run_relatedness(index: EmbeddingIndex, pairs: list[RelatednessPair]) -> dict
         return "unmapped" if row is None else "entity" if row < n_ent else "category"
 
     outcomes: list[dict] = []
-    model_scores: list[float] = []
-    human_scores: list[float] = []
+    mapped: list[dict] = []  # the outcomes of the pairs with both words mapped
+    rows: list[int] = []  # their two rows each, in pair order
     for pair in pairs:
         row1, row2 = index.row(pair.word1), index.row(pair.word2)
-        outcome = {
+        outcomes.append({
             "word1": pair.word1,
             "word2": pair.word2,
             "human": pair.score,
             "mapping1": mapping(row1),
             "mapping2": mapping(row2),
-        }
+        })
         if row1 is not None and row2 is not None:
-            try:
-                score = cosine(index.vecs[row1], index.vecs[row2])
-            except EvalError:
-                word, row = (pair.word1, row1) if not index.vecs[row1].any() else (pair.word2, row2)
-                label = "e:" + index.ent_labels[row] if row < n_ent else "c:" + index.cat_labels[row - n_ent]
-                raise EvalError(f"word {word!r} maps to row {label!r}, a zero vector: cosine undefined") from None
-            outcome["model"] = score
-            model_scores.append(score)
-            human_scores.append(pair.score)
-        outcomes.append(outcome)
-    n_mapped = len(model_scores)
+            mapped.append(outcomes[-1])
+            rows += [row1, row2]
+    unit, zero = unit_rows(index.vecs[rows])
+    if zero.any():
+        first = int(np.argmax(zero))
+        word = mapped[first // 2][("word1", "word2")[first % 2]]
+        raise EvalError(f"word {word!r} maps to row {index.label(rows[first])!r}, a zero vector: cosine undefined")
+    n_mapped = len(mapped)
     if n_mapped < 2:
         raise EvalError(f"only {n_mapped} pairs mapped; need at least 2 to correlate")
-    rho = spearman(model_scores, human_scores)
+    model_scores = np.einsum("ij,ij->i", unit[0::2], unit[1::2])
+    for outcome, score in zip(mapped, model_scores.tolist()):
+        outcome["model"] = score
+    rho = spearman(model_scores, [outcome["human"] for outcome in mapped])
     return {
         "n_pairs": len(pairs),
         "n_mapped": n_mapped,

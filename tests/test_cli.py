@@ -88,6 +88,18 @@ class TestBuildVocab:
         assert "missing.tsv" in capsys.readouterr().err
 
 
+def test_each_run_sets_its_own_verbosity(tmp_path, capsys):
+    # three commands in one process; the log level follows each one's --verbosity
+    world = tmp_path / "world"
+    assert main(["gen-synthetic", "--output", str(world), "--seed", "42", "--verbosity", "0"]) == 0
+    assert "INFO" not in capsys.readouterr().err
+    vocab_args = ["build-vocab", "--corpus", str(world / "corpus.tsv"), "--output", str(tmp_path / "v")]
+    assert main([*vocab_args, "--verbosity", "1"]) == 0
+    assert capsys.readouterr().err.startswith("INFO catembed: wrote ")
+    assert main([*vocab_args, "--verbosity", "0"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 class TestTrain:
     def test_writes_embeddings_and_echo(self, trained_dir):
         assert (trained_dir / "embeddings.txt").exists()
@@ -390,6 +402,13 @@ class TestNeighbors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: label 'z' has a zero vector\n"
+
+    def test_zero_candidate_row_scores_zero(self, tmp_path, capsys):
+        path = tmp_path / "zero.txt"
+        path.write_text("3 2\ne:q 1 2\ne:z 0 0\ne:x 2 1\n", encoding="utf-8")
+        rc = main(["neighbors", "--embeddings", str(path), "--label", "q", "--verbosity", "0"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == ["e:x\t0.8000", "e:z\t0.0000"]
 
     def test_absent_label_nonzero(self, trained_dir, capsys):
         rc = main(["neighbors", "--embeddings", str(trained_dir / "embeddings.txt"),

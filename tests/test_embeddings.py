@@ -6,7 +6,7 @@ import pytest
 
 from catembed.corpus import build_vocabulary
 from catembed.embeddings import (
-    EmbeddingIndex, _parse_lines, init_embeddings, load_embeddings, save_text, scaled_norm,
+    EmbeddingIndex, _parse_lines, init_embeddings, load_embeddings, save_text, unit_rows,
 )
 from catembed.errors import CorpusError, FormatError
 
@@ -400,6 +400,10 @@ class TestEmbeddingIndex:
         assert np.allclose(again.ent_vecs, index.ent_vecs, rtol=1e-5, atol=1e-12)
         assert np.allclose(again.cat_vecs, index.cat_vecs, rtol=1e-5, atol=1e-12)
 
+    def test_label_names_each_kind(self):
+        index = EmbeddingIndex(["a", "b"], ["a"], np.ones((3, 2)))
+        assert [index.label(row) for row in range(3)] == ["e:a", "e:b", "c:a"]
+
     def test_match_is_normalized(self, small_setup):
         vocab, table = small_setup
         index = index_from_table(table, vocab)
@@ -419,14 +423,13 @@ class TestTableInvariants:
             init_embeddings(0, 1, 4, seed=0)
 
 
-class TestScaledNorm:
+class TestUnitRows:
     def test_ordinary_rows_bitwise_plain(self):
         x = np.random.default_rng(0).normal(size=(50, 7)) * np.logspace(-100, 100, 50)[:, None]
-        y, norm = scaled_norm(x)
-        assert y is x and np.array_equal(norm, np.linalg.norm(x, axis=1, keepdims=True))
-        v, norm = scaled_norm(x[3])
-        assert np.array_equal(v, x[3])
-        assert norm == np.linalg.norm(x[3])
+        unit, zero = unit_rows(x)
+        assert np.array_equal(unit, x / np.linalg.norm(x, axis=1, keepdims=True))
+        assert np.array_equal(unit[3], x[3] / np.linalg.norm(x[3]))
+        assert not zero.any()
 
     def test_extreme_rows_reach_unit_length(self):
         rng = np.random.default_rng(1)
@@ -436,23 +439,26 @@ class TestScaledNorm:
         x[3] *= 1e-170  # plain norm 0
         x[4] = 0.0
         x[5, 0] = 1e300
-        y, norm = scaled_norm(x)
-        unit = y / np.where(norm == 0, 1.0, norm)
+        unit, zero = unit_rows(x)
         assert np.allclose(np.linalg.norm(unit, axis=1), [1, 1, 1, 1, 0, 1], rtol=1e-15)
         ref = x[:4] / np.abs(x[:4]).max(axis=1, keepdims=True)
         assert np.allclose(unit[:4], ref / np.linalg.norm(ref, axis=1, keepdims=True), rtol=1e-14)
-        assert np.array_equal(y[0], x[0]) and norm[0, 0] == np.linalg.norm(x[0])
-        for row in range(6):  # one vector at a time agrees with the matrix
-            v, n = scaled_norm(x[row])
-            assert np.allclose(v / (n or 1.0), unit[row], rtol=1e-14)
+        assert np.array_equal(unit[0], x[0] / np.linalg.norm(x[0]))
+        assert zero.tolist() == [False, False, False, False, True, False]
+        assert np.array_equal(unit[4], np.zeros(7))
 
     def test_rescaling_starts_below_the_tiny_norm(self):
-        # a row at norm 2**-500 keeps its plain norm bit for bit; one just below is rescaled
-        x = np.zeros((2, 4))
-        x[0, 0] = 2.0**-500
-        x[1, :] = 2.0**-502 * 0.99  # norm 0.99 * 2**-501
-        y, norm = scaled_norm(x)
-        assert np.array_equal(y[0], x[0]) and norm[0, 0] == 2.0**-500
-        assert np.array_equal(y[1], np.ones(4)) and norm[1, 0] == 2.0
-        v, n = scaled_norm(x[1])
-        assert np.array_equal(v, np.ones(4)) and n == 2.0
+        # v has norm 1.14 and a peak below 1, so dividing by the plain norm and
+        # rescaling by the peak first round differently: the row at norm
+        # 1.14 * 2**-500 takes the plain path, the row at 0.57 * 2**-500 the other
+        v = np.array([0.3, 0.9, -0.6, 0.2])
+        plain = v / np.linalg.norm(v)
+        rescaled = (v / 0.9) / np.linalg.norm(v / 0.9)
+        assert not np.array_equal(plain, rescaled)
+        unit, zero = unit_rows(np.vstack([v * 2.0**-500, v * 2.0**-501]))
+        assert np.array_equal(unit[0], plain) and np.array_equal(unit[1], rescaled)
+        assert not zero.any()
+
+    def test_no_rows(self):
+        unit, zero = unit_rows(np.empty((0, 3)))
+        assert unit.shape == (0, 3) and zero.shape == (0,)

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from catembed.embeddings import EmbeddingIndex
+from catembed.embeddings import EmbeddingIndex, unit_rows
 from catembed.errors import EvalError, FormatError
 from catembed.relatedness import (
     _average_ranks,
-    cosine,
     load_relatedness,
     run_relatedness,
     spearman,
@@ -49,16 +48,26 @@ class TestMapWord:
         assert index.row("FOOD") == 2
 
 
+def pair_cosine(a, b):
+    """The model score ``run_relatedness`` gives a pair on rows ``a`` and ``b``.
+
+    A second pair, ``a`` against ``-a``, gives the run two scores to correlate.
+    """
+    index = EmbeddingIndex(["a", "b", "neg"], [], np.vstack([a, b, -a]))
+    report = run_relatedness(index, pair_list([("a", "b", 1.0), ("a", "neg", 2.0)]))
+    return report["pairs"][0]["model"]
+
+
 class TestScores:
     def test_identical_vectors(self):
         v = np.array([0.3, -1.2, 2.0])
-        assert cosine(v, v) == pytest.approx(1.0)
+        assert pair_cosine(v, v) == pytest.approx(1.0)
 
     def test_orthogonal_vectors(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 3.0])) == pytest.approx(0.0)
+        assert pair_cosine(np.array([1.0, 0.0]), np.array([0.0, 3.0])) == pytest.approx(0.0)
 
     def test_worked_example(self):
-        got = cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+        got = pair_cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
         assert got == pytest.approx(1 / math.sqrt(2), abs=1e-12)
         assert got == pytest.approx(0.70711, abs=1e-5)
 
@@ -68,12 +77,12 @@ class TestScores:
     def test_scale_invariance(self, scale):
         rng = np.random.default_rng(0)
         v, w = rng.normal(size=4), rng.normal(size=4)
-        assert cosine(scale * v, w) == pytest.approx(cosine(v, w), abs=1e-12)
-        assert cosine(scale * v, scale * w) == pytest.approx(cosine(v, w), abs=1e-12)
+        assert pair_cosine(scale * v, w) == pytest.approx(pair_cosine(v, w), abs=1e-12)
+        assert pair_cosine(scale * v, scale * w) == pytest.approx(pair_cosine(v, w), abs=1e-12)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(EvalError):
-            cosine(np.zeros(3), np.ones(3))
+        with pytest.raises(EvalError, match=r"^word 'a' maps to row 'e:a', a zero vector: cosine undefined$"):
+            pair_cosine(np.zeros(3), np.ones(3))
 
     def test_pair_score_symmetric(self):
         index = EmbeddingIndex(["a", "b"], ["c"], np.array([[1.0, 2.0], [2.0, -1.0], [0.5, 0.5]]))
@@ -235,6 +244,34 @@ class TestRunRelatedness:
         assert report["n_mapped"] == 3
         assert report["pairs"][1]["mapping2"] == "unmapped"
 
+    def test_first_zero_row_in_pair_order_is_named(self):
+        # z2's first pair is dropped for its unmapped word, so pair 1's word2 comes before pair 2's word1
+        vecs = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [2.0, 1.0]])
+        index = EmbeddingIndex(["a", "z1", "z2", "b"], [], vecs)
+        pairs = pair_list([("z2", "nope", 3.0), ("a", "z1", 1.0), ("z2", "b", 2.0)])
+        with pytest.raises(EvalError, match=r"^word 'z1' maps to row 'e:z1', a zero vector: cosine undefined$"):
+            run_relatedness(index, pairs)
+
+    def test_zero_row_refused_before_too_few_pairs(self):
+        index = EmbeddingIndex(["a"], ["z"], np.array([[1.0, 2.0], [0.0, 0.0]]))
+        with pytest.raises(EvalError, match=r"^word 'Z' maps to row 'c:z', a zero vector"):
+            run_relatedness(index, pair_list([("a", "Z", 1.0)]))
+
+    def test_words_on_one_row_score_one(self):
+        # "Music" and "music" both resolve to the entity row
+        index = EmbeddingIndex(["music", "x"], ["music"], np.array([[0.3, -1.2, 2.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        report = run_relatedness(index, pair_list([("Music", "music", 5.0), ("music", "x", 1.0)]))
+        assert report["pairs"][0]["mapping2"] == "entity"
+        assert report["pairs"][0]["model"] == pytest.approx(1.0, abs=1e-15)
+
+    def test_scores_match_the_per_pair_cosine(self):
+        vecs = np.random.default_rng(3).normal(size=(12, 5))
+        index = EmbeddingIndex([f"w{i}" for i in range(12)], [], vecs)
+        rows = [(i, j) for i in range(12) for j in range(i + 1, 12)]
+        report = run_relatedness(index, pair_list([(f"w{i}", f"w{j}", 5.0 + (i - j) / 3) for i, j in rows]))
+        ref = [float(vecs[i] @ vecs[j]) / (np.linalg.norm(vecs[i]) * np.linalg.norm(vecs[j])) for i, j in rows]
+        assert [p["model"] for p in report["pairs"]] == pytest.approx(ref, rel=0, abs=4 * np.finfo(float).eps)
+
     def test_synthetic_within_category_structure(self):
         # within-category pairs built closer than cross-category ones; human
         # scores follow the constructed geometry (noisy monotone readout), so
@@ -250,11 +287,10 @@ class TestRunRelatedness:
         index = EmbeddingIndex(labels, [], vecs)
         rows = []
         within, cross = [], []
+        unit, _ = unit_rows(vecs)
         for i in range(len(labels)):
             for j in range(i + 1, len(labels)):
-                from catembed.relatedness import cosine as cos_fn
-
-                sim = cos_fn(vecs[i], vecs[j])
+                sim = unit[i] @ unit[j]
                 human = float(np.clip(5.0 + 4.0 * sim + rng.normal(scale=0.05), 0.0, 10.0))
                 rows.append((labels[i], labels[j], human))
                 (within if labels[i][1] == labels[j][1] else cross).append(human)
