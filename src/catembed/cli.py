@@ -433,6 +433,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CatembedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -1,17 +1,18 @@
 """SGD update kernels for one chunk of training pairs.
 
 This is the hot loop. The chunk is cut into groups: a group is a run of
-consecutive pairs that share a target, cut into pieces of at most
-``GROUP_MAX`` pairs. The pair stream yields each document's pairs
-contiguously, so a group is one document or a piece of one. Every group has
-one row of k negatives, shared by all of its pairs (the HogBatch scheme of
-Ji et al. 2016). Per group the kernel scores the G contexts and the k shared
-negatives against the target's weighted predictor rows, all as they were
-before the group, sums the deltas over the group, and applies one SGD step
-to every touched row: G + k output rows where per-pair negatives took
-G(1 + k). With one pair per group this is plain per-pair SGD; groups of more
-than 8 pairs lost nearest-neighbour purity on a deep category DAG, because
-every summed step lands on category rows that many entities share.
+consecutive pairs that share a target, which the pair stream yields per
+document, cut into pieces of at most ``GROUP_MAX`` pairs. :func:`group_bounds`
+is the one place groups are cut; the kernels follow the bounds they are
+handed. Every group has one row of k negatives, shared by all of its pairs
+(the HogBatch scheme of Ji et al. 2016). Per group the kernel scores the G
+contexts and the k shared negatives against the target's weighted predictor
+rows, all as they were before the group, sums the deltas over the group, and
+applies one SGD step to every touched row: G + k output rows where per-pair
+negatives took G(1 + k). With one pair per group this is plain per-pair SGD.
+Larger groups cost quality, as every summed step lands on category rows that
+many entities share: on perfbench's deep-dag world, seeds 1 and 3, a cap of
+12 cut cluster purity from 1.0 to 0.96/0.92 at lr0 0.05 (at lr0 0.1 it held).
 
 The predictors are rows of one input matrix ``inp``, held as one weighted
 CSR (``pred_offsets``, ``pred_ids``, ``pred_ws``) whose first entry for t is
@@ -69,13 +70,12 @@ def group_bounds(targets: np.ndarray) -> np.ndarray:
     return np.append(np.flatnonzero((idx - run_start) % GROUP_MAX == 0), n)
 
 
-def group_contexts(targets: np.ndarray, contexts: np.ndarray) -> np.ndarray:
-    """The contexts of every group, one row per group, padded with -1 to ``GROUP_MAX`` columns."""
-    bounds = group_bounds(targets)
+def group_contexts(contexts: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The contexts of every group of ``bounds``, one left-aligned row per group, padded with -1 to the widest group."""
     sizes = np.diff(bounds)
     group = np.repeat(np.arange(len(sizes)), sizes)
-    out = np.full((len(sizes), GROUP_MAX), -1, dtype=np.int64)
-    out[group, np.arange(len(targets)) - bounds[group]] = contexts
+    out = np.full((len(sizes), sizes.max(initial=0)), -1, dtype=np.int64)
+    out[group, np.arange(len(contexts)) - bounds[group]] = contexts
     return out
 
 
@@ -89,33 +89,35 @@ def train_chunk_numpy(
     pred_offsets: np.ndarray,
     pred_ids: np.ndarray,
     pred_ws: np.ndarray,
+    bounds: np.ndarray,
 ) -> float:
     """Pure-numpy chunk kernel; sequential per-group updates.
 
-    ``negatives`` holds one row of k negatives per group, in chunk order.
+    ``bounds`` holds :func:`group_bounds`' cuts, and ``negatives`` one row of k negatives per group.
     """
     d = inp.shape[1]
     k = negatives.shape[1]
-    bounds = group_bounds(targets)
     n_groups = len(bounds) - 1
     if negatives.shape[0] != n_groups:
         raise ValueError(f"negatives needs one row per group: {n_groups} groups, {negatives.shape[0]} rows")
+    if bounds[0] != 0 or bounds[-1] != len(targets):
+        raise ValueError(f"bounds must run from 0 to len(targets) = {len(targets)}, got {bounds[0]} to {bounds[-1]}")
     # np.subtract.at over a flat view takes numpy's 1-d fast path; over rows it is ~4x slower
     if not ent_out.flags.c_contiguous:
         raise ValueError("ent_out must be C-contiguous")
     out_flat = ent_out.reshape(-1)
-    # Per group size G, over its G context rows and then its k negative rows:
-    # the sign that turns each score into the z of its loss term log(1+exp(z)),
-    # each row's multiplicity (1 per context, G per shared negative), and
-    # their product with the step size.
-    sign = [np.concatenate((-np.ones(g), np.ones(k)))[:, None] for g in range(GROUP_MAX + 1)]
-    mult = [np.concatenate((np.ones(g), np.full(k, float(g)))) for g in range(GROUP_MAX + 1)]
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    # Per group size G up to the widest group, over G context rows then k negative
+    # rows: the sign that turns each score into the z of its loss term log(1+exp(z)),
+    # the multiplicity (1 per context, G per shared negative), and their product with lr.
+    widths = range(sizes.max(initial=0) + 1)
+    sign = [np.concatenate((-np.ones(g), np.ones(k)))[:, None] for g in widths]
+    mult = [np.concatenate((np.ones(g), np.full(k, float(g)))) for g in widths]
     step = [(lr * m)[:, None] * s for m, s in zip(mult, sign)]
     # The output ids of the whole chunk, group after group: each group's
     # contexts, then its shared negatives, from id offset bounds[g] + g k on.
     # Their flat scatter index is built per group: a whole-chunk copy at d
     # columns raised the deep-dag benchmark's peak RSS by 2.2 MB.
-    starts, sizes = bounds[:-1], np.diff(bounds)
     offsets = starts + k * np.arange(n_groups)
     ids = np.empty(len(targets) + n_groups * k, dtype=np.int64)
     ids[np.arange(len(targets)) + k * np.repeat(np.arange(n_groups), sizes)] = contexts
@@ -150,25 +152,20 @@ def train_chunk_numpy(
     return total
 
 
-def _train_chunk_loops(inp, ent_out, lr, targets, contexts, negatives, pred_offsets, pred_ids, pred_ws):
-    n_pairs = targets.shape[0]
+def _train_chunk_loops(inp, ent_out, lr, targets, contexts, negatives, pred_offsets, pred_ids, pred_ws, bounds):
+    n_groups = bounds.shape[0] - 1
     d = inp.shape[1]
     k = negatives.shape[1]
-    starts = np.empty(n_pairs + 1, dtype=np.int64)
-    n_groups = 0
-    for i in range(n_pairs):
-        if i == 0 or targets[i] != targets[i - 1] or i - starts[n_groups - 1] == GROUP_MAX:
-            starts[n_groups] = i
-            n_groups += 1
-    starts[n_groups] = n_pairs
     if negatives.shape[0] != n_groups:
         raise ValueError("negatives needs one row per group")
+    if bounds[0] != 0 or bounds[n_groups] != targets.shape[0]:
+        raise ValueError("bounds must run from 0 to len(targets)")
     pred_delta = np.zeros((np.diff(pred_offsets).max(), d))
-    out_delta = np.zeros((GROUP_MAX + k, d))
+    out_delta = np.zeros((np.diff(bounds).max() + k, d))
     total = 0.0
     for g in range(n_groups):
-        a = starts[g]
-        n_pos = starts[g + 1] - a
+        a = bounds[g]
+        n_pos = bounds[g + 1] - a
         t = targets[a]
         lo = pred_offsets[t]
         m = pred_offsets[t + 1] - lo

@@ -1,10 +1,10 @@
 """Optimization of the flat (CE) and hierarchy-weighted (HCE) objectives.
 
 Negative-sampling SGD: ``train`` drives the chunk kernels in
-:mod:`catembed.kernels` over the pair stream, one step per group of at most
-``kernels.GROUP_MAX`` consecutive pairs that share a target, with one set of
-k negatives drawn per group. Training runs in one thread, bit-reproducible
-from its seed.
+:mod:`catembed.kernels` over the pair stream, one step per group of
+same-target pairs with k negatives drawn per group. ``kernels.group_bounds``,
+the one place groups are cut, cuts each chunk once for the draw and the
+kernel. Training runs in one thread, bit-reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -141,12 +141,11 @@ def train(
             position = (epoch - 1) * pairs_per_epoch + (start if kept is None else int(kept[start]))
             lr = max(config.lr_min, config.lr0 - lr_span * min(1.0, position / total))
             chunk_targets, chunk_contexts = targets[start:stop], contexts[start:stop]
-            negs = draw_negatives_batch(
-                noise, config.negatives, kernels.group_contexts(chunk_targets, chunk_contexts), negatives_rng
-            )
+            bounds = kernels.group_bounds(chunk_targets)
+            negs = draw_negatives_batch(noise, config.negatives, kernels.group_contexts(chunk_contexts, bounds), negatives_rng)
             # a diverging run overflows inside the kernel; the loss check below reports it
             with np.errstate(over="ignore", invalid="ignore"):
-                loss = kernels.train_chunk(table.inp, table.ent_out, lr, chunk_targets, chunk_contexts, negs, *preds)
+                loss = kernels.train_chunk(table.inp, table.ent_out, lr, chunk_targets, chunk_contexts, negs, *preds, bounds)
             if not math.isfinite(loss):
                 raise TrainError(f"non-finite loss at epoch {epoch}, pairs {done}: {loss!r}")
             done += stop - start

@@ -157,6 +157,14 @@ class TestTrain:
         assert capsys.readouterr().err == "error: missing --corpus path\n"
         assert not (tmp_path / "o").exists()
 
+    def test_out_of_memory_is_a_one_line_error(self, world_dir, tmp_path, monkeypatch, capsys):
+        def exhausted(cfg, args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_train", exhausted)
+        assert main(train_args(world_dir, tmp_path / "o")) == 1
+        assert capsys.readouterr().err == "error: out of memory in train\n"
+
     def test_drop_pattern_with_comma_rejected(self, world_dir, tmp_path, capsys):
         # config.echo joins patterns with ',', so a re-run would read 'q,z' back as 'q' and 'z'
         assert main(train_args(world_dir, tmp_path / "x", "--drop-pattern", "q,z")) == 1

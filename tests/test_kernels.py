@@ -14,8 +14,9 @@ def make_instance(seed, n_pairs=12, n_ent=9, n_cat=5, dim=7, k=4, runs=None):
     """Random tables, predictor CSR and one chunk of pairs, with one row of k negatives per group.
 
     Returns ``(tables, chunk)``: ``tables`` is ``(inp, ent_out)`` and ``chunk``
-    is ``(targets, contexts, negatives, pred_offsets, pred_ids, pred_ws)``, so
-    a kernel runs as ``kernel(*tables, lr, *chunk)``. ``runs`` (run lengths)
+    is ``(targets, contexts, negatives, pred_offsets, pred_ids, pred_ws,
+    bounds)``, with the groups that ``kernels.group_bounds`` cuts, so a kernel
+    runs as ``kernel(*tables, lr, *chunk)``. ``runs`` (run lengths)
     replaces ``n_pairs``: the chunk is then runs of equal targets, each run's
     target different from the one before it.
     """
@@ -42,18 +43,20 @@ def make_instance(seed, n_pairs=12, n_ent=9, n_cat=5, dim=7, k=4, runs=None):
         targets = np.repeat(heads, runs)
         n_pairs = len(targets)
     contexts = rng.integers(0, n_ent, size=n_pairs)
-    negatives = rng.integers(0, n_ent, size=(len(kernels.group_bounds(targets)) - 1, k))
+    bounds = kernels.group_bounds(targets)
+    negatives = rng.integers(0, n_ent, size=(len(bounds) - 1, k))
     preds = predictor_csr(offsets, np.array(ids, dtype=np.int64), np.array(ws, dtype=np.float64))
     tables = (np.vstack([ent_in, cat_in]), ent_out)
-    return tables, (targets.astype(np.int64), contexts.astype(np.int64), negatives.astype(np.int64), *preds)
+    return tables, (targets.astype(np.int64), contexts.astype(np.int64), negatives.astype(np.int64), *preds, bounds)
 
 
 def clone(arrays):
     return tuple(a.copy() for a in arrays)
 
 
-def with_negatives(chunk, negatives):
-    return (*chunk[:2], negatives, *chunk[3:])
+def with_negatives(chunk, negatives, bounds=None):
+    """The chunk with other negatives and, if given, other group bounds."""
+    return (*chunk[:2], negatives, *chunk[3:6], chunk[6] if bounds is None else bounds)
 
 
 def reference_table(tables, chunk):
@@ -62,7 +65,7 @@ def reference_table(tables, chunk):
 
 def weights_of(chunk, t):
     """Target t's category weights, read back from the predictor CSR."""
-    pred_offsets, pred_ids, pred_ws = chunk[3:]
+    pred_offsets, pred_ids, pred_ws = chunk[3:6]
     lo, hi = pred_offsets[t], pred_offsets[t + 1]
     assert pred_ids[lo] == t and pred_ws[lo] == 1.0
     return tuple(pred_ids[lo + 1:hi] - (len(pred_offsets) - 1)), pred_ws[lo + 1:hi]
@@ -168,7 +171,7 @@ class TestLoopKernel:
         n_ent = len(chunk[3]) - 1
         preds = predictor_csr(np.zeros(n_ent + 1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
         assert preds[1].tolist() == list(range(n_ent)) and preds[2].tolist() == [1.0] * n_ent
-        assert_loops_match_numpy(tables, (*chunk[:3], *preds), 0.05)
+        assert_loops_match_numpy(tables, (*chunk[:3], *preds, chunk[6]), 0.05)
 
     def test_refuses_negatives_not_one_row_per_group(self):
         tables, chunk = make_instance(6, runs=(1, 7, 8, 9, 20))
@@ -264,6 +267,46 @@ class TestGroupedUpdate:
         assert np.allclose(got[0], three.inp, atol=1e-12)
         assert np.allclose(got[1], three.ent_out, atol=1e-12)
         assert not np.allclose(got[0], one.inp, atol=1e-6)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_follows_the_bounds_it_is_handed(self, backend):
+        # runs of 3 and 4 pairs, the run of 3 cut as 1 + 2 where group_bounds keeps it whole
+        tables, chunk = make_instance(12, runs=(3, 4))
+        assert chunk[6].tolist() == [0, 3, 7]
+        negatives = np.random.default_rng(12).integers(0, len(chunk[3]) - 1, size=(3, chunk[2].shape[1]))
+        chunk = with_negatives(chunk, negatives, np.array([0, 1, 3, 7]))
+        got = clone(tables)
+        loss = BACKENDS[backend](*got, 0.05, *chunk)
+        ref, ref_loss = group_reference(tables, chunk, [(0, 1), (1, 3), (3, 7)], 0.05)
+        assert loss == pytest.approx(ref_loss, abs=1e-10)
+        for a, b in zip(got, (ref.inp, ref.ent_out)):
+            assert np.allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("bounds", [[0, 3, 6], [1, 3, 7]])
+    def test_refuses_bounds_not_spanning_the_chunk(self, backend, bounds):
+        tables, chunk = make_instance(12, runs=(3, 4))
+        got = clone(tables)
+        with pytest.raises(ValueError, match=r"bounds must run from 0 to len\(targets\)"):
+            BACKENDS[backend](*got, 0.05, *with_negatives(chunk, chunk[2], np.array(bounds)))
+        for a, b in zip(got, tables):
+            assert np.array_equal(a, b)
+
+
+class TestGroupContexts:
+    def test_one_left_aligned_row_per_group_padded_to_the_widest(self):
+        targets = np.array([5, 5, 5, 2, 7, 7])
+        bounds = kernels.group_bounds(targets)
+        assert bounds.tolist() == [0, 3, 4, 6]
+        rows = kernels.group_contexts(np.array([1, 2, 3, 4, 5, 6]), bounds)
+        assert rows.tolist() == [[1, 2, 3], [4, -1, -1], [5, 6, -1]]
+
+    def test_run_of_20_is_rows_of_8_8_and_4(self):
+        contexts = np.arange(20) + 100
+        rows = kernels.group_contexts(contexts, kernels.group_bounds(np.zeros(20, dtype=np.int64)))
+        assert rows.tolist() == [
+            list(range(100, 108)), list(range(108, 116)), list(range(116, 120)) + [-1] * 4,
+        ]
 
 
 def child_env():

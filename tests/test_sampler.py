@@ -234,6 +234,16 @@ class TestDrawNegatives:
             assert not set(negs.tolist()) & set(row.tolist())
             assert negs.min() >= 0 and negs.max() < 12
 
+    @pytest.mark.parametrize("extra", [1, 5])
+    def test_padding_columns_do_not_change_the_draws(self, extra):
+        # the trainer pads each row to the chunk's widest group, so the width varies from chunk to chunk
+        rng = np.random.default_rng(4)
+        table = np.cumsum(np.full(6, 1 / 6))
+        excludes = padded([rng.integers(0, 6, size=int(rng.integers(0, 4))) for _ in range(30)], width=3)
+        wider = np.hstack([excludes, np.full((30, extra), -1)])
+        first = draw_negatives_batch(table, 8, excludes, np.random.default_rng(9))
+        assert np.array_equal(first, draw_negatives_batch(table, 8, wider, np.random.default_rng(9)))
+
     @pytest.mark.parametrize("rows", [[[0, 1]], [[1, 0, 1, 0]], [[1], [1, 0]]])
     def test_group_holding_all_noise_mass_is_refused(self, rows):
         table = np.array([0.5, 1.0])  # entities 0 and 1, half the mass each

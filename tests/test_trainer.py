@@ -439,8 +439,9 @@ class TestTrain:
         bounds = group_bounds(targets)
         [(excludes, negs)] = calls
         assert negs.shape == (len(bounds) - 1, 3)
+        width = np.diff(bounds).max()
         for row, a, b in zip(excludes, bounds[:-1], bounds[1:]):
-            assert row.tolist() == contexts[a:b].tolist() + [-1] * (8 - (b - a))
+            assert row.tolist() == contexts[a:b].tolist() + [-1] * (width - (b - a))
 
     def test_no_nan_under_adversarial_lr(self):
         _, graph, corpus = tiny_world()
