@@ -5,7 +5,9 @@ neighbors, inspect-weights, gen-synthetic. Options can come from a
 ``key=value`` config file (``--config``); explicit flags override file
 values, and every command that writes an output directory echoes its
 effective configuration there as ``config.echo`` so a run can be reproduced
-from its own outputs.
+from its own outputs: ``train --config run/config.echo`` retrains the same
+embedding, and ``gen-synthetic --config world/config.echo`` rewrites the same
+world.
 """
 
 from __future__ import annotations
@@ -44,6 +46,13 @@ class RunConfig(trainer.TrainConfig):
     drop_patterns: list[str] = field(default_factory=list)
     min_count: int = 1
     verbosity: int = 1
+    # the gen-synthetic world; its seed is the run's seed
+    parents: int = SyntheticSpec.parents
+    leaves_per_parent: int = SyntheticSpec.leaves_per_parent
+    entities_per_leaf: int = SyntheticSpec.entities_per_leaf
+    docs: int = SyntheticSpec.docs
+    contexts_per_doc: int = SyntheticSpec.contexts_per_doc
+    p_in: float = SyntheticSpec.p_in
 
 
 # Field annotations are strings (postponed evaluation); map them to parsers.
@@ -159,12 +168,10 @@ def cmd_build_vocab(cfg: RunConfig, args: argparse.Namespace) -> int:
     vocab = build_vocabulary(cfg.corpus, min_count=cfg.min_count)
     out_dir = Path(cfg.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    counts = vocab.entity_counts()
+    counts = vocab.entity_counts().tolist() + [0] * vocab.n_categories
     with (out_dir / "vocab.tsv").open("w", encoding="utf-8") as fh:
-        for i, label in enumerate(vocab.entity_labels()):
-            fh.write(f"e:{label}\t{counts[i]}\n")
-        for label in vocab.category_labels():
-            fh.write(f"c:{label}\t0\n")
+        for row, count in enumerate(counts):
+            fh.write(f"{vocab.label(row)}\t{count}\n")
     echo_config(cfg, out_dir)
     log.info("wrote %s (%d entities, %d categories)", out_dir / "vocab.tsv", vocab.n_entities, vocab.n_categories)
     return 0
@@ -172,7 +179,7 @@ def cmd_build_vocab(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     vocab, graph, corpus = _build_pipeline(cfg)
-    embeddings.check_labels(vocab.entity_labels(), vocab.category_labels())
+    embeddings.check_labels(vocab)
 
     # Progress is logged once per twentieth of the schedule, by the first chunk whose position reaches it.
     state = {"smoothed": None, "next_twentieth": 0}
@@ -193,7 +200,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     echo_config(cfg, out_dir)
     out_path = out_dir / "embeddings.txt"
     embeddings.save_text(table, vocab, out_path)
-    log.info("wrote %s (%d rows, dim %d)", out_path, vocab.n_entities + vocab.n_categories, cfg.dim)
+    log.info("wrote %s (%d rows, dim %d)", out_path, vocab.n_rows, cfg.dim)
     return 0
 
 
@@ -303,13 +310,12 @@ def cmd_inspect_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
     for cat, w in zip(cats.tolist(), ws.tolist()):
         marker = "direct" if cat in direct else "ancestor"
         # steps has no root key; the root can be a direct category in ce mode
-        print(f"c:{vocab.category_label(cat)}\t{w:.6f}\tavg_steps={steps.get(cat, 0.0):.3f}\t{marker}")
+        print(f"{vocab.label(vocab.n_entities + cat)}\t{w:.6f}\tavg_steps={steps.get(cat, 0.0):.3f}\t{marker}")
     return 0
 
 
 def cmd_gen_synthetic(cfg: RunConfig, args: argparse.Namespace) -> int:
-    flags = {f.name: getattr(args, f.name) for f in fields(SyntheticSpec) if f.name != "seed"}
-    spec = SyntheticSpec(**flags, seed=cfg.seed)
+    spec = SyntheticSpec(**{f.name: getattr(cfg, f.name) for f in fields(SyntheticSpec)})
     world = synthetic.generate_world(cfg.output, spec)
     echo_config(cfg, Path(cfg.output))
     log.info(
@@ -322,7 +328,7 @@ def cmd_gen_synthetic(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-# The help text of each flag; its type comes from its RunConfig or SyntheticSpec field.
+# The help text of each flag; its type comes from its RunConfig field.
 _FLAG_HELP = {
     "corpus": "corpus file (target<TAB>cats<TAB>contexts)",
     "hierarchy": "hierarchy edge file (parent<TAB>child)",
@@ -346,6 +352,10 @@ _FLAG_HELP = {
     "shuffle": "shuffle document order each epoch",
     "subsample": "frequent-entity subsampling threshold; 0 disables",
     "parents": "branches under the root",
+    "leaves_per_parent": "leaf categories under each branch",
+    "entities_per_leaf": "entities in each leaf category",
+    "docs": "documents to write",
+    "contexts_per_doc": "contexts drawn for each document",
     "p_in": "probability a context comes from the target's own leaf",
 }
 
@@ -404,11 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_inspect_weights)
 
     p = sub.add_parser("gen-synthetic", help="generate a synthetic corpus/hierarchy/gold world")
-    _add_config_flags(p, "output", "seed", "verbosity")
-    for f in fields(SyntheticSpec):
-        if f.name != "seed":  # the spec's seed is the run's --seed
-            p.add_argument("--" + f.name.replace("_", "-"), type=_FIELD_TYPES[f.type], default=f.default,
-                           help=_FLAG_HELP.get(f.name))
+    _add_config_flags(
+        p, "output", "seed", "verbosity",
+        "parents", "leaves_per_parent", "entities_per_leaf", "docs", "contexts_per_doc", "p_in",
+    )
     p.set_defaults(func=cmd_gen_synthetic)
 
     return parser

@@ -37,11 +37,6 @@ def normalize_label(text: str) -> str:
     return text.strip().lower().replace(" ", "_")
 
 
-def folded_index(labels: list[str]) -> dict[str, int]:
-    """Case- and space-insensitive lookup: folded label -> index; the lowest index wins on a clash."""
-    return {normalize_label(label): idx for idx, label in reversed(list(enumerate(labels)))}
-
-
 def read_lines(source: str | Path | Iterable[str]) -> tuple[str, Iterable[str]]:
     """The source name and its lines, from a path (decoded as UTF-8) or a line stream."""
     if not isinstance(source, (str, Path)):
@@ -75,18 +70,22 @@ def records(source: str | Path | Iterable[str], names: tuple[str, ...]) -> Itera
 
 
 class Vocabulary:
-    """Bidirectional label/index maps for entities and categories.
+    """Bidirectional label/index maps for entities and categories, and their rows.
 
     Entity indices are assigned in first-seen order over the document stream
     (target first, then contexts, line by line) after the ``min_count`` filter;
     category indices in first-seen order over label lists and hierarchy edges.
+    Entity e is row e and category c row ``n_entities + c`` (:meth:`row`,
+    :meth:`label`); words match folded, and the lowest index wins a clash.
     """
 
     def __init__(self):
         self._ent_index: dict[str, int] = {}
+        self._ent_folded: dict[str, int] = {}
         self._ent_labels: list[str] = []
         self._ent_counts: list[int] = []
         self._cat_index: dict[str, int] = {}
+        self._cat_folded: dict[str, int] = {}
         self._cat_labels: list[str] = []
 
     @property
@@ -97,6 +96,10 @@ class Vocabulary:
     def n_categories(self) -> int:
         return len(self._cat_labels)
 
+    @property
+    def n_rows(self) -> int:
+        return len(self._ent_labels) + len(self._cat_labels)
+
     def entity_counts(self) -> np.ndarray:
         """Occurrence count (as target plus as context) per entity index."""
         return np.asarray(self._ent_counts, dtype=np.int64)
@@ -106,6 +109,7 @@ class Vocabulary:
         if idx is None:
             idx = len(self._ent_labels)
             self._ent_index[label] = idx
+            self._ent_folded.setdefault(normalize_label(label), idx)
             self._ent_labels.append(label)
             self._ent_counts.append(count)
         return idx
@@ -115,6 +119,7 @@ class Vocabulary:
         if idx is None:
             idx = len(self._cat_labels)
             self._cat_index[label] = idx
+            self._cat_folded.setdefault(normalize_label(label), idx)
             self._cat_labels.append(label)
         return idx
 
@@ -137,8 +142,25 @@ class Vocabulary:
         return list(self._cat_labels)
 
     def match_entity(self, word: str) -> int | None:
-        """Case/space-insensitive entity lookup over the labels as they are now; lowest index wins on clashes."""
-        return folded_index(self._ent_labels).get(normalize_label(word))
+        """Index of the entity a word names, folded; None if there is none."""
+        return self._ent_folded.get(normalize_label(word))
+
+    def match_category(self, word: str) -> int | None:
+        """Index of the category a word names, folded; None if there is none."""
+        return self._cat_folded.get(normalize_label(word))
+
+    def row(self, word: str) -> int | None:
+        """Row of a word: its folded entity's row, else its folded category's row, else None."""
+        ent = self.match_entity(word)
+        if ent is not None:
+            return ent
+        cat = self.match_category(word)
+        return None if cat is None else self.n_entities + cat
+
+    def label(self, row: int) -> str:
+        """The export's label of a row: ``e:`` and the entity's label, or ``c:`` and the category's."""
+        n_ent = self.n_entities
+        return "e:" + self._ent_labels[row] if row < n_ent else "c:" + self._cat_labels[row - n_ent]
 
 
 def _iter_documents(source) -> Iterator[tuple[str, list[str], list[str]]]:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Vocabulary, folded_index, normalize_label, read_lines
+from .corpus import Vocabulary, read_lines
 from .errors import CorpusError, FormatError
 
 
@@ -54,62 +54,47 @@ def init_embeddings(n_entities: int, n_categories: int, dim: int, seed: int) -> 
     return EmbeddingTable(inp=inp, n_entities=n_entities, ent_out=np.zeros((n_entities, dim)))
 
 
-class EmbeddingIndex:
-    """Loaded embedding file: one matrix of input vectors for evaluation.
+class EmbeddingIndex(Vocabulary):
+    """Loaded embedding file: a :class:`Vocabulary` plus one matrix of its input vectors.
 
     ``vecs`` has shape ``(n_ent + n_cat, d)``, entity rows first, each kind
-    in file order; ``ent_vecs`` and ``cat_vecs`` are views of its two parts.
-    :meth:`row` maps a word to a row of ``vecs``, :meth:`label` a row to its
-    label. The labels are folded once, here, so they must not grow afterwards.
+    in file order; ``ent_vecs`` and ``cat_vecs`` are views of its two parts,
+    and ``ent_labels`` and ``cat_labels`` the labels of each kind. Words map
+    to rows and rows to labels by the vocabulary's rule. A label that repeats
+    within a kind, or a ``vecs`` with other than one row per label, is refused.
     """
 
     def __init__(self, ent_labels: list[str], cat_labels: list[str], vecs: np.ndarray):
-        self.ent_labels = ent_labels
-        self.cat_labels = cat_labels
+        super().__init__()
+        # a repeated label gets its first index back, below the count read before adding it
+        for label in ent_labels:
+            if self.n_entities > (ent := self.add_entity(label, 0)):
+                raise CorpusError(f"duplicate row label {self.label(ent)!r}")
+        for label in cat_labels:
+            if self.n_categories > (cat := self.add_category(label)):
+                raise CorpusError(f"duplicate row label {self.label(self.n_entities + cat)!r}")
+        if len(vecs) != self.n_rows:
+            raise CorpusError(f"{len(vecs)} vectors for {self.n_rows} row labels")
+        self.ent_labels, self.cat_labels = self._ent_labels, self._cat_labels
         self.vecs = vecs
-        self.ent_vecs = vecs[:len(ent_labels)]
-        self.cat_vecs = vecs[len(ent_labels):]
-        self._folded_ent = folded_index(ent_labels)
-        self._folded_cat = folded_index(cat_labels)
+        self.ent_vecs = vecs[:self.n_entities]
+        self.cat_vecs = vecs[self.n_entities:]
 
     @property
     def dim(self) -> int:
         return self.vecs.shape[1]
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.vecs)
-
-    def match_entity(self, word: str) -> int | None:
-        return self._folded_ent.get(normalize_label(word))
-
-    def match_category(self, word: str) -> int | None:
-        return self._folded_cat.get(normalize_label(word))
-
-    def label(self, row: int) -> str:
-        """The export's label of row ``row`` of ``vecs``: ``e:`` and the entity's label, or ``c:`` and the category's."""
-        n_ent = len(self.ent_labels)
-        return "e:" + self.ent_labels[row] if row < n_ent else "c:" + self.cat_labels[row - n_ent]
-
-    def row(self, word: str) -> int | None:
-        """Row of ``vecs`` for a word: its folded entity row, else its folded category row, else None."""
-        ent = self.match_entity(word)
-        if ent is not None:
-            return ent
-        cat = self.match_category(word)
-        return None if cat is None else len(self.ent_labels) + cat
-
     def save_text(self, path: str | Path) -> None:
         """Write the export: entities first, then categories."""
-        _write_text(path, self.vecs, self.ent_labels, self.cat_labels)
+        _write_text(path, self.vecs, self)
 
 
-def check_labels(ent_labels: list[str], cat_labels: list[str]) -> None:
+def check_labels(vocab: Vocabulary) -> None:
     """Refuse a label that holds whitespace: the export ends a row's label at the first one."""
-    for prefix, labels in (("e:", ent_labels), ("c:", cat_labels)):
-        for label in labels:
-            if any(map(str.isspace, label)):
-                raise CorpusError(f"label {prefix + label!r} holds whitespace, which an embedding export cannot store")
+    for row in range(vocab.n_rows):
+        label = vocab.label(row)
+        if any(map(str.isspace, label)):
+            raise CorpusError(f"label {label!r} holds whitespace, which an embedding export cannot store")
 
 
 # below this norm the squares np.linalg.norm sums fall under 2**-1000, next to the subnormals
@@ -139,19 +124,20 @@ def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_text(table: EmbeddingTable, vocab: Vocabulary, path: str | Path) -> None:
-    _write_text(path, table.inp, vocab.entity_labels(), vocab.category_labels())
+    _write_text(path, table.inp, vocab)
 
 
-def _write_text(path: str | Path, vecs: np.ndarray, ent_labels: list[str], cat_labels: list[str]) -> None:
-    """Write the export from one row matrix, entity rows first, and the labels of each kind."""
-    check_labels(ent_labels, cat_labels)
+def _write_text(path: str | Path, vecs: np.ndarray, vocab: Vocabulary) -> None:
+    """Write the export of one row matrix, row r labeled ``vocab.label(r)``; a bad label or row count writes nothing."""
+    if len(vecs) != vocab.n_rows:
+        raise CorpusError(f"{len(vecs)} vectors for {vocab.n_rows} row labels")
+    check_labels(vocab)
     dim = vecs.shape[1]
     fmt = "%s " + " ".join(["%.6g"] * dim) + "\n"
-    rows = ["e:" + label for label in ent_labels] + ["c:" + label for label in cat_labels]
     with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"{len(rows)} {dim}\n")
-        for row, vec in zip(rows, vecs):
-            fh.write(fmt % (row, *vec.tolist()))
+        fh.write(f"{vocab.n_rows} {dim}\n")
+        for row, vec in enumerate(vecs):
+            fh.write(fmt % (vocab.label(row), *vec.tolist()))
 
 
 def _header(line: str, source: str) -> tuple[int, int]:

@@ -1,6 +1,6 @@
 """Semantic relatedness: embedding similarity vs human scores, Spearman's rho.
 
-Words map to embedding rows with :meth:`EmbeddingIndex.row`: exact label
+Words map to embedding rows with :meth:`Vocabulary.row`: exact label
 match (case-insensitive, spaces and underscores interchangeable), entities
 first and categories as fallback. A pair's score is the cosine of its two rows.
 No fuzzy or lexical-variant matching: a word that only exists in another
@@ -87,10 +87,8 @@ def run_relatedness(index: EmbeddingIndex, pairs: list[RelatednessPair]) -> dict
     in one row-wise dot; a zero row is refused, the first in pair order
     named. Needs at least two surviving pairs.
     """
-    n_ent = len(index.ent_labels)
-
     def mapping(row: int | None) -> str:
-        return "unmapped" if row is None else "entity" if row < n_ent else "category"
+        return "unmapped" if row is None else "entity" if row < index.n_entities else "category"
 
     outcomes: list[dict] = []
     mapped: list[dict] = []  # the outcomes of the pairs with both words mapped

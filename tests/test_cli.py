@@ -60,6 +60,16 @@ class TestGenSynthetic:
             assert main(["gen-synthetic", "--output", str(out), "--seed", "11", "--verbosity", "0"]) == 0
         assert (a / "corpus.tsv").read_bytes() == (b / "corpus.tsv").read_bytes()
 
+    def test_rerun_from_echoed_config_reproduces(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["gen-synthetic", "--output", str(a), "--seed", "7", "--parents", "4", "--leaves-per-parent", "2",
+                     "--entities-per-leaf", "3", "--docs", "50", "--contexts-per-doc", "5", "--p-in", "0.5",
+                     "--verbosity", "0"]) == 0
+        assert main(["gen-synthetic", "--config", str(a / "config.echo"), "--output", str(b)]) == 0
+        for name in ("corpus.tsv", "hierarchy.tsv", "gold.tsv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert "p_in=0.5\n" in (a / "config.echo").read_text()
+
 
 class TestBuildVocab:
     def test_writes_vocab_file(self, world_dir, tmp_path):

@@ -411,6 +411,45 @@ class TestEmbeddingIndex:
         assert index.match_category("Cat A") == vocab.category_id("cat_a")
 
 
+class TestOneLabelIndex:
+    def test_training_vocabulary_and_its_export_agree(self, tmp_path):
+        # Big_Cat and big_cat fold together: the lowest index wins on both sides
+        vocab = build_vocabulary(["Big_Cat\tAnimals,big_cat\tbig_cat Hot_Dog", "hot_dog\tFood\tBig_Cat"])
+        table = init_embeddings(vocab.n_entities, vocab.n_categories, 3, seed=1)
+        path = tmp_path / "emb.txt"
+        save_text(table, vocab, path)
+        index = load_embeddings(path)
+        words = vocab.entity_labels() + vocab.category_labels() + ["BIG CAT", "hot dog", "ANIMALS", " food ", "absent"]
+        for word in words:
+            assert index.row(word) == vocab.row(word), word
+        for row in range(vocab.n_rows):
+            assert index.label(row) == vocab.label(row)
+        assert index.row("big cat") == vocab.entity_id("Big_Cat") == 0
+        assert index.row("Hot Dog") == vocab.entity_id("Hot_Dog")
+        assert index.row("animals") == vocab.n_entities + vocab.category_id("Animals")
+        assert index.row("BIG_CAT") == 0  # the entity before the category of the same folded label
+        assert index.match_category("BIG_CAT") == vocab.category_id("big_cat")
+
+    @pytest.mark.parametrize("ents,cats,named", [(["a", "a"], [], "'e:a'"), (["a"], ["k", "l", "k"], "'c:k'")])
+    def test_repeated_label_within_a_kind_refused(self, ents, cats, named):
+        with pytest.raises(CorpusError, match="^duplicate row label " + re.escape(named) + "$"):
+            EmbeddingIndex(ents, cats, np.ones((len(ents) + len(cats), 2)))
+
+    @pytest.mark.parametrize("n_vecs", [0, 1, 3])
+    def test_row_count_mismatch_refused(self, n_vecs):
+        with pytest.raises(CorpusError, match=f"^{n_vecs} vectors for 2 row labels$"):
+            EmbeddingIndex(["a"], ["k"], np.ones((n_vecs, 2)))
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_row_count_mismatch_refused_before_writing(self, small_setup, tmp_path, extra):
+        vocab, _ = small_setup
+        table = init_embeddings(vocab.n_entities, vocab.n_categories + extra, 5, seed=3)
+        path = tmp_path / "emb.txt"
+        with pytest.raises(CorpusError, match=f"^{vocab.n_rows + extra} vectors for {vocab.n_rows} row labels$"):
+            save_text(table, vocab, path)
+        assert not path.exists()
+
+
 class TestTableInvariants:
     def test_assert_finite_catches_nan(self):
         table = init_embeddings(3, 2, 4, seed=0)
