@@ -7,7 +7,8 @@ values, and every command that writes an output directory echoes its
 effective configuration there as ``config.echo`` so a run can be reproduced
 from its own outputs: ``train --config run/config.echo`` retrains the same
 embedding, and ``gen-synthetic --config world/config.echo`` rewrites the same
-world.
+world. ``RunConfig`` holds every option of a run, the synthetic world's too,
+and each command checks all of its values before it writes a file.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 from . import categorize, embeddings, hierarchy, kernels, relatedness, synthetic, trainer
 from .corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag, read_lines
 from .errors import CatembedError, ConfigError
-from .synthetic import SyntheticSpec
 
 log = logging.getLogger("catembed")
 
@@ -34,7 +34,7 @@ ECHO_NAME = "config.echo"
 
 @dataclass
 class RunConfig(trainer.TrainConfig):
-    """Everything a pipeline run needs: the training hyperparameters plus paths and pruning options."""
+    """Every option of a run: the training hyperparameters, paths, pruning options and the gen-synthetic world."""
 
     corpus: str = ""
     hierarchy: str = ""
@@ -47,12 +47,29 @@ class RunConfig(trainer.TrainConfig):
     min_count: int = 1
     verbosity: int = 1
     # the gen-synthetic world; its seed is the run's seed
-    parents: int = SyntheticSpec.parents
-    leaves_per_parent: int = SyntheticSpec.leaves_per_parent
-    entities_per_leaf: int = SyntheticSpec.entities_per_leaf
-    docs: int = SyntheticSpec.docs
-    contexts_per_doc: int = SyntheticSpec.contexts_per_doc
-    p_in: float = SyntheticSpec.p_in
+    parents: int = 3
+    leaves_per_parent: int = 1
+    entities_per_leaf: int = 10
+    docs: int = 200
+    contexts_per_doc: int = 20
+    p_in: float = 0.9
+
+    def validate(self) -> None:
+        """Check every value, so each command refuses a bad one before it writes a file."""
+        super().validate()
+        for pattern in self.drop_patterns:
+            if "," in pattern:
+                raise ConfigError(f"drop pattern {pattern!r} contains ',', which {ECHO_NAME} uses to separate patterns")
+        if self.parents < 1 or self.leaves_per_parent < 1:
+            raise ConfigError("need at least one parent and one leaf per parent")
+        if self.entities_per_leaf < 2:
+            raise ConfigError("need at least 2 entities per leaf (contexts exclude the target)")
+        if self.docs < 1 or self.contexts_per_doc < 1:
+            raise ConfigError("need at least one document and one context per document")
+        if not (0.0 <= self.p_in <= 1.0):
+            raise ConfigError(f"p_in must be in [0, 1], got {self.p_in}")
+        if self.parents * self.leaves_per_parent < 2:
+            raise ConfigError("need at least 2 leaves for cross-leaf contexts")
 
 
 # Field annotations are strings (postponed evaluation); map them to parsers.
@@ -114,9 +131,6 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
     values.update((key, value) for key, value in vars(args).items() if key in names)
     cfg = RunConfig(**values)
     cfg.validate()
-    for pattern in cfg.drop_patterns:
-        if "," in pattern:
-            raise ConfigError(f"drop pattern {pattern!r} contains ',', which {ECHO_NAME} uses to separate patterns")
     return cfg
 
 
@@ -315,12 +329,11 @@ def cmd_inspect_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_gen_synthetic(cfg: RunConfig, args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(**{f.name: getattr(cfg, f.name) for f in fields(SyntheticSpec)})
-    world = synthetic.generate_world(cfg.output, spec)
+    world = synthetic.generate_world(cfg.output, cfg)
     echo_config(cfg, Path(cfg.output))
     log.info(
         "synthetic world in %s: %d leaves, %d entities, %d docs",
-        cfg.output, len(world.leaf_labels), len(world.entity_labels), spec.docs,
+        cfg.output, len(world.leaf_labels), len(world.entity_labels), cfg.docs,
     )
     print(world.corpus_path)
     print(world.hierarchy_path)

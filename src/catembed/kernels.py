@@ -160,6 +160,8 @@ def _train_chunk_loops(inp, ent_out, lr, targets, contexts, negatives, pred_offs
         raise ValueError("negatives needs one row per group")
     if bounds[0] != 0 or bounds[n_groups] != targets.shape[0]:
         raise ValueError("bounds must run from 0 to len(targets)")
+    if n_groups == 0:
+        return 0.0  # sizing the delta buffers below needs at least one group
     pred_delta = np.zeros((np.diff(pred_offsets).max(), d))
     out_delta = np.zeros((np.diff(bounds).max() + k, d))
     total = 0.0

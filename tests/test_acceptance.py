@@ -8,12 +8,12 @@ import time
 
 import numpy as np
 from catembed.categorize import load_gold, purity_from_labels, run_categorization
-from catembed.cli import dota_gold_path, main
+from catembed.cli import RunConfig, dota_gold_path, main
 from catembed.corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
 from catembed.hierarchy import steps_down
 from catembed.relatedness import spearman
 from catembed.sampler import build_noise_table, draw_negatives_batch
-from catembed.synthetic import SyntheticSpec, generate_world
+from catembed.synthetic import generate_world
 from catembed.trainer import TrainConfig, train
 
 from oracles import pair_loss_and_grad
@@ -139,8 +139,8 @@ def test_criterion_05_end_to_end_synthetic(tmp_path):
     start = time.time()
     world = generate_world(
         tmp_path,
-        SyntheticSpec(parents=3, leaves_per_parent=1, entities_per_leaf=10,
-                      docs=200, contexts_per_doc=20, p_in=0.9, seed=42),
+        RunConfig(parents=3, leaves_per_parent=1, entities_per_leaf=10,
+                  docs=200, contexts_per_doc=20, p_in=0.9, seed=42),
     )
     vocab = build_vocabulary(world.corpus_path)
     raw = load_hierarchy(world.hierarchy_path, vocab)
@@ -169,8 +169,8 @@ def test_criterion_06_hierarchy_benefit(tmp_path):
     for seed in range(10):
         world = generate_world(
             tmp_path / str(seed),
-            SyntheticSpec(parents=2, leaves_per_parent=3, entities_per_leaf=5,
-                          docs=150, contexts_per_doc=12, p_in=0.9, seed=seed),
+            RunConfig(parents=2, leaves_per_parent=3, entities_per_leaf=5,
+                      docs=150, contexts_per_doc=12, p_in=0.9, seed=seed),
         )
         vocab = build_vocabulary(world.corpus_path)
         raw = load_hierarchy(world.hierarchy_path, vocab)

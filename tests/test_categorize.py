@@ -1,3 +1,4 @@
+import re
 import weakref
 
 import numpy as np
@@ -81,6 +82,14 @@ class TestPurity:
     def test_single_cluster(self):
         gold = gold_from_classes([0, 0, 0, 1, 1])
         assert purity_from_labels(np.zeros(5, dtype=np.int64), gold.class_indices()) == pytest.approx(3 / 5)
+
+    @pytest.mark.parametrize("assignment, classes, message", [
+        ([0, 1, 1], [0, 1], "solution covers 3 items, gold has 2"),
+        ([], [], "empty clustering"),
+    ])
+    def test_refuses_mismatched_or_empty(self, assignment, classes, message):
+        with pytest.raises(EvalError, match=f"^{re.escape(message)}$"):
+            purity_from_labels(np.array(assignment, dtype=np.int64), np.array(classes, dtype=np.int64))
 
     def test_matches_bruteforce_on_all_small_partitions(self):
         # exhaustive over every partition pair of 4 items (the <= 6 sweep is in
@@ -220,6 +229,15 @@ class TestAgglomerative:
         for linkage in ("ward", "complete", "average"):
             sol = agglomerative(sq_dists(pts), 3, linkage=linkage)
             assert sol.assignment[0] == sol.assignment[2]
+
+    @pytest.mark.parametrize("k, linkage, message", [
+        (0, "average", "k must be >= 1, got 0"),
+        (4, "average", "k=4 exceeds the number of points (3)"),
+        (2, "single", "linkage must be one of ('ward', 'complete', 'average'), got 'single'"),
+    ])
+    def test_refuses_bad_arguments(self, k, linkage, message):
+        with pytest.raises(EvalError, match=f"^{re.escape(message)}$"):
+            agglomerative(sq_dists(np.array([[0.0], [1.0], [10.0]])), k, linkage=linkage)
 
     @pytest.mark.parametrize("linkage", LINKAGES)
     def test_overflowing_distances_rejected(self, linkage):

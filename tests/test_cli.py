@@ -477,6 +477,21 @@ class TestInspectWeights:
         weights = [float(r.split("\t")[1]) for r in rows]
         assert sum(weights) == pytest.approx(1.0, abs=1e-6)
 
+    def test_logs_corpus_filtering(self, tmp_path, capsys):
+        # solo falls under min_count, gone is no hierarchy category, and rare's only label is gone
+        hier = tmp_path / "hierarchy.tsv"
+        hier.write_text("root\ta\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("ent\ta\tother rare solo\nother\ta,gone\tent\nrare\tgone\tent\n", encoding="utf-8")
+        rc = main(["inspect-weights", "--corpus", str(corpus), "--hierarchy", str(hier), "--root", "root",
+                   "--min-count", "2", "--entity", "ent", "--verbosity", "1"])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[1:] == [
+            "INFO catembed: corpus filtering: 1 documents skipped, 1 contexts dropped, 2 labels dropped",
+            "INFO catembed: corpus: 2 documents, 3 pairs, 3 entities, 3 categories",
+        ]
+
     @pytest.fixture()
     def diamond(self, tmp_path):
         # root -> a -> d, root -> b -> d, a -> m -> d: a reaches d in 1 and 2 steps
@@ -689,7 +704,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("line", [
         "workers=2", "dim=0", "epochs=0", "negatives=0", "chunk=0",
         "lr0=0.01\nlr_min=0.02", "mode=bogus", "subsample=-1", "subsample=inf",
-        "seed=-1", "lr0=inf", "noise_alpha=nan",
+        "seed=-1", "lr0=inf", "noise_alpha=nan", "p_in=2", "parents=0",
     ])
     def test_bad_training_value_refused_before_any_output(self, world_dir, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
@@ -699,6 +714,19 @@ class TestConfigFile:
         assert main(["train", "--config", str(cfg), "--output", str(out), "--verbosity", "0"]) == 1
         assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("p_in=2", "error: p_in must be in [0, 1], got 2.0\n"),
+        ("parents=0", "error: need at least one parent and one leaf per parent\n"),
+    ])
+    def test_bad_world_value_stops_train(self, world_dir, tmp_path, capsys, line, message):
+        # a train echo must also be a valid gen-synthetic config, so train checks the world values too
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"corpus={world_dir / 'corpus.tsv'}\nhierarchy={world_dir / 'hierarchy.tsv'}\n{line}\n",
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--output", str(out), "--verbosity", "0"]) == 1
+        assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("command", ["build-vocab", "train", "inspect-weights"])
     def test_config_file_read_once_per_run(self, world_dir, tmp_path, monkeypatch, command):

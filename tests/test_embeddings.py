@@ -316,6 +316,15 @@ class TestBlockParse:
         assert index.ent_labels == ["a", "b"] and index.cat_labels == ["k"]
         assert index.vecs.tolist() == [[1, 2], [3, 4], [5, 6]]
 
+    def test_blank_line_on_the_per_line_path(self, tmp_path):
+        # np.loadtxt refuses 1_000, which float() reads, so the file takes the per-line pass
+        path = tmp_path / "emb.txt"
+        path.write_text("3 2\ne:a 1_000 2\n\ne:b 3 4\nc:k 5 6\n")
+        assert load_embeddings(path).vecs.tolist() == [[1000, 2], [3, 4], [5, 6]]
+        path.write_text("3 2\ne:a 1_000 2\n\ne:b 3 4\nc:k 5 inf\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:5: non-finite value$"):
+            load_embeddings(path)
+
     def test_late_non_finite_value_names_its_line(self, tmp_path):
         rows = _rows(10)
         rows[8] = "e:r8 1 2 inf"

@@ -283,6 +283,16 @@ class TestGroupedUpdate:
             assert np.allclose(a, b, atol=1e-12)
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    def test_empty_chunk_is_a_no_op(self, backend):
+        tables, chunk = make_instance(12, runs=(3, 4))
+        empty = np.empty(0, dtype=np.int64)
+        got = clone(tables)
+        loss = BACKENDS[backend](*got, 0.05, empty, empty, chunk[2][:0], *chunk[3:6], np.array([0]))
+        assert loss == 0.0
+        for a, b in zip(got, tables):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("bounds", [[0, 3, 6], [1, 3, 7]])
     def test_refuses_bounds_not_spanning_the_chunk(self, backend, bounds):
         tables, chunk = make_instance(12, runs=(3, 4))
