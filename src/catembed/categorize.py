@@ -6,11 +6,16 @@ external toolkits do not guarantee. Both algorithms run on points and their
 squared euclidean distance matrix, which ``run_categorization`` prepares once
 per metric with ``_metric_space``; the cosine metric is euclidean machinery on
 length-normalized copies of the vectors.
+
+NN classification and each k-means assignment step find nearest rows with one
+routine, ``_nearest_centers``: a matrix-product filter with a proven rounding
+bound, the exact distances of the rows the bound cannot decide, and the lowest
+index on ties.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,16 +96,13 @@ class ClusteringSolution:
 def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared euclidean distance from every row of ``x`` to every row of ``y``.
 
-    One row of the shorter operand is taken at a time, in one scratch buffer,
-    so memory stays at the (n, m) result. Each entry sums its d squared
-    differences in one contiguous reduction, bitwise equal to reducing the
-    full (n, m, d) tensor. As ``(a - b)**2`` equals ``(b - a)**2`` bit for
-    bit, a shorter ``y`` gives the transpose of the swapped call, and when
-    ``y is x`` each row is computed from its own index on and mirrored into
-    its column, the same matrix at half the work.
+    One row of ``x`` is taken at a time, in one scratch buffer of ``y``'s
+    shape, so memory stays at the (n, m) result. Each entry sums its d
+    squared differences in one contiguous reduction, bitwise equal to
+    reducing the full (n, m, d) tensor. When ``y is x`` each row is computed
+    from its own index on and mirrored into its column (``(a - b)**2`` equals
+    ``(b - a)**2`` bit for bit), the same matrix at half the work.
     """
-    if len(y) < len(x):
-        return _pairwise_sq_dists(y, x).T
     same = y is x
     out = np.empty((len(x), len(y)))
     buf = np.empty(y.shape)
@@ -213,15 +215,14 @@ def _repair_empty(assignment: np.ndarray, d2_assigned: np.ndarray, k: int) -> np
     ``d2_assigned[i]`` is point i's squared distance to its assigned center.
     Empty clusters are filled in index order, each by the point farthest from
     its center among the points of clusters that keep a member, the first
-    such point on ties. ``kmeans`` calls it only when a cluster is empty.
+    such point on ties. ``kmeans`` calls it only when a cluster is empty and
+    only with more points than clusters (k < n), so the n points sit in at
+    most k - 1 clusters and one of them always holds two.
     """
     sizes = np.bincount(assignment, minlength=k)
     for cluster in range(k):
         while sizes[cluster] == 0:
-            eligible = sizes[assignment] > 1
-            if not eligible.any():
-                raise EvalError("cannot repair empty cluster: all clusters singletons")
-            candidates = np.where(eligible)[0]
+            candidates = np.flatnonzero(sizes[assignment] > 1)
             steal = candidates[np.argmax(d2_assigned[candidates])]
             sizes[assignment[steal]] -= 1
             assignment[steal] = cluster
@@ -417,13 +418,19 @@ def _contingency(assignment: np.ndarray, classes: np.ndarray) -> tuple[np.ndarra
 
 @_QUIET_OVERFLOW
 def nn_classify(entity_vecs: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Per entity row, the index of the candidate category vector nearest in euclidean distance."""
+    """Per entity row, the index of the candidate category vector nearest in euclidean distance.
+
+    The nearest row is the first argmin of the exact squared distances, so
+    the lowest index wins a tie; ``_nearest_centers`` finds it, as it does
+    for each Lloyd step of ``kmeans``.
+    """
     if len(candidates) < 1:
         raise EvalError("nn_classify needs at least one candidate")
-    d2 = _pairwise_sq_dists(entity_vecs, candidates)
-    if not np.isfinite(d2.min(axis=1)).all():
+    nearest = _nearest_centers(entity_vecs, (entity_vecs * entity_vecs).sum(axis=1), candidates)
+    # argmin picks a row's first NaN, so a chosen distance is not finite when its row holds a NaN or no finite value
+    if not np.isfinite(_row_sq_dists(entity_vecs, candidates[nearest])).all():
         raise EvalError(_OVERFLOW)
-    return d2.argmin(axis=1)  # first minimum: lowest index on ties
+    return nearest
 
 
 def run_categorization(
@@ -443,16 +450,7 @@ def run_categorization(
     if method not in ("cluster", "nn", "both"):
         raise EvalError(f"method must be cluster, nn or both, got {method!r}")
 
-    resolved: list[int] = []
-    excluded: list[str] = []
-    rows: list[int] = []
-    for i, label in enumerate(gold.entities):
-        row = index.match_entity(label)
-        if row is None:
-            excluded.append(label)
-        else:
-            resolved.append(i)
-            rows.append(row)
+    resolved, rows, excluded = _resolve(gold.entities, index.match_entity)
     if not resolved:
         raise EvalError("no gold entity resolves to an embedding row")
     sub = gold.subset(resolved)
@@ -477,41 +475,30 @@ def run_categorization(
         if 2 * n * n * 8 > AGGLOMERATIVE_MAX_BYTES:
             raise EvalError(f"agglomerative clustering of n={n} items needs two {n * n * 8}-byte distance "
                             f"matrices, above the {AGGLOMERATIVE_MAX_BYTES}-byte limit")
-        by_run = {}
+        purity, assignment = {}, {}  # per SWEEP run
         for metric in ("cosine", "euclidean"):
             x, sq_dists = _metric_space(vectors, metric)
-            for algo, _, link in (run for run in SWEEP if run[1] == metric):
+            for run in (run for run in SWEEP if run[1] == metric):
+                algo, _, link = run
                 if algo == "kmeans":
                     sol = kmeans(x, sq_dists, sub.n_classes, seed=seed)
                 else:
                     sol = agglomerative(sq_dists, sub.n_classes, link)
-                by_run[algo, metric, link] = {"algorithm": algo, "metric": metric, "linkage": link,
-                                              "purity": purity_from_labels(sol.assignment, classes),
-                                              "assignment": sol.assignment}
+                purity[run] = purity_from_labels(sol.assignment, classes)
+                assignment[run] = sol.assignment
             del x, sq_dists  # freed before the next metric's matrix is built
-        combos = [by_run[run] for run in SWEEP]
-        best = max(combos, key=lambda c: c["purity"])  # max keeps the first on ties
+        best = max(SWEEP, key=purity.__getitem__)  # max keeps the first on ties
+        params = ("algorithm", "metric", "linkage")
         report["cluster"] = {
-            "purity": best["purity"],
-            "best_params": {kk: best[kk] for kk in ("algorithm", "metric", "linkage")},
-            "sweep": [
-                {kk: c[kk] for kk in ("algorithm", "metric", "linkage", "purity")}
-                for c in combos
-            ],
-            "misclassified": _cluster_misclassifications(best["assignment"], classes, sub),
+            "purity": purity[best],
+            "best_params": dict(zip(params, best)),
+            "sweep": [{**dict(zip(params, run)), "purity": purity[run]} for run in SWEEP],
+            "misclassified": _cluster_misclassifications(assignment[best], classes, sub),
         }
 
     if method in ("nn", "both"):
-        cand_rows: list[int] = []
-        cand_labels: list[str] = []
-        missing_cats: list[str] = []
-        for cat in sub.class_labels:
-            row = index.match_category(cat)
-            if row is None:
-                missing_cats.append(cat)
-            else:
-                cand_rows.append(row)
-                cand_labels.append(cat)
+        found, cand_rows, missing_cats = _resolve(sub.class_labels, index.match_category)
+        cand_labels = [sub.class_labels[i] for i in found]
         if not cand_labels:
             raise EvalError("no gold category resolves to an embedding row")
         nearest = nn_classify(vectors, index.cat_vecs[cand_rows])
@@ -526,6 +513,13 @@ def run_categorization(
             "misclassified": _misclassifications(predicted, sub),
         }
     return report
+
+
+def _resolve(labels: list[str], match: Callable[[str], int | None]) -> tuple[list[int], list[int], list[str]]:
+    """``(positions, rows, missing)``: the positions in ``labels`` that ``match`` finds, their rows, the rest."""
+    matched = [match(label) for label in labels]
+    positions = [i for i, row in enumerate(matched) if row is not None]
+    return positions, [matched[i] for i in positions], [lab for lab, row in zip(labels, matched) if row is None]
 
 
 def _misclassifications(predicted: list[str], gold: GoldLabeling) -> dict[str, list[dict]]:

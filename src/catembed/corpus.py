@@ -9,7 +9,8 @@ Every text input is read here: :func:`read_lines` decodes UTF-8 once and
 * gold:        ``entity<TAB>category`` (:func:`catembed.categorize.load_gold`).
 * relatedness: ``word1<TAB>word2<TAB>score`` (:func:`catembed.relatedness.load_relatedness`).
 
-Blank lines are skipped. An invalid UTF-8 byte or a wrong field count raises
+Blank lines are skipped, and so is one leading UTF-8 byte-order mark, which
+some editors write. An invalid UTF-8 byte or a wrong field count raises
 :class:`FormatError` with the source name and line number.
 
 :func:`load_hierarchy` returns the raw hierarchy as a plain child map, which
@@ -38,7 +39,7 @@ def normalize_label(text: str) -> str:
 
 
 def read_lines(source: str | Path | Iterable[str]) -> tuple[str, Iterable[str]]:
-    """The source name and its lines, from a path (decoded as UTF-8) or a line stream."""
+    """The source name and its lines, from a path (UTF-8, one leading byte-order mark dropped) or a line stream."""
     if not isinstance(source, (str, Path)):
         return "<stream>", source
     path = Path(source)
@@ -52,7 +53,10 @@ def read_lines(source: str | Path | Iterable[str]) -> tuple[str, Iterable[str]]:
         lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise FormatError(f"invalid UTF-8 at byte {exc.start}", str(path), lineno) from None
     del data  # freed before splitlines builds the lines: two copies of the file at the peak, not three
-    return str(path), text.splitlines()
+    lines = text.splitlines()
+    if lines:  # a leading UTF-8 byte-order mark is not part of the first label
+        lines[0] = lines[0].removeprefix("\ufeff")
+    return str(path), lines
 
 
 def records(source: str | Path | Iterable[str], names: tuple[str, ...]) -> Iterator[tuple[str, int, list[str]]]:

@@ -399,7 +399,7 @@ AGGLOMERATIVE_COMBOS = [(m, link) for algo, m, link in SWEEP if algo == "agglome
 class TestExactEquivalence:
     @pytest.mark.parametrize("n, m, d", [
         (11, 37, 9),  # x shorter than y
-        (37, 11, 9),  # y shorter than x: the transpose of the swapped call
+        (37, 11, 9),  # y shorter than x
         (1, 5, 3),  # one row
         (5, 1, 3),
         (20, 13, 1),  # d = 1
@@ -558,10 +558,34 @@ class TestNNClassify:
         with pytest.raises(EvalError):
             nn_classify(np.zeros((1, 2)), np.zeros((0, 2)))
 
-    def test_overflowing_distance_refused(self):
-        cands = np.array([[1e200, 0.0], [-1e200, 0.0]])
-        with pytest.raises(EvalError, match="overflow float64"):
-            nn_classify(np.array([[0.0, 1e200]]), cands)
+    @pytest.mark.parametrize("ents, cands", [
+        ([[0.0, 1e200]], [[1e200, 0.0], [-1e200, 0.0]]),
+        ([[0.0, 0.0], [np.nan, 0.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]),  # a NaN entity
+        ([[0.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [np.nan, 0.0], [2.0, 2.0]]),  # a NaN candidate
+    ], ids=["overflow", "nan-entity", "nan-candidate"])
+    def test_overflowing_distance_refused(self, ents, cands):
+        with pytest.raises(EvalError, match="^squared distances between the vectors overflow float64$"):
+            nn_classify(np.array(ents), np.array(cands))
+
+    def test_duplicate_candidates_take_the_exact_path(self, monkeypatch):
+        # each candidate row appears twice, so every entity ties between the
+        # two copies of its nearest row: the filter settles no entity, all of
+        # them take their exact distances, and the first copy wins
+        rng = np.random.default_rng(3)
+        cands = np.repeat(rng.normal(size=(3, 4)), 2, axis=0)
+        ents = rng.normal(size=(25, 4))
+        exact_rows = []
+        inner = categorize._pairwise_sq_dists
+
+        def spy(x, y):
+            exact_rows.append(len(x))
+            return inner(x, y)
+
+        monkeypatch.setattr(categorize, "_pairwise_sq_dists", spy)
+        got = nn_classify(ents, cands).tolist()
+        assert exact_rows == [len(ents)]
+        assert got == [int(((cands - e) ** 2).sum(axis=1).argmin()) for e in ents]
+        assert all(j % 2 == 0 for j in got) and len(set(got)) > 1
 
 
 def separable_index(per_class=6, n_classes=3, dim=8, spread=0.05, seed=0):

@@ -134,6 +134,7 @@ class TestReadLines:
         (b"\xc3\xa9\n\xc3\xa9x\xff\n", 2, 6),
         (b"ok\n\xc3", 2, 3),  # a multi-byte character cut off at the end
         (b"a\n\n\xe2\x82\n", 3, 3),
+        (b"\xef\xbb\xbfab\n\xff", 2, 6),  # after a byte-order mark, still counted from the file's first byte
     ])
     def test_invalid_byte_names_line_and_offset(self, tmp_path, data, lineno, byte):
         path = tmp_path / "in.tsv"
@@ -167,6 +168,51 @@ class TestReadLines:
         with pytest.raises(FormatError) as exc:
             list(records(["a\tb", "", "c"], ("x", "y")))
         assert str(exc.value) == "<stream>:3: expected 2 tab-separated fields (x, y), got 1"
+
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+
+
+class TestByteOrderMark:
+    """Every text input drops one leading byte-order mark before its first label."""
+
+    def test_corpus(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(BOM + b"a\tc\tb a\n")
+        assert build_vocabulary(path).entity_labels() == ["a", "b"]
+
+    def test_hierarchy(self, tmp_path):
+        path = tmp_path / "hierarchy.tsv"
+        path.write_bytes(BOM + b"root\tc\n")
+        vocab = build_vocabulary(["t\tc\t"])
+        graph, _ = prune_to_dag(load_hierarchy(path, vocab), vocab, "root")
+        assert [vocab.category_label(i) for i in range(vocab.n_categories)] == ["c", "root"]
+        assert graph.root == vocab.category_id("root")
+
+    def test_gold(self, tmp_path):
+        path = tmp_path / "gold.tsv"
+        path.write_bytes(BOM + b"cat\tanimal\n")
+        assert load_gold(path).entities == ["cat"]
+
+    def test_relatedness(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(BOM + b"cat\tdog\t7\n")
+        assert load_relatedness(path)[0].word1 == "cat"
+
+    def test_config(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(BOM + b"dim=5\n")
+        assert load_config_file(path) == {"dim": 5}
+
+    def test_embeddings(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(BOM + b"1 2\ne:a 1 2\n")
+        assert load_embeddings(path).ent_labels == ["a"]
+
+    def test_only_one_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "in.tsv"
+        path.write_bytes(BOM + BOM + b"a\n")
+        assert read_lines(path)[1] == ["\ufeffa"]
 
 
 class TestLoadHierarchy:
