@@ -57,9 +57,13 @@ class RunConfig(trainer.TrainConfig):
     def validate(self) -> None:
         """Check every value, so each command refuses a bad one before it writes a file."""
         super().validate()
+        if self.verbosity < 0:
+            raise ConfigError(f"verbosity must be >= 0, got {self.verbosity}")
         for pattern in self.drop_patterns:
             if "," in pattern:
                 raise ConfigError(f"drop pattern {pattern!r} contains ',', which {ECHO_NAME} uses to separate patterns")
+            if pattern != pattern.strip():
+                raise ConfigError(f"drop pattern {pattern!r} has leading or trailing whitespace, which {ECHO_NAME} strips")
         if self.parents < 1 or self.leaves_per_parent < 1:
             raise ConfigError("need at least one parent and one leaf per parent")
         if self.entities_per_leaf < 2:
@@ -113,6 +117,8 @@ def load_config_file(path: str | Path) -> dict:
         key = key.strip().replace("-", "_")
         if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate option {key!r}")
         try:
             values[key] = _coerce(raw.strip(), types[key])
         except ValueError:

@@ -1,9 +1,9 @@
-"""SGD update kernels for one chunk of training pairs.
+"""The SGD update kernel for one chunk of training pairs.
 
 This is the hot loop. The chunk is cut into groups: a group is a run of
 consecutive pairs that share a target, which the pair stream yields per
 document, cut into pieces of at most ``GROUP_MAX`` pairs. :func:`group_bounds`
-is the one place groups are cut; the kernels follow the bounds they are
+is the one place groups are cut; the kernel follows the bounds it is
 handed. Every group has one row of k negatives, shared by all of its pairs
 (the HogBatch scheme of Ji et al. 2016). Per group the kernel scores the G
 contexts and the k shared negatives against the target's weighted predictor
@@ -16,16 +16,12 @@ many entities share: on perfbench's deep-dag world, seeds 1 and 3, a cap of
 
 The predictors are rows of one input matrix ``inp``, held as one weighted
 CSR (``pred_offsets``, ``pred_ids``, ``pred_ws``) whose first entry for t is
-t's own row at weight 1, followed by its categories' rows. Two
-implementations share the exact same math:
-
-* ``train_chunk_numba`` -- explicit loops compiled with ``@njit``.
-* ``train_chunk_numpy`` -- one matmul per group, used when numba does not import.
-
-``train_chunk`` points at the selected backend. Sigmoid pre-activations are
-clamped to [-CLAMP, CLAMP] before exponentiation, which bounds every log term
-and every gradient coefficient; it does not bound the rows, so a large enough
-learning rate still overflows them.
+t's own row at weight 1, followed by its categories' rows. The kernel,
+:func:`train_chunk_numpy`, does one matmul per group, and ``train_chunk``
+names it for the trainer. Sigmoid pre-activations are clamped to
+[-CLAMP, CLAMP] before exponentiation, which bounds every log term and every
+gradient coefficient; it does not bound the rows, so a large enough learning
+rate still overflows them.
 
 Gradient convention: the loss for pair (t, c) with predictor rows {(p_i, w_i)}
 and negatives {n} is
@@ -39,7 +35,7 @@ group shares, so it is the same for all G pairs: the kernel scores each
 shared negative once and multiplies its loss and its coefficient
 w_i sigmoid(u_n.v_pi) by G. That is the exact sum of the G per-pair
 gradients when every pair draws the same negatives, not an approximation.
-Both kernels write every term of a group as m w log(1+exp(z)) with z
+The kernel writes every term of a group as m w log(1+exp(z)) with z
 clamped: z = -u.v and m = 1 for a context, z = u.v and m = G for a shared
 negative. The term's gradient coefficient is then -m w sigmoid(z) for a
 context and m w sigmoid(z) for a negative. All deltas for a group are
@@ -47,8 +43,6 @@ computed against the pre-group rows, summed, then applied at once.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -152,76 +146,6 @@ def train_chunk_numpy(
     return total
 
 
-def _train_chunk_loops(inp, ent_out, lr, targets, contexts, negatives, pred_offsets, pred_ids, pred_ws, bounds):
-    n_groups = bounds.shape[0] - 1
-    d = inp.shape[1]
-    k = negatives.shape[1]
-    if negatives.shape[0] != n_groups:
-        raise ValueError("negatives needs one row per group")
-    if bounds[0] != 0 or bounds[n_groups] != targets.shape[0]:
-        raise ValueError("bounds must run from 0 to len(targets)")
-    if n_groups == 0:
-        return 0.0  # sizing the delta buffers below needs at least one group
-    pred_delta = np.zeros((np.diff(pred_offsets).max(), d))
-    out_delta = np.zeros((np.diff(bounds).max() + k, d))
-    total = 0.0
-    for g in range(n_groups):
-        a = bounds[g]
-        n_pos = bounds[g + 1] - a
-        t = targets[a]
-        lo = pred_offsets[t]
-        m = pred_offsets[t + 1] - lo
-        # score the group's contexts, then its shared negatives, against the
-        # rows as they were before the group
-        for p in range(m):
-            v = inp[pred_ids[lo + p]]
-            wp = pred_ws[lo + p]
-            for r in range(n_pos + k):
-                if r < n_pos:
-                    u = ent_out[contexts[a + r]]
-                    sign = -1.0
-                    mult = 1.0
-                else:
-                    u = ent_out[negatives[g, r - n_pos]]
-                    sign = 1.0
-                    mult = float(n_pos)
-                z = 0.0
-                for j in range(d):
-                    z += u[j] * v[j]
-                z *= sign
-                if z > CLAMP:
-                    z = CLAMP
-                elif z < -CLAMP:
-                    z = -CLAMP
-                ez = math.exp(z)
-                total += mult * math.log1p(ez) * wp
-                c = ez / (1.0 + ez) * (lr * mult * sign) * wp
-                for j in range(d):
-                    pred_delta[p, j] += c * u[j]
-                    out_delta[r, j] += c * v[j]
-        for p in range(m):
-            row = pred_ids[lo + p]
-            for j in range(d):
-                inp[row, j] -= pred_delta[p, j]
-                pred_delta[p, j] = 0.0
-        for r in range(n_pos + k):
-            row = contexts[a + r] if r < n_pos else negatives[g, r - n_pos]
-            for j in range(d):
-                ent_out[row, j] -= out_delta[r, j]
-                out_delta[r, j] = 0.0
-    return total
-
-
-try:
-    from numba import njit
-
-    train_chunk_numba = njit(cache=True)(_train_chunk_loops)
-except ImportError:
-    train_chunk_numba = None
-
-if train_chunk_numba is not None:
-    train_chunk = train_chunk_numba
-    BACKEND = "numba"
-else:
-    train_chunk = train_chunk_numpy
-    BACKEND = "numpy"
+train_chunk = train_chunk_numpy  # the trainer calls this name; perfbench swaps a timing wrapper in here
+BACKEND = "numpy"  # the train log line and perfbench's run manifest report it
+train_chunk_numba = None  # perfbench's run manifest reads it

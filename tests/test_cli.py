@@ -1,19 +1,26 @@
 import hashlib
 import json
 import logging
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from catembed import cli, kernels, trainer
+from catembed import cli, trainer
 from catembed.cli import build_parser, effective_config, load_config_file, main
 from catembed.corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
 from catembed.embeddings import EmbeddingIndex, load_embeddings
 
 from test_hierarchy import brute_path_lengths
-from test_kernels import child_env
+
+
+def child_env():
+    """Minimal child environment that imports the same catembed as this process."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": path}
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +117,20 @@ def test_each_run_sets_its_own_verbosity(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_negative_verbosity_rejected(world_dir, tmp_path, capsys, source):
+    # main() maps every value but 0 and 1 to debug, so -1 would log at debug
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("verbosity=-1\n", encoding="utf-8")
+    extra = ["--verbosity", "-1"] if source == "flag" else ["--config", str(cfg)]
+    assert main([
+        "train", "--corpus", str(world_dir / "corpus.tsv"), "--hierarchy", str(world_dir / "hierarchy.tsv"),
+        "--output", str(tmp_path / "o"), *extra,
+    ]) == 1
+    assert capsys.readouterr().err == "error: verbosity must be >= 0, got -1\n"
+    assert not (tmp_path / "o").exists()
+
+
 class TestTrain:
     def test_writes_embeddings_and_echo(self, trained_dir):
         assert (trained_dir / "embeddings.txt").exists()
@@ -179,6 +200,14 @@ class TestTrain:
         # config.echo joins patterns with ',', so a re-run would read 'q,z' back as 'q' and 'z'
         assert main(train_args(world_dir, tmp_path / "x", "--drop-pattern", "q,z")) == 1
         assert "drop pattern 'q,z'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("pattern", ["p1 ", " p1"])
+    def test_drop_pattern_with_surrounding_whitespace_rejected(self, world_dir, tmp_path, capsys, pattern):
+        # config.echo is read back stripped, so a re-run would drop 'p1' where this run matched nothing
+        assert main(train_args(world_dir, tmp_path / "x", "--drop-pattern", pattern)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: drop pattern {pattern!r} has leading or trailing whitespace, which config.echo strips\n"
         assert not (tmp_path / "x").exists()
 
     def test_hce_error_names_root_only_entity(self, tmp_path, capsys):
@@ -613,7 +642,6 @@ def test_trained_export_rewrites_byte_for_byte(trained_dir, tmp_path):
     assert again.read_bytes() == src.read_bytes()
 
 
-@pytest.mark.skipif(kernels.BACKEND != "numpy", reason="the pinned export is the numpy kernel's")
 def test_quickstart_outputs_are_pinned(tmp_path):
     # the README quickstart at seed 42: any change to training or categorization shows here
     world, run = tmp_path / "world", tmp_path / "run"
@@ -664,6 +692,16 @@ class TestConfigFile:
         key, _, value = line.partition("=")
         err = capsys.readouterr().err
         assert err == f"error: {cfg}:2: bad value for {key!r}: {value!r}\n"
+
+    @pytest.mark.parametrize("lines, key", [("dim=4\ndim=6", "dim"), ("min-count=2\nmin_count=3", "min_count")],
+                             ids=["dim", "min-count"])
+    def test_repeated_key_rejected(self, world_dir, tmp_path, capsys, lines, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{lines}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(train_args(world_dir, out, "--config", str(cfg))) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: duplicate option {key!r}\n"
+        assert not out.exists()
 
     def test_line_without_equals_is_a_one_line_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

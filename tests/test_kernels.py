@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -127,62 +125,8 @@ class TestNumpyKernel:
             assert np.isfinite(arr).all()
 
 
-# The loop kernel as shipped: numba-compiled when numba is importable, plain
-# Python otherwise (slow, but fine on these tiny instances).
-loop_kernel = kernels._train_chunk_loops if kernels.train_chunk_numba is None else kernels.train_chunk_numba
-
-
-def assert_loops_match_numpy(tables, chunk, lr):
-    np_tables = clone(tables)
-    nb_tables = clone(tables)
-    loss_np = kernels.train_chunk_numpy(*np_tables, lr, *chunk)
-    loss_nb = loop_kernel(*nb_tables, lr, *chunk)
-    assert loss_nb == pytest.approx(loss_np, rel=1e-12, abs=1e-12)
-    for a, b in zip(np_tables, nb_tables):
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
-
-
-class TestLoopKernel:
-    def test_matches_numpy_backend(self):
-        assert_loops_match_numpy(*make_instance(3, n_pairs=40), 0.07)
-
-    @pytest.mark.parametrize("runs", [(1, 7, 8, 9, 20), (3, 3, 16, 2)])
-    def test_matches_numpy_backend_on_runs(self, runs):
-        assert_loops_match_numpy(*make_instance(3, runs=runs), 0.07)
-
-    def test_clamped_scores_match_numpy_backend(self):
-        # the instance of test_huge_vectors_stay_finite: scores beyond CLAMP on both sides
-        tables, chunk = make_instance(2)
-        assert_loops_match_numpy(tuple(a * 1e4 for a in tables), chunk, 1.0)
-
-    def test_deterministic_across_calls(self):
-        tables, chunk = make_instance(4)
-        first = clone(tables)
-        second = clone(tables)
-        l1 = loop_kernel(*first, 0.02, *chunk)
-        l2 = loop_kernel(*second, 0.02, *chunk)
-        assert l1 == l2
-        for a, b in zip(first, second):
-            assert np.array_equal(a, b)
-
-    def test_entities_without_categories(self):
-        # every predictor slice is the target's own row alone
-        tables, chunk = make_instance(5)
-        n_ent = len(chunk[3]) - 1
-        preds = predictor_csr(np.zeros(n_ent + 1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
-        assert preds[1].tolist() == list(range(n_ent)) and preds[2].tolist() == [1.0] * n_ent
-        assert_loops_match_numpy(tables, (*chunk[:3], *preds, chunk[6]), 0.05)
-
-    def test_refuses_negatives_not_one_row_per_group(self):
-        tables, chunk = make_instance(6, runs=(1, 7, 8, 9, 20))
-        got = clone(tables)
-        with pytest.raises(ValueError, match="one row per group"):
-            loop_kernel(*got, 0.05, *with_negatives(chunk, chunk[2][:-1]))
-        for a, b in zip(got, tables):
-            assert np.array_equal(a, b)
-
-
-BACKENDS = {"numpy": kernels.train_chunk_numpy, "loops": loop_kernel}
+# One kernel; the parameter keeps the ids these tests have always had.
+BACKENDS = {"numpy": kernels.train_chunk_numpy}
 
 
 def group_reference(tables, chunk, groups, lr):
@@ -221,6 +165,35 @@ class TestGroupedUpdate:
         got = clone(tables)
         loss = BACKENDS[backend](*got, 0.05, *chunk)
         ref, ref_loss = group_reference(tables, chunk, [(0, 5), (5, 8)], 0.05)
+        assert loss == pytest.approx(ref_loss, abs=1e-10)
+        for a, b in zip(got, (ref.inp, ref.ent_out)):
+            assert np.allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_clamped_scores_match_group_oracle(self, backend):
+        # the instance of test_huge_vectors_stay_finite: scores beyond CLAMP on both sides
+        tables, chunk = make_instance(2)
+        tables = tuple(a * 1e4 for a in tables)
+        scores = tables[1] @ tables[0].T
+        assert scores.min() < -kernels.CLAMP and scores.max() > kernels.CLAMP
+        got = clone(tables)
+        loss = BACKENDS[backend](*got, 1.0, *chunk)
+        ref, ref_loss = group_reference(tables, chunk, list(zip(chunk[6][:-1], chunk[6][1:])), 1.0)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for a, b in zip(got, (ref.inp, ref.ent_out)):
+            assert np.allclose(a, b, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_entities_without_categories(self, backend):
+        # every predictor slice is the target's own row alone
+        tables, chunk = make_instance(5)
+        n_ent = len(chunk[3]) - 1
+        preds = predictor_csr(np.zeros(n_ent + 1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+        assert preds[1].tolist() == list(range(n_ent)) and preds[2].tolist() == [1.0] * n_ent
+        chunk = (*chunk[:3], *preds, chunk[6])
+        got = clone(tables)
+        loss = BACKENDS[backend](*got, 0.05, *chunk)
+        ref, ref_loss = group_reference(tables, chunk, list(zip(chunk[6][:-1], chunk[6][1:])), 0.05)
         assert loss == pytest.approx(ref_loss, abs=1e-10)
         for a, b in zip(got, (ref.inp, ref.ent_out)):
             assert np.allclose(a, b, atol=1e-12)
@@ -319,25 +292,8 @@ class TestGroupContexts:
         ]
 
 
-def child_env():
-    """Minimal child environment that imports the same catembed as this process."""
-    src = os.path.dirname(os.path.dirname(kernels.__file__))
-    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
-    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": path}
-
-
 class TestBackendSelection:
     def test_backend_reported(self):
-        assert kernels.BACKEND in ("numba", "numpy")
-
-    def test_default_prefers_numba_when_available(self):
-        import subprocess
-        import sys
-
-        probe = (
-            "import importlib.util\n"
-            "from catembed import kernels\n"
-            "print(kernels.BACKEND, importlib.util.find_spec('numba') is not None)"
-        )
-        out = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True)
-        assert out.stdout.split() in (["numba", "True"], ["numpy", "False"])
+        assert kernels.BACKEND == "numpy"
+        assert kernels.train_chunk is kernels.train_chunk_numpy
+        assert kernels.train_chunk_numba is None
