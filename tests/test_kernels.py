@@ -116,6 +116,37 @@ class TestNumpyKernel:
         with pytest.raises(ValueError, match="C-contiguous"):
             kernels.train_chunk_numpy(tables[0].copy(), ent_out, 0.05, *chunk)
 
+    def test_deterministic_across_calls(self):
+        tables, chunk = make_instance(4)
+        first = clone(tables)
+        second = clone(tables)
+        l1 = kernels.train_chunk_numpy(*first, 0.02, *chunk)
+        l2 = kernels.train_chunk_numpy(*second, 0.02, *chunk)
+        assert l1 == l2
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
+    def test_zero_learning_rate_scores_without_stepping(self):
+        tables, chunk = make_instance(6, runs=(1, 7, 8, 9, 20))
+        got = clone(tables)
+        loss = kernels.train_chunk_numpy(*got, 0.0, *chunk)
+        _, ref_loss = group_reference(tables, chunk, list(zip(chunk[6][:-1], chunk[6][1:])), 0.0)
+        assert loss == pytest.approx(ref_loss, abs=1e-10)
+        for a, b in zip(got, tables):
+            assert np.array_equal(a, b)
+
+    def test_touches_only_the_rows_of_the_chunk(self):
+        tables, chunk = make_instance(13, n_pairs=3, n_ent=20, n_cat=8, k=2)
+        targets, contexts, negatives, pred_offsets, pred_ids = chunk[:5]
+        got = clone(tables)
+        kernels.train_chunk_numpy(*got, 0.05, *chunk)
+        inp_rows = {int(r) for t in targets for r in pred_ids[pred_offsets[t]:pred_offsets[t + 1]]}
+        out_rows = {int(r) for r in contexts} | {int(r) for r in negatives.ravel()}
+        for arr, before, touched in ((got[0], tables[0], inp_rows), (got[1], tables[1], out_rows)):
+            changed = {int(r) for r in np.flatnonzero((arr != before).any(axis=1))}
+            assert changed and changed <= touched
+            assert len(touched) < len(arr)
+
     def test_huge_vectors_stay_finite(self):
         tables, chunk = make_instance(2)
         got = tuple(a.copy() * 1e4 for a in tables)
@@ -145,6 +176,16 @@ def group_reference(tables, chunk, groups, lr):
     return ref, loss
 
 
+def groups_of_runs(runs):
+    """The ``(start, stop)`` groups of consecutive runs of these lengths, each cut into pieces of ``GROUP_MAX``."""
+    groups, start = [], 0
+    for n in runs:
+        for a in range(start, start + n, kernels.GROUP_MAX):
+            groups.append((a, min(a + kernels.GROUP_MAX, start + n)))
+        start += n
+    return groups
+
+
 class TestGroupedUpdate:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_group_oracle(self, backend):
@@ -154,6 +195,28 @@ class TestGroupedUpdate:
         # runs of 1, 7, 8, 9 (8 + 1) and 20 (8 + 8 + 4) pairs
         groups = [(0, 1), (1, 8), (8, 16), (16, 24), (24, 25), (25, 33), (33, 41), (41, 45)]
         ref, ref_loss = group_reference(tables, chunk, groups, 0.05)
+        assert loss == pytest.approx(ref_loss, abs=1e-10)
+        for a, b in zip(got, (ref.inp, ref.ent_out)):
+            assert np.allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize("runs", [(3, 3, 16, 2), (8, 1, 17)])
+    def test_matches_group_oracle_on_runs(self, runs):
+        tables, chunk = make_instance(3, runs=runs)
+        got = clone(tables)
+        loss = kernels.train_chunk_numpy(*got, 0.07, *chunk)
+        ref, ref_loss = group_reference(tables, chunk, groups_of_runs(runs), 0.07)
+        assert loss == pytest.approx(ref_loss, abs=1e-10)
+        for a, b in zip(got, (ref.inp, ref.ent_out)):
+            assert np.allclose(a, b, atol=1e-12)
+
+    def test_matches_group_oracle_on_random_pairs(self):
+        tables, chunk = make_instance(3, n_pairs=40)
+        targets = chunk[0]
+        runs = np.diff(np.flatnonzero(np.append(np.append(True, targets[1:] != targets[:-1]), True)))
+        assert runs.sum() == 40 and runs.max() > 1
+        got = clone(tables)
+        loss = kernels.train_chunk_numpy(*got, 0.07, *chunk)
+        ref, ref_loss = group_reference(tables, chunk, groups_of_runs(runs.tolist()), 0.07)
         assert loss == pytest.approx(ref_loss, abs=1e-10)
         for a, b in zip(got, (ref.inp, ref.ent_out)):
             assert np.allclose(a, b, atol=1e-12)
@@ -276,6 +339,17 @@ class TestGroupedUpdate:
             assert np.array_equal(a, b)
 
 
+class TestGroupBounds:
+    @pytest.mark.parametrize("runs", [(1,), (8,), (9,), (16,), (17,), (3, 3, 16, 2)])
+    def test_cuts_runs_into_pieces_of_group_max(self, runs):
+        targets = np.repeat(np.arange(len(runs)) % 2, runs)
+        starts = [a for a, _ in groups_of_runs(runs)]
+        assert kernels.group_bounds(targets).tolist() == starts + [sum(runs)]
+
+    def test_no_targets_is_one_bound(self):
+        assert kernels.group_bounds(np.empty(0, dtype=np.int64)).tolist() == [0]
+
+
 class TestGroupContexts:
     def test_one_left_aligned_row_per_group_padded_to_the_widest(self):
         targets = np.array([5, 5, 5, 2, 7, 7])
@@ -283,6 +357,10 @@ class TestGroupContexts:
         assert bounds.tolist() == [0, 3, 4, 6]
         rows = kernels.group_contexts(np.array([1, 2, 3, 4, 5, 6]), bounds)
         assert rows.tolist() == [[1, 2, 3], [4, -1, -1], [5, 6, -1]]
+
+    def test_no_groups_is_an_empty_table(self):
+        rows = kernels.group_contexts(np.empty(0, dtype=np.int64), np.array([0]))
+        assert rows.shape == (0, 0)
 
     def test_run_of_20_is_rows_of_8_8_and_4(self):
         contexts = np.arange(20) + 100
