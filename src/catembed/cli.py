@@ -57,13 +57,11 @@ class RunConfig(trainer.TrainConfig):
     def validate(self) -> None:
         """Check every value, so each command refuses a bad one before it writes a file."""
         super().validate()
+        _require(self, "output")
+        if self.min_count < 1:
+            raise ConfigError(f"min_count must be >= 1, got {self.min_count}")
         if self.verbosity < 0:
             raise ConfigError(f"verbosity must be >= 0, got {self.verbosity}")
-        for pattern in self.drop_patterns:
-            if "," in pattern:
-                raise ConfigError(f"drop pattern {pattern!r} contains ',', which {ECHO_NAME} uses to separate patterns")
-            if pattern != pattern.strip():
-                raise ConfigError(f"drop pattern {pattern!r} has leading or trailing whitespace, which {ECHO_NAME} strips")
         if self.parents < 1 or self.leaves_per_parent < 1:
             raise ConfigError("need at least one parent and one leaf per parent")
         if self.entities_per_leaf < 2:
@@ -74,15 +72,21 @@ class RunConfig(trainer.TrainConfig):
             raise ConfigError(f"p_in must be in [0, 1], got {self.p_in}")
         if self.parents * self.leaves_per_parent < 2:
             raise ConfigError("need at least 2 leaves for cross-leaf contexts")
+        for name, typ in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            text = _show(value)
+            try:  # load_config_file reads the value back from one line, stripped
+                if "".join(text.splitlines()) == text and _coerce(text.strip(), typ) == value:
+                    continue
+            except ValueError:  # a value of another type than its field's
+                pass
+            raise ConfigError(f"{name}={value!r} cannot be written to {ECHO_NAME} and read back unchanged")
 
 
 # Field annotations are strings (postponed evaluation); map them to parsers.
-_FIELD_TYPES = {"str": str, "int": int, "float": float, "float | None": float, "bool": bool, "list[str]": list[str]}
-
-
-def _field_types(cls) -> dict:
-    """Parser per field of a dataclass; config files and command-line flags both read values with it."""
-    return {f.name: _FIELD_TYPES[f.type] for f in fields(cls)}
+_PARSERS = {"str": str, "int": int, "float": float, "float | None": float, "bool": bool, "list[str]": list[str]}
+# The parser of each RunConfig field; config files and command-line flags both read values with it.
+_FIELD_TYPES = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def _coerce(raw: str, typ) -> object:
@@ -93,18 +97,22 @@ def _coerce(raw: str, typ) -> object:
         if low in ("0", "false", "no", "off"):
             return False
         raise ValueError(raw)
-    if typ == int:
-        return int(raw)
-    if typ == float:
-        return float(raw)
+    if typ in (int, float):
+        return typ(raw)
     if typ == list[str]:
         return [p for p in (s.strip() for s in raw.split(",")) if p]
     return raw
 
 
+def _show(value) -> str:
+    """The text of a value in config.echo: the inverse of ``_coerce``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return ",".join(value) if isinstance(value, list) else str(value)
+
+
 def load_config_file(path: str | Path) -> dict:
     path = Path(path)
-    types = _field_types(RunConfig)
     values: dict = {}
     _, lines = read_lines(path)
     for lineno, line in enumerate(lines, 1):
@@ -115,12 +123,12 @@ def load_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in types:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate option {key!r}")
         try:
-            values[key] = _coerce(raw.strip(), types[key])
+            values[key] = _coerce(raw.strip(), _FIELD_TYPES[key])
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {raw.strip()!r}") from None
     return values
@@ -132,9 +140,8 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
     Built in one step, so ``TrainConfig`` derives an unset ``lr_min`` from the final ``lr0``.
     """
     values = load_config_file(args.config) if args.config else {}
-    names = {f.name for f in fields(RunConfig)}
     # flags use SUPPRESS, so present means explicitly given
-    values.update((key, value) for key, value in vars(args).items() if key in names)
+    values.update((key, value) for key, value in vars(args).items() if key in _FIELD_TYPES)
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
@@ -142,14 +149,7 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
 
 def echo_config(cfg: RunConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, list):
-            value = ",".join(value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name}={value}")
+    lines = [f"{name}={_show(getattr(cfg, name))}" for name in _FIELD_TYPES]
     (out_dir / ECHO_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -187,12 +187,11 @@ def cmd_build_vocab(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require(cfg, "corpus")
     vocab = build_vocabulary(cfg.corpus, min_count=cfg.min_count)
     out_dir = Path(cfg.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    echo_config(cfg, out_dir)
     counts = vocab.entity_counts().tolist() + [0] * vocab.n_categories
     with (out_dir / "vocab.tsv").open("w", encoding="utf-8") as fh:
         for row, count in enumerate(counts):
             fh.write(f"{vocab.label(row)}\t{count}\n")
-    echo_config(cfg, out_dir)
     log.info("wrote %s (%d entities, %d categories)", out_dir / "vocab.tsv", vocab.n_entities, vocab.n_categories)
     return 0
 
@@ -225,7 +224,6 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _write_report(report: dict, out_dir: Path, stem: str, text: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{stem}.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     (out_dir / f"{stem}.txt").write_text(text, encoding="utf-8")
 
@@ -275,8 +273,8 @@ def cmd_eval_categorize(cfg: RunConfig, args: argparse.Namespace) -> int:
     log.info("gold file %s: %d concepts, %d classes", gold_path, len(gold), gold.n_classes)
     report = categorize.run_categorization(index, gold, method=args.method, seed=cfg.seed)
     out_dir = Path(cfg.output)
-    _write_report(report, out_dir, "categorize_report", _categorize_text(report))
     echo_config(cfg, out_dir)
+    _write_report(report, out_dir, "categorize_report", _categorize_text(report))
     print(_categorize_text(report), end="")
     return 0
 
@@ -291,8 +289,8 @@ def cmd_eval_relatedness(cfg: RunConfig, args: argparse.Namespace) -> int:
         f"spearman rho: {report['spearman']:.4f}\n"
     )
     out_dir = Path(cfg.output)
-    _write_report(report, out_dir, "relatedness_report", text)
     echo_config(cfg, out_dir)
+    _write_report(report, out_dir, "relatedness_report", text)
     print(text, end="")
     return 0
 
@@ -381,14 +379,13 @@ _FLAG_HELP = {
 
 def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
     p.add_argument("--config", default=None, help="key=value config file; flags override")
-    types = _field_types(RunConfig)
     for name in names:
-        if types[name] == bool:
+        if _FIELD_TYPES[name] == bool:
             how = {"action": argparse.BooleanOptionalAction}
-        elif types[name] == list[str]:
+        elif _FIELD_TYPES[name] == list[str]:
             how = {"action": "append"}  # one pattern per flag; a config file separates them with ','
         else:
-            how = {"type": types[name], "choices": trainer.MODES if name == "mode" else None}
+            how = {"type": _FIELD_TYPES[name]}
         flag = "--drop-pattern" if name == "drop_patterns" else "--" + name.replace("_", "-")
         p.add_argument(flag, dest=name, default=argparse.SUPPRESS, help=_FLAG_HELP[name], **how)
 

@@ -44,7 +44,6 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.lr_min is None:
             self.lr_min = 1e-4 * self.lr0
-        self.mode = str(self.mode).lower()
 
     def validate(self) -> None:
         if self.dim < 1:

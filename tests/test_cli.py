@@ -149,10 +149,11 @@ class TestTrain:
         assert rc == 0
         assert (out / "embeddings.txt").read_bytes() == (trained_dir / "embeddings.txt").read_bytes()
 
-    def test_invalid_mode_rejected_by_parser(self, world_dir, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(train_args(world_dir, tmp_path / "x", "--mode", "bogus"))
-        assert exc.value.code != 0
+    def test_invalid_mode_rejected_by_validate(self, world_dir, tmp_path, capsys):
+        # a flag gets the refusal a config file or a library caller gets
+        assert main(train_args(world_dir, tmp_path / "x", "--mode", "bogus")) == 1
+        assert capsys.readouterr().err == "error: mode must be one of ('ce', 'hce'), got 'bogus'\n"
+        assert not (tmp_path / "x").exists()
 
     def test_workers_flag_removed(self, world_dir, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -199,7 +200,9 @@ class TestTrain:
     def test_drop_pattern_with_comma_rejected(self, world_dir, tmp_path, capsys):
         # config.echo joins patterns with ',', so a re-run would read 'q,z' back as 'q' and 'z'
         assert main(train_args(world_dir, tmp_path / "x", "--drop-pattern", "q,z")) == 1
-        assert "drop pattern 'q,z'" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: drop_patterns=['q,z'] cannot be written to config.echo and read back unchanged\n"
+        )
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("pattern", ["p1 ", " p1"])
@@ -207,7 +210,7 @@ class TestTrain:
         # config.echo is read back stripped, so a re-run would drop 'p1' where this run matched nothing
         assert main(train_args(world_dir, tmp_path / "x", "--drop-pattern", pattern)) == 1
         err = capsys.readouterr().err
-        assert err == f"error: drop pattern {pattern!r} has leading or trailing whitespace, which config.echo strips\n"
+        assert err == f"error: drop_patterns={[pattern]!r} cannot be written to config.echo and read back unchanged\n"
         assert not (tmp_path / "x").exists()
 
     def test_hce_error_names_root_only_entity(self, tmp_path, capsys):
@@ -660,6 +663,22 @@ def test_quickstart_outputs_are_pinned(tmp_path):
     assert hashlib.md5(report.read_bytes()).hexdigest() == "f7b80c407e26f3f4b89a932898eeb6c5"
 
 
+# case: (command, its flags, its config-file line or None where a file cannot hold the value, the refusal's start)
+REFUSED_VALUES = {
+    # every min_count up to 1 keeps the same entities, so the echo would record a value that did nothing
+    "min-count": ("train", ["--min-count", "-3"], "min_count=-3", "min_count must be >= 1, got -3\n"),
+    # an unset shell variable gives --output "", which would write the world into the working directory
+    "empty-output": ("gen-synthetic", ["--output", ""], "output=", "missing --output path\n"),
+    "pattern-u2028": ("train", ["--drop-pattern", "zz\u2028yy"], "drop_patterns=zz\u2028yy", "drop_patterns=["),
+    "pattern-u0085": ("train", ["--drop-pattern", "zz\x85yy"], "drop_patterns=zz\x85yy", "drop_patterns=["),
+    "output-u2028": ("gen-synthetic", ["--output", "w\u2028x"], "output=w\u2028x", "output='w"),
+    "output-u0085": ("gen-synthetic", ["--output", "w\x85x"], "output=w\x85x", "output='w"),
+    "empty-pattern": ("train", ["--drop-pattern", ""], None, "drop_patterns=['']"),  # a file reads it as none
+    "trailing-space": ("train", ["--output", "o "], None, "output='o '"),  # a file reads the value stripped
+    "mode-upper": ("train", ["--mode", "HCE"], "mode=HCE", "mode must be one of"),
+}
+
+
 class TestConfigFile:
     def test_flags_override_file(self, world_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -742,7 +761,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("line", [
         "workers=2", "dim=0", "epochs=0", "negatives=0", "chunk=0",
         "lr0=0.01\nlr_min=0.02", "mode=bogus", "subsample=-1", "subsample=inf",
-        "seed=-1", "lr0=inf", "noise_alpha=nan", "p_in=2", "parents=0",
+        "seed=-1", "lr0=inf", "noise_alpha=nan", "p_in=2", "parents=0", "mode=HCE", "min_count=0",
     ])
     def test_bad_training_value_refused_before_any_output(self, world_dir, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
@@ -800,6 +819,42 @@ class TestConfigFile:
         cfg.write_text("lr0=0.05\n", encoding="utf-8")
         from_file = effective_config(build_parser().parse_args(["train", "--config", str(cfg)]))
         assert from_flags.lr_min == from_file.lr_min == pytest.approx(5e-6, rel=1e-12)
+
+    def test_every_field_reads_back_from_the_echo(self, tmp_path):
+        # every field away from its default but workers, whose one valid value is the default;
+        # a field whose type config.echo cannot hold fails here
+        cfg = cli.RunConfig(
+            dim=7, epochs=3, lr0=0.125, lr_min=1e-3, negatives=2, chunk=64, noise_alpha=0.5, seed=9,
+            mode="ce", shuffle=False, subsample=1e-4,
+            corpus="in dir/corpus.tsv", hierarchy="h#.tsv", embeddings="e=1.txt", gold="gold.tsv", dataset="d.tsv",
+            output="run out", root="Top", drop_patterns=["admin", "list of"], min_count=2, verbosity=2,
+            parents=4, leaves_per_parent=2, entities_per_leaf=3, docs=50, contexts_per_doc=5, p_in=0.5,
+        )
+        default = cli.RunConfig()
+        assert [name for name in cli._FIELD_TYPES if getattr(cfg, name) == getattr(default, name)] == ["workers"]
+        cfg.validate()
+        cli.echo_config(cfg, tmp_path)
+        assert cli.RunConfig(**load_config_file(tmp_path / "config.echo")) == cfg
+
+    @pytest.mark.parametrize("case, source", [
+        (case, source) for case, (_, _, line, _) in REFUSED_VALUES.items() for source in ("flag", "file")
+        if source == "flag" or line is not None
+    ])
+    def test_value_refused_before_any_file(self, world_dir, tmp_path, monkeypatch, capsys, case, source):
+        command, flags, line, expected = REFUSED_VALUES[case]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n", encoding="utf-8")
+        if source == "file" and len(line.splitlines()) > 1:
+            expected = f"{cfg}:2: expected key=value"  # the file's line ends inside the value
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)  # relative outputs, the default 'out' included, land here
+        paths = ["--corpus", str(world_dir / "corpus.tsv"), "--hierarchy", str(world_dir / "hierarchy.tsv")]
+        extra = flags if source == "flag" else ["--config", str(cfg)]
+        assert main([command, *(paths if command == "train" else []), *extra, "--verbosity", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {expected}") and err.count("\n") == 1
+        assert list(cwd.iterdir()) == []
 
     def test_lr_min_from_file_is_a_float(self, tmp_path):
         cfg = tmp_path / "run.cfg"

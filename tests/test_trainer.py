@@ -95,6 +95,7 @@ class TestTrainConfig:
             {"lr0": float("inf")},
             {"noise_alpha": float("nan")},
             {"noise_alpha": float("inf")},
+            {"mode": "HCE"},
         ],
     )
     def test_invalid_rejected(self, kwargs):
