@@ -274,8 +274,9 @@ def cmd_eval_categorize(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = categorize.run_categorization(index, gold, method=args.method, seed=cfg.seed)
     out_dir = Path(cfg.output)
     echo_config(cfg, out_dir)
-    _write_report(report, out_dir, "categorize_report", _categorize_text(report))
-    print(_categorize_text(report), end="")
+    text = _categorize_text(report)
+    _write_report(report, out_dir, "categorize_report", text)
+    print(text, end="")
     return 0
 
 

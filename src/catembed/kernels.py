@@ -123,15 +123,19 @@ def train_chunk_numpy(
                                 pred_offsets[t + 1].tolist()):
         b = a + n_pos + k
         rows, w = pred_ids[lo:hi], pred_ws[lo:hi]
-        preds = inp[rows]
-        outs = ent_out[ids[a:b]]
+        # take and ndarray.dot, not fancy indexing and @: on arrays this small
+        # numpy's per-call dispatch dominates, and these forms give the same
+        # bytes for 0.6-0.9 us less a call, 7 calls a group (numpy 2.4, 16
+        # predictor rows at d = 100: gather 1.4 -> 0.6 us, product 2.7 -> 1.9 us)
+        preds = inp.take(rows, axis=0)
+        outs = ent_out.take(ids[a:b], axis=0)
 
-        z = outs @ preds.T
+        z = outs.dot(preds.T)
         z *= sign[n_pos]
         np.minimum(z, CLAMP, out=z)
         np.maximum(z, -CLAMP, out=z)
         exp_z = np.exp(z)
-        total += float(mult[n_pos] @ np.log1p(exp_z) @ w)
+        total += float(mult[n_pos].dot(np.log1p(exp_z)).dot(w))
 
         # coefficient sign * mult * w * sigmoid(z), with the step size folded in
         coef = exp_z / (1.0 + exp_z)
@@ -140,8 +144,8 @@ def train_chunk_numpy(
         # the output step reads preds before they take their own step; the
         # predictor rows of a group are distinct, so writing the gathered copy
         # back equals updating inp[rows] in place
-        np.subtract.at(out_flat, (ids[a:b, None] * d + cols).ravel(), (coef @ preds).ravel())
-        preds -= coef.T @ outs
+        np.subtract.at(out_flat, (ids[a:b, None] * d + cols).ravel(), coef.dot(preds).ravel())
+        preds -= coef.T.dot(outs)
         inp[rows] = preds
     return total
 

@@ -280,8 +280,9 @@ class TestEvalCategorize:
         assert 0.0 <= report["cluster"]["purity"] <= 1.0
         assert 0.0 <= report["nn"]["purity"] <= 1.0
         assert report["n_excluded"] == 0
-        assert (out / "categorize_report.txt").exists()
-        assert "purity" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "purity" in printed
+        assert (out / "categorize_report.txt").read_text(encoding="utf-8") == printed
 
     def test_bundled_fixture_is_default_gold(self, trained_dir, tmp_path, capsys):
         out = tmp_path / "dota"

@@ -1,9 +1,13 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from catembed import kernels
+from catembed.corpus import build_vocabulary, load_corpus, load_hierarchy, prune_to_dag
 from catembed.embeddings import EmbeddingTable
-from catembed.trainer import predictor_csr
+from catembed.trainer import TrainConfig, predictor_csr, train
 
 from oracles import apply_gradient, group_loss_and_grad, pair_loss_and_grad
 
@@ -375,3 +379,21 @@ class TestBackendSelection:
         assert kernels.BACKEND == "numpy"
         assert kernels.train_chunk is kernels.train_chunk_numpy
         assert kernels.train_chunk_numba is None
+
+
+def test_wide_fan_in_tables_are_pinned(tmp_path, monkeypatch):
+    # perfbench's deep-dag world (15.9 predictor rows per pair on average, 7 to
+    # 33), built by its own generator, which is only imported, and trained at
+    # the workload's settings. The seed-42 quickstart pin has 3 predictor rows
+    # per pair, so a change that moves bytes only in wide groups passes it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import FILES, WORKLOADS
+
+    WORKLOADS["deep-dag"].generate(tmp_path, 1)
+    vocab = build_vocabulary(tmp_path / FILES["corpus"])
+    graph, _ = prune_to_dag(load_hierarchy(tmp_path / FILES["hierarchy"], vocab), vocab, "root")
+    corpus = load_corpus(tmp_path / FILES["corpus"], vocab, graph)
+    cfg = TrainConfig(mode="hce", dim=100, negatives=10, chunk=500, epochs=3, lr0=0.1, seed=1)
+    table = train(corpus, graph, cfg)
+    assert hashlib.md5(table.inp.tobytes()).hexdigest() == "d8b189dc01cc992cfa4fc7bf2180801c"
+    assert hashlib.md5(table.ent_out.tobytes()).hexdigest() == "331181c0856d4e2c63f3d8ef26bf886f"
