@@ -5,11 +5,11 @@ consecutive pairs that share a target, which the pair stream yields per
 document, cut into pieces of at most ``GROUP_MAX`` pairs. :func:`group_bounds`
 is the one place groups are cut; the kernel follows the bounds it is
 handed. Every group has one row of k negatives, shared by all of its pairs
-(the HogBatch scheme of Ji et al. 2016). Per group the kernel scores the G
-contexts and the k shared negatives against the target's weighted predictor
-rows, all as they were before the group, sums the deltas over the group, and
-applies one SGD step to every touched row: G + k output rows where per-pair
-negatives took G(1 + k). With one pair per group this is plain per-pair SGD.
+(the HogBatch scheme of Ji et al. 2016). Per group the kernel scores the
+distinct rows among its G contexts and k shared negatives, at most G + k
+where per-pair negatives took G(1 + k), against the target's weighted
+predictor rows, all as they were before the group, and applies one SGD step
+to every touched row. With one pair per group this is plain per-pair SGD.
 Larger groups cost quality, as every summed step lands on category rows that
 many entities share: on perfbench's deep-dag world, seeds 1 and 3, a cap of
 12 cut cluster purity from 1.0 to 0.96/0.92 at lr0 0.05 (at lr0 0.1 it held).
@@ -30,16 +30,20 @@ and negatives {n} is
 
 i.e. the negated log-sigmoid objective, so lower is better. A group is G
 pairs (t, c_1..c_G) that all take the group's negatives {n}. The negative
-term depends only on t's predictors and {n}, which every pair of the
-group shares, so it is the same for all G pairs: the kernel scores each
-shared negative once and multiplies its loss and its coefficient
-w_i sigmoid(u_n.v_pi) by G. That is the exact sum of the G per-pair
-gradients when every pair draws the same negatives, not an approximation.
-The kernel writes every term of a group as m w log(1+exp(z)) with z
-clamped: z = -u.v and m = 1 for a context, z = u.v and m = G for a shared
-negative. The term's gradient coefficient is then -m w sigmoid(z) for a
-context and m w sigmoid(z) for a negative. All deltas for a group are
-computed against the pre-group rows, summed, then applied at once.
+term depends only on t's predictors and {n}, which every pair of the group
+shares, so it is the same for all G pairs. Once per chunk the kernel folds
+each group's output ids into its distinct rows u, each with two counts: a
+row the group names c times as a context and r times as a shared negative
+has context count c and negative count rG. With s = u.v_pi clamped and
+e = exp(s), the row's loss and gradient coefficient are
+
+    loss = sum_i w_i [c log(1+exp(-s)) + rG log(1+exp(s))]
+    coef_i = w_i (rG e - c) / (1 + e)
+
+That is the exact sum of the G per-pair terms when every pair draws the
+same negatives, not an approximation; a row that is both a context and a
+negative takes both terms of its one score. All of a group's deltas are
+computed against the pre-group rows, then applied at once.
 """
 
 from __future__ import annotations
@@ -89,62 +93,52 @@ def train_chunk_numpy(
 
     ``bounds`` holds :func:`group_bounds`' cuts, and ``negatives`` one row of k negatives per group.
     """
-    d = inp.shape[1]
-    k = negatives.shape[1]
     n_groups = len(bounds) - 1
     if negatives.shape[0] != n_groups:
         raise ValueError(f"negatives needs one row per group: {n_groups} groups, {negatives.shape[0]} rows")
     if bounds[0] != 0 or bounds[-1] != len(targets):
         raise ValueError(f"bounds must run from 0 to len(targets) = {len(targets)}, got {bounds[0]} to {bounds[-1]}")
-    # np.subtract.at over a flat view takes numpy's 1-d fast path; over rows it is ~4x slower
-    if not ent_out.flags.c_contiguous:
-        raise ValueError("ent_out must be C-contiguous")
-    out_flat = ent_out.reshape(-1)
-    starts, sizes = bounds[:-1], np.diff(bounds)
-    # Per group size G up to the widest group, over G context rows then k negative
-    # rows: the sign that turns each score into the z of its loss term log(1+exp(z)),
-    # the multiplicity (1 per context, G per shared negative), and their product with lr.
-    widths = range(sizes.max(initial=0) + 1)
-    sign = [np.concatenate((-np.ones(g), np.ones(k)))[:, None] for g in widths]
-    mult = [np.concatenate((np.ones(g), np.full(k, float(g)))) for g in widths]
-    step = [(lr * m)[:, None] * s for m, s in zip(mult, sign)]
-    # The output ids of the whole chunk, group after group: each group's
-    # contexts, then its shared negatives, from id offset bounds[g] + g k on.
-    # Their flat scatter index is built per group: a whole-chunk copy at d
-    # columns raised the deep-dag benchmark's peak RSS by 2.2 MB.
-    offsets = starts + k * np.arange(n_groups)
-    ids = np.empty(len(targets) + n_groups * k, dtype=np.int64)
-    ids[np.arange(len(targets)) + k * np.repeat(np.arange(n_groups), sizes)] = contexts
-    ids[(offsets + sizes)[:, None] + np.arange(k)] = negatives
-    cols = np.arange(d)
-    t = targets[starts]
+    # Fold every group's output ids into its distinct rows in one pass over the
+    # chunk: key g * n_ent + id sorts the rows group after group, each row counts
+    # c contexts and r shared negatives, and rows cut[g]:cut[g + 1] are group g's.
+    n_ent = ent_out.shape[0]
+    groups = np.arange(n_groups)
+    sizes = np.diff(bounds)
+    keys = (np.repeat(groups, sizes) * n_ent + contexts, (groups[:, None] * n_ent + negatives).ravel())
+    row_keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    row_group, ids = np.divmod(row_keys, n_ent)
+    n_ctx = np.bincount(inverse[:len(contexts)], minlength=len(row_keys)).astype(np.float64)
+    n_neg = np.bincount(inverse[len(contexts):], minlength=len(row_keys)) * sizes[row_group].astype(np.float64)
+    n_all = n_ctx + n_neg
+    ctx_step, neg_step = lr * n_ctx[:, None], lr * n_neg[:, None]
+    cut = np.searchsorted(row_keys, np.arange(n_groups + 1) * n_ent).tolist()
+    t = targets[bounds[:-1]]
     total = 0.0
-    for n_pos, a, lo, hi in zip(sizes.tolist(), offsets.tolist(), pred_offsets[t].tolist(),
-                                pred_offsets[t + 1].tolist()):
-        b = a + n_pos + k
-        rows, w = pred_ids[lo:hi], pred_ws[lo:hi]
+    for a, b, lo, hi in zip(cut[:-1], cut[1:], pred_offsets[t].tolist(), pred_offsets[t + 1].tolist()):
+        rows, w, u = pred_ids[lo:hi], pred_ws[lo:hi], ids[a:b]
         # take and ndarray.dot, not fancy indexing and @: on arrays this small
         # numpy's per-call dispatch dominates, and these forms give the same
-        # bytes for 0.6-0.9 us less a call, 7 calls a group (numpy 2.4, 16
+        # bytes for 0.6-0.9 us less a call, 8 calls a group (numpy 2.4, 16
         # predictor rows at d = 100: gather 1.4 -> 0.6 us, product 2.7 -> 1.9 us)
         preds = inp.take(rows, axis=0)
-        outs = ent_out.take(ids[a:b], axis=0)
+        outs = ent_out.take(u, axis=0)
 
-        z = outs.dot(preds.T)
-        z *= sign[n_pos]
-        np.minimum(z, CLAMP, out=z)
-        np.maximum(z, -CLAMP, out=z)
-        exp_z = np.exp(z)
-        total += float(mult[n_pos].dot(np.log1p(exp_z)).dot(w))
+        s = outs.dot(preds.T)
+        np.minimum(s, CLAMP, out=s)
+        np.maximum(s, -CLAMP, out=s)
+        exp_s = np.exp(s)
+        # c log(1+exp(-s)) + rG log(1+exp(s)) = (c + rG) log(1+exp(s)) - c s
+        total += float((n_all[a:b].dot(np.log1p(exp_s)) - n_ctx[a:b].dot(s)).dot(w))
 
-        # coefficient sign * mult * w * sigmoid(z), with the step size folded in
-        coef = exp_z / (1.0 + exp_z)
-        coef *= step[n_pos]
+        # lr w (rG exp(s) - c) / (1 + exp(s)), the step of each score
+        coef = exp_s * neg_step[a:b]
+        coef -= ctx_step[a:b]
+        coef /= 1.0 + exp_s
         coef *= w
-        # the output step reads preds before they take their own step; the
-        # predictor rows of a group are distinct, so writing the gathered copy
-        # back equals updating inp[rows] in place
-        np.subtract.at(out_flat, (ids[a:b, None] * d + cols).ravel(), coef.dot(preds).ravel())
+        # both steps read the rows as they were before the group; a group's
+        # distinct output rows, like its predictor rows, never repeat, so
+        # writing each gathered copy back equals updating the table in place
+        ent_out[u] = outs - coef.dot(preds)
         preds -= coef.T.dot(outs)
         inp[rows] = preds
     return total
