@@ -10,7 +10,9 @@ train against and are discarded here.
 
 from __future__ import annotations
 
+from collections.abc import Container, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -152,17 +154,16 @@ def _header(line: str, source: str) -> tuple[int, int]:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingIndex:
-    """Load a text export; a malformed row fails with its ``<path>:<line>``.
+    """Load a text export; the first bad line fails with its ``<path>:<line>``.
 
-    The values of all rows are parsed in C by one ``np.loadtxt`` call
-    (:func:`_parse_block`), which splits only on whitespace that
-    ``str.split`` splits on and accepts only tokens that ``float()`` accepts,
-    with the same value. If ``loadtxt`` refuses the file, or its rows do not
-    all come out ``dim`` wide, the file is parsed again line by line with
-    ``float()`` (:func:`_parse_lines`); that pass either accepts what
-    ``loadtxt`` could not (``1_000``, non-ASCII digits) or raises the error of
-    the first bad line. Nothing is allocated from the header's row count,
-    which is only compared with the rows found.
+    One pass reads the lines in order: each row's label is checked as it is
+    reached, and its values go on to one ``np.loadtxt`` call, which parses a
+    row in C before it asks for the next. A row is checked for, in order, its
+    column count (``loadtxt`` holds each row to the first one's width), its
+    ``e:``/``c:`` prefix, a repeated label, and a value ``loadtxt`` cannot
+    read (it reads ``.5``, ``-2.5e-07``, ``nan``, not ``1_000`` or non-ASCII
+    digits). Then a non-finite value, and a row count other than the header's,
+    are refused; that count allocates nothing.
 
     Rows of each kind keep their file order. A file that interleaves the
     kinds is reordered entity rows first; every file :func:`save_text` writes
@@ -171,77 +172,70 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
     source, lines = read_lines(path)
     if not lines:
         raise FormatError("empty embedding file", source, 1)
-    n_rows, dim = _header(lines[0], source)
-    names, vecs, linenos = _parse_block(lines[1:], dim) or _parse_lines(lines[1:], dim, source)
-    if len(names) != n_rows:
-        raise FormatError(f"header promised {n_rows} rows, found {len(names)}", source)
-    bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
-    if bad.size:
-        raise FormatError("non-finite value", source, linenos[bad[0]])
-    is_cat = [name.startswith("c:") for name in names]
-    if is_cat != sorted(is_cat):
-        vecs = vecs[np.argsort(is_cat, kind="stable")]
-    ent_labels = [name[2:] for name, cat in zip(names, is_cat) if not cat]
-    cat_labels = [name[2:] for name, cat in zip(names, is_cat) if cat]
-    return EmbeddingIndex(ent_labels, cat_labels, vecs)
+    rows = iter(lines)
+    n_rows, dim = _header(next(rows), source)
+    linenos: dict[str, int] = {}  # prefixed label -> its line, in file order; folded clashes stay two rows
+    last = ""  # the row loadtxt was handed last
 
-
-_Rows = tuple[list[str], np.ndarray, list[int]]  # prefixed labels, values, line numbers
-
-
-def _parse_block(body: list[str], dim: int) -> _Rows | None:
-    """The rows of ``body`` (line 2 on) from one ``np.loadtxt`` call, or None if a line needs :func:`_parse_lines`."""
-    names, linenos = [], []
-
-    def values():  # each row's values, streamed so that they are never all held at once
-        for lineno, line in enumerate(body, 2):
+    def values() -> Iterator[str]:  # each row's values, once its label passes
+        nonlocal last
+        for lineno, line in enumerate(rows, 2):
             parts = line.split(None, 1)
             if not parts:
                 continue
-            if len(parts) == 1 or parts[0][:2] not in ("e:", "c:"):
-                raise ValueError  # a row only _parse_lines can judge
-            names.append(parts[0])
-            linenos.append(lineno)
+            last = line
+            # the first row's columns are counted here; loadtxt holds every later row to its width
+            if not linenos or len(parts) == 1 or parts[0][:2] not in ("e:", "c:") or parts[0] in linenos:
+                if fault := _row_fault(line, dim, linenos):
+                    raise FormatError(fault, source, lineno)
+            linenos[parts[0]] = lineno
             yield parts[1]
 
-    if not any(map(str.split, body)):
-        return None  # no rows, which loadtxt would warn about
+    stream = values()
     try:
-        # a row per line at most: allocating that many up front spares loadtxt growing its result;
-        # an allocation too large for a file of mostly blank lines falls back too
-        vecs = np.loadtxt(values(), comments=None, ndmin=2, dtype=np.float64, max_rows=len(body))
-    except (ValueError, MemoryError):
-        return None
-    if len(set(names)) != len(names) or vecs.shape != (len(names), dim):
-        return None
-    return names, vecs, linenos
+        vecs = _read_values(next(stream, None), stream, dim, len(lines) - 1)
+    except ValueError:  # loadtxt refused the row it was handed last
+        if fault := _row_fault(last, dim, ()):
+            raise FormatError(fault, source, linenos[last.split(None, 1)[0]]) from None
+        raise  # no row fault explains it: loadtxt's own error
+    if len(linenos) != n_rows:
+        raise FormatError(f"header promised {n_rows} rows, found {len(linenos)}", source)
+    bad = np.flatnonzero(~np.isfinite(vecs).all(axis=1))
+    if bad.size:
+        raise FormatError("non-finite value", source, list(linenos.values())[bad[0]])
+    is_cat = [name.startswith("c:") for name in linenos]
+    if is_cat != sorted(is_cat):
+        vecs = vecs[np.argsort(is_cat, kind="stable")]
+    ent_labels = [name[2:] for name, cat in zip(linenos, is_cat) if not cat]
+    cat_labels = [name[2:] for name, cat in zip(linenos, is_cat) if cat]
+    return EmbeddingIndex(ent_labels, cat_labels, vecs)
 
 
-def _parse_lines(body: list[str], dim: int, source: str) -> _Rows:
-    """The rows of ``body`` (line 2 on), one line at a time with ``float()``; a bad line raises its ``FormatError``.
+def _row_fault(line: str, dim: int, seen: Container[str]) -> str | None:
+    """A row's first fault: its column count, its prefix, a label in ``seen``, or a value ``np.loadtxt`` cannot read.
 
-    Each row is kept as its own float64 array, not as Python floats, so a file
-    refused at its last line peaks near its values' float64 bytes.
+    It takes one ``loadtxt`` call per value, so it runs only on the first row and on a refused one.
     """
-    names: list[str] = []
-    rows: list[np.ndarray] = []
-    linenos: list[int] = []
-    seen: set[str] = set()  # prefixed labels; folded clashes stay two rows
-    for lineno, line in enumerate(body, 2):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != dim + 1:
-            raise FormatError(f"expected {dim + 1} columns, got {len(parts)}", source, lineno)
-        if parts[0][:2] not in ("e:", "c:"):
-            raise FormatError(f"row label {parts[0]!r} lacks an e:/c: prefix", source, lineno)
-        if parts[0] in seen:
-            raise FormatError(f"duplicate row label {parts[0]!r}", source, lineno)
-        seen.add(parts[0])
+    parts = line.split()
+    if len(parts) != dim + 1:
+        return f"expected {dim + 1} columns, got {len(parts)}"
+    if parts[0][:2] not in ("e:", "c:"):
+        return f"row label {parts[0]!r} lacks an e:/c: prefix"
+    if parts[0] in seen:
+        return f"duplicate row label {parts[0]!r}"
+    for token in parts[1:]:
         try:
-            rows.append(np.array([float(x) for x in parts[1:]]))
-        except ValueError as exc:
-            raise FormatError(f"non-numeric value ({exc})", source, lineno) from None
-        names.append(parts[0])
-        linenos.append(lineno)
-    return names, np.array(rows, dtype=np.float64).reshape(-1, dim), linenos
+            np.loadtxt([token], comments=None)
+        except ValueError:
+            return f"non-numeric value (could not convert string to float: {token!r})"
+    return None
+
+
+def _read_values(first: str | None, rest: Iterator[str], dim: int, max_rows: int) -> np.ndarray:
+    """The values of the rows ``first`` and then ``rest``, from one ``np.loadtxt`` pass."""
+    if first is None:
+        return np.empty((0, dim))
+    try:  # bounded, loadtxt allocates its result once, as it reads the first row
+        return np.loadtxt(chain([first], rest), comments=None, ndmin=2, max_rows=max_rows)
+    except MemoryError:  # too many lines, most of them blank: start again from the first row, unbounded
+        return np.loadtxt(chain([first], rest), comments=None, ndmin=2)

@@ -1,12 +1,11 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from catembed.corpus import build_vocabulary
 from catembed.embeddings import (
-    EmbeddingIndex, _parse_lines, init_embeddings, load_embeddings, save_text, unit_rows,
+    EmbeddingIndex, _read_values, init_embeddings, load_embeddings, save_text, unit_rows,
 )
 from catembed.errors import CorpusError, FormatError
 
@@ -226,56 +225,57 @@ def _rows(n, dim=3):
 
 
 class TestBlockParse:
-    """The loader parses the whole body with one np.loadtxt call and falls
-    back to one ``float()`` per value over the whole file. Every fault below
-    sits behind good rows."""
+    """The loader checks each row as one np.loadtxt call asks for it, and
+    loadtxt parses a row before it asks for the next. Every fault below sits
+    behind good rows."""
 
-    @pytest.mark.parametrize("token", [
-        "1_000", "\u0661", "0x10", "1,5", "1d5", ".5", "1.", "+.5e-3", "nan", "-iNF", "Infinity", "\u22121",
+    @pytest.mark.parametrize("token,want", [
+        (".5", 0.5), ("1.", 1.0), ("+.5e-3", 5e-4), ("-0.0", -0.0), ("5e-324", 5e-324),
+        ("nan", "non-finite"), ("-iNF", "non-finite"), ("Infinity", "non-finite"),
+        # float() reads the first two, loadtxt none of these
+        ("1_000", "refused"), ("\u0661", "refused"), ("0x10", "refused"), ("1,5", "refused"), ("1d5", "refused"),
+        ("\u22121", "refused"),
     ])
-    def test_token_parses_as_float_does(self, tmp_path, token):
+    def test_token_reads_as_loadtxt_reads_it(self, tmp_path, token, want):
         # the token sits on line 9, behind 7 good rows
         path = tmp_path / "emb.txt"
         path.write_text("\n".join(["8 3", *_rows(7), f"c:t 0.5 {token} 2"]) + "\n", encoding="utf-8")
-        try:
-            want = float(token)
-        except ValueError as exc:
-            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:9: non-numeric value \\(") as info:
+        where = f"^{re.escape(str(path))}:9: "
+        if want == "refused":  # quoted as float() quotes a token it cannot read
+            quote = re.escape(f"(could not convert string to float: {token!r})")
+            with pytest.raises(FormatError, match=f"{where}non-numeric value {quote}$"):
                 load_embeddings(path)
-            assert str(info.value).endswith(f"({exc})")
-            return
-        if not np.isfinite(want):
-            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:9: non-finite value$"):
+        elif want == "non-finite":
+            with pytest.raises(FormatError, match=f"{where}non-finite value$"):
                 load_embeddings(path)
-            return
-        index = load_embeddings(path)
-        assert index.cat_vecs[0].tolist() == [0.5, want, 2.0]
-        assert index.ent_vecs.tolist() == [[i + j / 4 for j in range(3)] for i in range(7)]
+        else:
+            index = load_embeddings(path)
+            assert index.cat_vecs[0].tobytes() == np.array([0.5, want, 2.0]).tobytes()
+            assert index.ent_vecs.tolist() == [[i + j / 4 for j in range(3)] for i in range(7)]
 
     def test_no_break_space_separates_values(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("\n".join(["5 3", *_rows(4), "c:t 1\xa02\u20033"]) + "\n", encoding="utf-8")
         assert load_embeddings(path).cat_vecs.tolist() == [[1.0, 2.0, 3.0]]
 
-    def test_block_result_equals_per_line_result(self, tmp_path, monkeypatch):
+    def test_export_loads_to_float_of_every_token(self, tmp_path):
         rng = np.random.default_rng(4)
         vecs = rng.normal(size=(11, 6)) * 10.0 ** rng.integers(-300, 300, (11, 6))
+        vecs[0] = [5e-324, -5e-324, 2.5e-310, -0.0, 0.0, 1.79769e308]
+        vecs[1] = [1e-300, -1e300, 2.22507e-308, 123456.0, -9.87654e-05, 0.5]
         path = tmp_path / "emb.txt"
         EmbeddingIndex([f"e{i}" for i in range(8)], ["x", "y", "z"], vecs).save_text(path)
-        fast = load_embeddings(path)
-        monkeypatch.setattr("catembed.embeddings._parse_block", lambda *args: None)
-        slow = load_embeddings(path)
-        assert fast.ent_labels == slow.ent_labels and fast.cat_labels == slow.cat_labels
-        assert fast.vecs.tobytes() == slow.vecs.tobytes()
+        tokens = [line.split()[1:] for line in path.read_text().splitlines()[1:]]
+        assert tokens[0][3] == "-0" and tokens[0][0] == "4.94066e-324"
+        index = load_embeddings(path)
+        assert index.ent_labels == [f"e{i}" for i in range(8)] and index.cat_labels == ["x", "y", "z"]
+        assert index.vecs.tobytes() == np.array([[float(t) for t in row] for row in tokens]).tobytes()
 
-    def test_refused_allocation_falls_back(self, tmp_path, monkeypatch):
-        path = tmp_path / "emb.txt"
-        path.write_text("\n".join(["4 3", *_rows(4)]) + "\n")
-
-        def no_memory(*args, **kwargs):
-            raise MemoryError
-        monkeypatch.setattr("catembed.embeddings.np.loadtxt", no_memory)
-        assert load_embeddings(path).vecs.tolist() == [[i + j / 4 for j in range(3)] for i in range(4)]
+    def test_refused_row_bound_reads_on_without_it(self):
+        # a bound of 10**15 rows cannot be allocated; the pass starts again from the first row, unbounded
+        rest = (row for row in ["4 5 6", "7 8 9"])
+        assert _read_values("1 2 3", rest, 3, 10**15).tolist() == [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        assert _read_values(None, iter([]), 3, 10**15).shape == (0, 3)
 
     def test_label_only_row_names_its_line(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -285,14 +285,14 @@ class TestBlockParse:
 
     @pytest.mark.parametrize("width", [2, 4])
     def test_block_of_the_wrong_width_names_its_first_line(self, tmp_path, width):
-        # loadtxt refuses the uneven rows; the per-line pass names line 5
+        # loadtxt holds line 5 to the width of the rows before it
         path = tmp_path / "emb.txt"
         path.write_text("\n".join(["6 3", *_rows(3), *_rows(6, width)[3:]]) + "\n")
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:5: expected 4 columns, got {width + 1}$"):
             load_embeddings(path)
 
     def test_every_row_of_the_wrong_width_names_the_first(self, tmp_path):
-        # loadtxt reads every row as one even matrix, just not 3 wide: the shape check refuses it
+        # the first row's columns are counted before loadtxt takes its width
         path = tmp_path / "emb.txt"
         path.write_text("\n".join(["4 3", *_rows(4, 2)]) + "\n")
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: expected 4 columns, got 3$"):
@@ -316,13 +316,13 @@ class TestBlockParse:
         assert index.ent_labels == ["a", "b"] and index.cat_labels == ["k"]
         assert index.vecs.tolist() == [[1, 2], [3, 4], [5, 6]]
 
-    def test_blank_line_on_the_per_line_path(self, tmp_path):
-        # np.loadtxt refuses 1_000, which float() reads, so the file takes the per-line pass
+    def test_blank_lines_keep_line_numbers(self, tmp_path):
         path = tmp_path / "emb.txt"
-        path.write_text("3 2\ne:a 1_000 2\n\ne:b 3 4\nc:k 5 6\n")
-        assert load_embeddings(path).vecs.tolist() == [[1000, 2], [3, 4], [5, 6]]
-        path.write_text("3 2\ne:a 1_000 2\n\ne:b 3 4\nc:k 5 inf\n")
+        path.write_text("3 2\ne:a 1 2\n\ne:b 3 4\nc:k 5 inf\n")
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:5: non-finite value$"):
+            load_embeddings(path)
+        path.write_text("3 2\ne:a 1 2\n\n\ne:b 1_000 4\nc:k 5 6\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:5: non-numeric value .*'1_000'"):
             load_embeddings(path)
 
     def test_late_non_finite_value_names_its_line(self, tmp_path):
@@ -333,21 +333,41 @@ class TestBlockParse:
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:10: non-finite value$"):
             load_embeddings(path)
 
-    def test_refused_file_holds_its_values_as_float64(self):
-        # the per-line pass keeps every row until the bad last line; one Python
-        # float per value would take over 4x the rows' float64 bytes
-        n, dim = 2000, 100
-        rng = np.random.default_rng(5)
-        body = [f"e:r{i} " + " ".join(f"{v:.6g}" for v in rng.normal(size=dim)) for i in range(n - 1)]
-        body.append(f"e:last {'1 ' * (dim - 1)}x1")
-        tracemalloc.start()
-        try:
-            with pytest.raises(FormatError, match=rf"^emb\.txt:{n + 1}: non-numeric value \("):
-                _parse_lines(body, dim, "emb.txt")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * n * dim * 8
+    @pytest.mark.parametrize("late", [False, True])
+    def test_first_bad_line_wins_behind_many_rows(self, tmp_path, late):
+        # a numpy that read rows ahead of parsing them would name the later line
+        bad, dup = "e:x 1 y 3", "e:r0 1 2 3"
+        second, third = (bad, dup) if late else (dup, bad)
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join(["2002 3", *_rows(2000), second, third]) + "\n")
+        fault = "non-numeric value .*'y'" if late else "duplicate row label 'e:r0'"
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2002: {fault}"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("line,fault", [
+        ("r0 1 y", "expected 4 columns, got 3"),  # also no prefix, a repeated label and a bad value
+        ("e:r0 1 y 3 4", "expected 4 columns, got 5"),
+        ("r0 1 y 3", "row label 'r0' lacks an e:/c: prefix"),
+        ("e:r0 1 y 3", "duplicate row label 'e:r0'"),
+        ("e:new 1 y 3", "non-numeric value (could not convert string to float: 'y')"),
+    ], ids=["too-few", "too-many", "prefix", "duplicate", "value"])
+    @pytest.mark.parametrize("n_before", [1, 2000])
+    def test_faults_of_one_line_keep_their_order(self, tmp_path, line, fault, n_before):
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join([f"{n_before + 1} 3", *_rows(n_before), line]) + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:{n_before + 2}: {re.escape(fault)}$"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("line,fault", [
+        ("r0 1 y", "expected 4 columns, got 3"),
+        ("r0 1 y 3", "row label 'r0' lacks an e:/c: prefix"),
+        ("e:r0 1 y 3", "non-numeric value (could not convert string to float: 'y')"),
+    ], ids=["too-few", "prefix", "value"])
+    def test_faults_of_the_first_row_keep_their_order(self, tmp_path, line, fault):
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join(["3 3", "", line, *_rows(3)[1:]]) + "\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:3: {re.escape(fault)}$"):
+            load_embeddings(path)
 
     def test_huge_header_allocates_nothing(self, tmp_path):
         path = tmp_path / "emb.txt"

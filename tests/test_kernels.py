@@ -12,7 +12,7 @@ from catembed.trainer import TrainConfig, predictor_csr, train
 from oracles import apply_gradient, group_loss_and_grad, pair_loss_and_grad
 
 
-def make_instance(seed, n_pairs=12, n_ent=9, n_cat=5, dim=7, k=4, runs=None):
+def make_instance(seed, n_pairs=12, n_ent=9, n_cat=5, dim=7, k=4, runs=None, width=(0, 3)):
     """Random tables, predictor CSR and one chunk of pairs, with one row of k negatives per group.
 
     Returns ``(tables, chunk)``: ``tables`` is ``(inp, ent_out)`` and ``chunk``
@@ -20,17 +20,18 @@ def make_instance(seed, n_pairs=12, n_ent=9, n_cat=5, dim=7, k=4, runs=None):
     bounds)``, with the groups that ``kernels.group_bounds`` cuts, so a kernel
     runs as ``kernel(*tables, lr, *chunk)``. ``runs`` (run lengths)
     replaces ``n_pairs``: the chunk is then runs of equal targets, each run's
-    target different from the one before it.
+    target different from the one before it. Each entity gets from
+    ``width[0]`` to ``width[1]`` categories, so one more predictor row.
     """
     rng = np.random.default_rng(seed)
     ent_in = rng.normal(0, 0.4, (n_ent, dim))
     cat_in = rng.normal(0, 0.4, (n_cat, dim))
     ent_out = rng.normal(0, 0.4, (n_ent, dim))
-    # random CSR weight layout: 0-3 categories per entity
+    # random CSR weight layout
     offsets = np.zeros(n_ent + 1, dtype=np.int64)
     ids, ws = [], []
     for e in range(n_ent):
-        m = int(rng.integers(0, 4))
+        m = int(rng.integers(width[0], width[1] + 1))
         cats = rng.choice(n_cat, size=m, replace=False)
         raw = rng.random(m) + 0.1
         ids.extend(int(c) for c in cats)
@@ -194,9 +195,14 @@ def groups_of_runs(runs):
 
 
 class TestGroupedUpdate:
+    # deep-dag's fan-in is 16-33 predictor rows a target
+    @pytest.mark.parametrize("fan_in", [{}, {"n_cat": 40, "width": (15, 32)}], ids=["narrow", "wide"])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_group_oracle(self, backend):
-        tables, chunk = make_instance(6, runs=(1, 7, 8, 9, 20))
+    def test_matches_group_oracle(self, backend, fan_in):
+        tables, chunk = make_instance(6, runs=(1, 7, 8, 9, 20), **fan_in)
+        if fan_in:
+            rows = np.diff(chunk[3])
+            assert rows.min() >= 16 and rows.max() <= 33 and rows.max() - rows.min() > 8
         got = clone(tables)
         loss = BACKENDS[backend](*got, 0.05, *chunk)
         # runs of 1, 7, 8, 9 (8 + 1) and 20 (8 + 8 + 4) pairs
